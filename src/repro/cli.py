@@ -24,6 +24,12 @@ Commands:
   with seeded fault injection and live family evolution
   (``--nodes N --shards K --faults PLAN --seed S``); exits non-zero on
   any per-request oracle violation.
+* ``repl``          — an interactive J&s session (see :mod:`repro.repl`).
+* ``profile FILE``  — per-jns-line event counts and wall-clock samples.
+* ``bench-diff``    — gate the two latest ``BENCH_history.jsonl`` entries.
+* ``graph FILE``    — print the family graph (``--dot`` for Graphviz).
+* ``serve``         — the long-lived incremental check service over TCP.
+* ``top``           — a live ops console for a running ``repro serve``.
 
 ``run`` and ``check`` share the observability flags (see
 :mod:`repro.obs`): ``--profile`` prints the unified phase-timing +
@@ -44,11 +50,9 @@ from . import obs
 from .api import cache_stats, compile_program
 from .diagnostics import DiagnosticSink, render
 from .lang.classtable import ClassTable, JnsError
-from .lang.infer import infer_constraints, install_constraints
 from .lang.resolve import resolve_program
 from .lang.typecheck import check_program
 from .source.parser import parse_program
-from .source.unparse import unparse
 
 
 def _read(path: str) -> str:
@@ -299,6 +303,8 @@ def cmd_check(args) -> int:
         inferred_lines = []
         if table is not None:
             if args.infer:
+                from .lang.infer import infer_constraints, install_constraints
+
                 try:
                     inferred = infer_constraints(table)
                     installed = install_constraints(table, inferred)
@@ -330,6 +336,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fmt(args) -> int:
+    from .source.unparse import unparse
+
     try:
         unit = parse_program(_read(args.file))
     except JnsError as exc:

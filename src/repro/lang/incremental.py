@@ -143,10 +143,10 @@ def _node_sig(node: Any) -> Any:
         return node
     if isinstance(node, (list, tuple)):
         return tuple(_node_sig(x) for x in node)
-    if dataclasses.is_dataclass(node):
+    fields = getattr(type(node), "_fields", None)
+    if fields is not None:
         return (type(node).__name__,) + tuple(
-            _node_sig(getattr(node, f.name))
-            for f in dataclasses.fields(node)
+            _node_sig(getattr(node, name)) for name in fields
         )
     return repr(node)
 

@@ -75,6 +75,9 @@ __all__ = [
     "disable",
     "enabled",
     "format_report",
+    "LineProfiler",
+    "PROFILER",
+    "fold_label",
 ]
 
 #: Default capacity of the in-memory event ring.  Old events fall off
@@ -567,8 +570,6 @@ class Tracer:
         the collapsed format: the former separates frames, the latter
         separates the stack from its weight), so a span named
         ``"check A; B"`` folds as one frame, not three."""
-        from .profiler import fold_label
-
         if weight not in ("us", "count"):
             raise ValueError(f"weight must be 'us' or 'count', got {weight!r}")
         rows = self.span_tree()
@@ -667,6 +668,26 @@ class Tracer:
         return "\n".join(lines)
 
 
+def fold_label(name: str) -> str:
+    """Sanitize one frame label for the collapsed-stack fold format.
+
+    Folds are ``frame;frame;frame COUNT`` — a ``;`` or any whitespace
+    inside a frame name would corrupt the fold structure for downstream
+    tools (flamegraph.pl, speedscope), so both are replaced.
+    """
+    if not name:
+        return "(anonymous)"
+    out = []
+    for ch in name:
+        if ch == ";":
+            out.append(":")
+        elif ch.isspace():
+            out.append("_")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 def _trace_event(rec: Any) -> Dict[str, Any]:
     """One ring record as a Chrome-trace (Trace Event Format) object —
     shared by :meth:`Tracer.to_chrome_trace` and the JSONL stream."""
@@ -720,6 +741,82 @@ def _fmt_ns(ns: float) -> str:
 #: The process-wide tracer.  Instrumentation sites import this and guard
 #: with ``if TRACER.enabled:`` — one attribute load and branch when off.
 TRACER = Tracer()
+
+
+class LineProfiler:
+    """Deterministic per-jns-line counters.
+
+    One process-wide instance (:data:`PROFILER`) mirrors the
+    :data:`TRACER` pattern: hot sites check ``PROFILER.enabled`` (one
+    attribute load and branch) and pay nothing when profiling is off.
+    Events without an explicit line attribute to :attr:`cur_line`, the
+    line of the most recently entered statement — identical across
+    backends because statement entry order is a backend invariant.
+    """
+
+    EVENT_KINDS = ("mask", "view", "dispatch")
+
+    __slots__ = ("enabled", "cur_line", "steps", "mask", "view", "dispatch")
+
+    def __init__(self) -> None:
+        self.enabled = False
+        self.cur_line = 0
+        self.steps: Dict[int, int] = {}
+        self.mask: Dict[int, int] = {}
+        self.view: Dict[int, int] = {}
+        self.dispatch: Dict[int, int] = {}
+
+    # -- lifecycle -------------------------------------------------------
+
+    def reset(self) -> None:
+        self.cur_line = 0
+        self.steps = {}
+        self.mask = {}
+        self.view = {}
+        self.dispatch = {}
+
+    def start(self) -> None:
+        self.reset()
+        self.enabled = True
+
+    def stop(self) -> None:
+        self.enabled = False
+
+    def snapshot(self) -> Dict[str, Dict[int, int]]:
+        return {
+            "steps": dict(self.steps),
+            "mask": dict(self.mask),
+            "view": dict(self.view),
+            "dispatch": dict(self.dispatch),
+        }
+
+    # -- hot-path hooks --------------------------------------------------
+
+    def stmt_hit(self, line: int) -> None:
+        """One statement entry at jns ``line``; becomes the attribution
+        point for subsequent anonymous events."""
+        self.cur_line = line
+        d = self.steps
+        d[line] = d.get(line, 0) + 1
+
+    def mask_hit(self) -> None:
+        d = self.mask
+        line = self.cur_line
+        d[line] = d.get(line, 0) + 1
+
+    def view_hit(self) -> None:
+        d = self.view
+        line = self.cur_line
+        d[line] = d.get(line, 0) + 1
+
+    def dispatch_hit(self) -> None:
+        d = self.dispatch
+        line = self.cur_line
+        d[line] = d.get(line, 0) + 1
+
+
+#: The process-wide deterministic line profiler (see :mod:`repro.profiler`).
+PROFILER = LineProfiler()
 
 
 def enabled() -> bool:

@@ -41,7 +41,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+# The hot-path collector lives next to ``obs.TRACER`` and the source-map
+# type next to the emitter that builds it, so a plain ``repro run`` never
+# imports this module; they are re-exported here unchanged.
+from .obs import PROFILER, LineProfiler, fold_label
+from .runtime.codegen import EmittedSource
 
 __all__ = [
     "PROFILER",
@@ -54,141 +60,6 @@ __all__ = [
     "profile_source",
 ]
 
-
-def fold_label(name: str) -> str:
-    """Sanitize one frame label for the collapsed-stack fold format.
-
-    Folds are ``frame;frame;frame COUNT`` — a ``;`` or any whitespace
-    inside a frame name would corrupt the fold structure for downstream
-    tools (flamegraph.pl, speedscope), so both are replaced.
-    """
-    if not name:
-        return "(anonymous)"
-    out = []
-    for ch in name:
-        if ch == ";":
-            out.append(":")
-        elif ch.isspace():
-            out.append("_")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-class EmittedSource(str):
-    """The text of one emitted codegen body, plus its source map.
-
-    Subclasses :class:`str` so existing consumers that treat
-    ``CodegenCompiler.sources[label]`` as plain text (tests, docs
-    tooling) keep working unchanged.
-
-    ``linemap[i]`` is the originating jns ``(line, col)`` for emitted
-    Python line ``i + 1`` (1-based, counting the ``def`` header), or
-    ``None`` for scaffolding lines (the header, fuel/ABSENT prologue).
-    ``filename`` is the pseudo-filename the body was compiled under
-    (``<jns:P.C.m>``) — also registered in :mod:`linecache` so
-    tracebacks and frame inspection resolve to real emitted text.
-    """
-
-    label: str
-    filename: str
-    linemap: Tuple[Optional[Tuple[int, int]], ...]
-
-    def __new__(
-        cls,
-        text: str,
-        label: str = "",
-        filename: str = "",
-        linemap: Sequence[Optional[Tuple[int, int]]] = (),
-    ) -> "EmittedSource":
-        self = super().__new__(cls, text)
-        self.label = label
-        self.filename = filename
-        self.linemap = tuple(linemap)
-        return self
-
-    def resolve(self, py_line: int) -> Optional[Tuple[int, int]]:
-        """jns ``(line, col)`` for 1-based emitted Python line, if any."""
-        i = py_line - 1
-        if 0 <= i < len(self.linemap):
-            return self.linemap[i]
-        return None
-
-
-class LineProfiler:
-    """Deterministic per-jns-line counters.
-
-    One process-wide instance (:data:`PROFILER`) mirrors the
-    ``obs.TRACER`` pattern: hot sites check ``PROFILER.enabled`` (one
-    attribute load and branch) and pay nothing when profiling is off.
-    Events without an explicit line attribute to :attr:`cur_line`, the
-    line of the most recently entered statement — identical across
-    backends because statement entry order is a backend invariant.
-    """
-
-    EVENT_KINDS = ("mask", "view", "dispatch")
-
-    __slots__ = ("enabled", "cur_line", "steps", "mask", "view", "dispatch")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.cur_line = 0
-        self.steps: Dict[int, int] = {}
-        self.mask: Dict[int, int] = {}
-        self.view: Dict[int, int] = {}
-        self.dispatch: Dict[int, int] = {}
-
-    # -- lifecycle -------------------------------------------------------
-
-    def reset(self) -> None:
-        self.cur_line = 0
-        self.steps = {}
-        self.mask = {}
-        self.view = {}
-        self.dispatch = {}
-
-    def start(self) -> None:
-        self.reset()
-        self.enabled = True
-
-    def stop(self) -> None:
-        self.enabled = False
-
-    def snapshot(self) -> Dict[str, Dict[int, int]]:
-        return {
-            "steps": dict(self.steps),
-            "mask": dict(self.mask),
-            "view": dict(self.view),
-            "dispatch": dict(self.dispatch),
-        }
-
-    # -- hot-path hooks --------------------------------------------------
-
-    def stmt_hit(self, line: int) -> None:
-        """One statement entry at jns ``line``; becomes the attribution
-        point for subsequent anonymous events."""
-        self.cur_line = line
-        d = self.steps
-        d[line] = d.get(line, 0) + 1
-
-    def mask_hit(self) -> None:
-        d = self.mask
-        line = self.cur_line
-        d[line] = d.get(line, 0) + 1
-
-    def view_hit(self) -> None:
-        d = self.view
-        line = self.cur_line
-        d[line] = d.get(line, 0) + 1
-
-    def dispatch_hit(self) -> None:
-        d = self.dispatch
-        line = self.cur_line
-        d[line] = d.get(line, 0) + 1
-
-
-#: the process-wide deterministic profiler (see ``obs.TRACER``)
-PROFILER = LineProfiler()
 
 #: serializes whole profile runs (the collectors are process-global)
 PROFILE_LOCK = threading.Lock()

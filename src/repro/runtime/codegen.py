@@ -50,13 +50,12 @@ from __future__ import annotations
 
 import linecache
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..lang import types as T
 from ..lang.classtable import JnsError, ResolveError, path_str
 from ..lang.types import ClassType, View
-from ..obs import TRACER
-from ..profiler import PROFILER, EmittedSource
+from ..obs import PROFILER, TRACER
 from ..source import ast
 from .interp import _jdiv, _jmod, to_jstring
 from .values import (
@@ -68,6 +67,46 @@ from .values import (
     UninitializedFieldError,
     default_value,
 )
+
+
+class EmittedSource(str):
+    """The text of one emitted codegen body, plus its source map.
+
+    Subclasses :class:`str` so existing consumers that treat
+    ``CodegenCompiler.sources[label]`` as plain text (tests, docs
+    tooling) keep working unchanged.
+
+    ``linemap[i]`` is the originating jns ``(line, col)`` for emitted
+    Python line ``i + 1`` (1-based, counting the ``def`` header), or
+    ``None`` for scaffolding lines (the header, fuel/ABSENT prologue).
+    ``filename`` is the pseudo-filename the body was compiled under
+    (``<jns:P.C.m>``) — also registered in :mod:`linecache` so
+    tracebacks and frame inspection resolve to real emitted text.
+    """
+
+    label: str
+    filename: str
+    linemap: Tuple[Optional[Tuple[int, int]], ...]
+
+    def __new__(
+        cls,
+        text: str,
+        label: str = "",
+        filename: str = "",
+        linemap: Sequence[Optional[Tuple[int, int]]] = (),
+    ) -> "EmittedSource":
+        self = super().__new__(cls, text)
+        self.label = label
+        self.filename = filename
+        self.linemap = tuple(linemap)
+        return self
+
+    def resolve(self, py_line: int) -> Optional[Tuple[int, int]]:
+        """jns ``(line, col)`` for 1-based emitted Python line, if any."""
+        i = py_line - 1
+        if 0 <= i < len(self.linemap):
+            return self.linemap[i]
+        return None
 
 
 class _BreakEscape(Exception):

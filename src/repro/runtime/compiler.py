@@ -29,7 +29,7 @@ from ..lang import types as T
 from ..lang.classtable import path_str
 from ..lang.types import ClassType
 from ..obs import TRACER
-from ..profiler import PROFILER
+from ..obs import PROFILER
 from ..source import ast
 from .values import (
     ABSENT,

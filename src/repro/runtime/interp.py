@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..errors import JnsResourceError
 from ..lang import types as T
 from ..obs import TRACER
-from ..profiler import PROFILER
+from ..obs import PROFILER
 from ..lang.classtable import ClassTable, JnsError, ResolveError, path_str
 from ..lang.queries import MISS, CacheStats, QueryEngine, collect_stats
 from ..lang.types import ClassType, Path, Type, View

@@ -13,10 +13,35 @@ Positions are (line, col) pairs for error reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 Pos = Tuple[int, int]
+
+#: Every node class, in definition order; :func:`_build_nodes` gives them
+#: their methods once the module has defined them all.
+_NODES: List[type] = []
+
+
+class Fresh:
+    """Default of a field that gets a new ``factory()`` value per node."""
+
+    __slots__ = ("factory",)
+
+    def __init__(self, factory: Callable[[], Any]) -> None:
+        self.factory = factory
+
+
+def node(cls: type) -> type:
+    """Declare an AST node class.
+
+    Its annotated class attributes, in order, are its fields (listed in
+    ``cls._fields``), and a field's class attribute is its default.  A
+    node gets what ``@dataclass`` would give it: an ``__init__`` taking
+    the fields positionally or by keyword, a field-wise ``__eq__``, no
+    hash, and a field-listing ``__repr__`` unless it defines its own.
+    """
+    _NODES.append(cls)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +53,7 @@ class TypeAST:
     """Base class for surface type annotations."""
 
 
-@dataclass
+@node
 class TName(TypeAST):
     """A dotted name ``A.B.C``; resolution decides what it denotes."""
 
@@ -39,7 +64,7 @@ class TName(TypeAST):
         return ".".join(self.parts)
 
 
-@dataclass
+@node
 class TPrim(TypeAST):
     """A primitive type: int, double, boolean, String, void."""
 
@@ -50,7 +75,7 @@ class TPrim(TypeAST):
         return self.name
 
 
-@dataclass
+@node
 class TDep(TypeAST):
     """A dependent class ``p.class`` for a final access path ``p``.
 
@@ -65,7 +90,7 @@ class TDep(TypeAST):
         return ".".join(self.path) + ".class"
 
 
-@dataclass
+@node
 class TPrefix(TypeAST):
     """A prefix type ``P[T]``: the enclosing family of ``T`` at level ``P``."""
 
@@ -77,7 +102,7 @@ class TPrefix(TypeAST):
         return f"{self.family!r}[{self.index!r}]"
 
 
-@dataclass
+@node
 class TExact(TypeAST):
     """An exact type ``T!``."""
 
@@ -88,7 +113,7 @@ class TExact(TypeAST):
         return f"{self.inner!r}!"
 
 
-@dataclass
+@node
 class TMask(TypeAST):
     """A masked type ``T\\f``: ``T`` without read access to field ``f``."""
 
@@ -100,7 +125,7 @@ class TMask(TypeAST):
         return repr(self.inner) + "".join("\\" + f for f in self.fields)
 
 
-@dataclass
+@node
 class TNested(TypeAST):
     """A member access on a non-name type, e.g. ``AST[this.class].Exp``."""
 
@@ -112,7 +137,7 @@ class TNested(TypeAST):
         return f"{self.outer!r}.{self.name}"
 
 
-@dataclass
+@node
 class TIsect(TypeAST):
     """An intersection type ``T1 & T2``."""
 
@@ -123,7 +148,7 @@ class TIsect(TypeAST):
         return " & ".join(repr(p) for p in self.parts)
 
 
-@dataclass
+@node
 class TArray(TypeAST):
     """An array type ``T[]``."""
 
@@ -148,32 +173,32 @@ class Expr:
     rtype: Any = None
 
 
-@dataclass
+@node
 class Lit(Expr):
     value: Any
     kind: str  # "int" | "double" | "boolean" | "String" | "null"
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class This(Expr):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Var(Expr):
     name: str
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class FieldGet(Expr):
     obj: Expr
     name: str
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Call(Expr):
     obj: Optional[Expr]  # None means a call on an implicit ``this``
     name: str
@@ -181,7 +206,7 @@ class Call(Expr):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class SysCall(Expr):
     """A call into the native ``Sys`` library (created by the resolver)."""
 
@@ -190,35 +215,35 @@ class SysCall(Expr):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class NewObj(Expr):
     type: Any  # TypeAST, later resolved type
     args: List[Expr]
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class NewArray(Expr):
     elem_type: Any
     length: Expr
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Index(Expr):
     arr: Expr
     idx: Expr
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Unary(Expr):
     op: str
     operand: Expr
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Binary(Expr):
     op: str
     left: Expr
@@ -226,7 +251,7 @@ class Binary(Expr):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Cond(Expr):
     """Ternary conditional ``c ? t : f``."""
 
@@ -236,14 +261,14 @@ class Cond(Expr):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Cast(Expr):
     type: Any
     expr: Expr
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class ViewChange(Expr):
     """The J&s view change ``(view T)e``."""
 
@@ -252,14 +277,14 @@ class ViewChange(Expr):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class InstanceOf(Expr):
     expr: Expr
     type: Any
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Assign(Expr):
     """Assignment; target is Var, FieldGet, or Index.  ``op`` is '=' or a
     compound operator like '+='."""
@@ -279,13 +304,13 @@ class Stmt:
     """Base class for statements."""
 
 
-@dataclass
+@node
 class Block(Stmt):
     stmts: List[Stmt]
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class LocalDecl(Stmt):
     final: bool
     type: Any
@@ -294,13 +319,13 @@ class LocalDecl(Stmt):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class ExprStmt(Stmt):
     expr: Expr
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class If(Stmt):
     cond: Expr
     then: Stmt
@@ -308,14 +333,14 @@ class If(Stmt):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class While(Stmt):
     cond: Expr
     body: Stmt
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class For(Stmt):
     init: Optional[Stmt]
     cond: Optional[Expr]
@@ -324,23 +349,23 @@ class For(Stmt):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Return(Stmt):
     value: Optional[Expr]
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Break(Stmt):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Continue(Stmt):
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Empty(Stmt):
     pos: Pos = (0, 0)
 
@@ -350,7 +375,7 @@ class Empty(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@node
 class FieldDecl:
     final: bool
     type: Any
@@ -359,14 +384,14 @@ class FieldDecl:
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class Param:
     type: Any
     name: str
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class SharingConstraint:
     """A method-level sharing constraint ``sharing T1 = T2`` (bidirectional,
     as written in the paper's examples)."""
@@ -376,7 +401,7 @@ class SharingConstraint:
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class MethodDecl:
     abstract: bool
     ret_type: Any
@@ -387,7 +412,7 @@ class MethodDecl:
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class CtorDecl:
     name: str
     params: List[Param]
@@ -395,14 +420,14 @@ class CtorDecl:
     pos: Pos = (0, 0)
 
 
-@dataclass
+@node
 class ClassDecl:
     name: str
     abstract: bool
     extends: List[Any]
     shares: Optional[Any]  # TypeAST possibly with masks
     adapts: Optional[Any]
-    members: List[Any] = field(default_factory=list)
+    members: List[Any] = Fresh(list)
     pos: Pos = (0, 0)
 
     @property
@@ -422,6 +447,69 @@ class ClassDecl:
         return [m for m in self.members if isinstance(m, CtorDecl)]
 
 
-@dataclass
+@node
 class CompilationUnit:
     classes: List[ClassDecl]
+
+
+# ---------------------------------------------------------------------------
+# Node methods
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _node_eq(self: Any, other: Any) -> Any:
+    if other.__class__ is self.__class__:
+        names = self._fields
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+    return NotImplemented
+
+
+def _node_repr(self: Any) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _build_nodes(classes: List[type]) -> None:
+    """Make every node's ``__init__`` from one ``exec``; share ``__eq__``
+    and ``__repr__``.
+
+    ``@dataclass`` runs ``exec`` and ``inspect`` once per class, which
+    costs every process that imports the front end about 20 ms for these
+    42 classes.  Each ``__init__`` is the one ``@dataclass`` writes, so
+    building nodes costs the parser what it did.
+    """
+    env: Dict[str, Any] = {"__name__": __name__}
+    src: List[str] = []
+    for i, cls in enumerate(classes):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        params, body = [], []
+        for name in names:
+            default = cls.__dict__.get(name, _REQUIRED)
+            value = name
+            if default is _REQUIRED:
+                params.append(name)
+            else:
+                env[f"_d{i}_{name}"] = default
+                params.append(f"{name}=_d{i}_{name}")
+            if isinstance(default, Fresh):
+                env[f"_f{i}_{name}"] = default.factory
+                value = f"_f{i}_{name}() if {name} is _d{i}_{name} else {name}"
+                delattr(cls, name)
+            body.append(f"    self.{name} = {value}")
+        src += [f"def _init{i}(self, {', '.join(params)}):", *body]
+        cls._fields = names
+    exec("\n".join(src), env)
+    for i, cls in enumerate(classes):
+        init = env[f"_init{i}"]
+        init.__name__ = "__init__"
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        cls.__eq__ = _node_eq
+        cls.__hash__ = None
+        if "__repr__" not in cls.__dict__:
+            cls.__repr__ = _node_repr
+
+
+_build_nodes(_NODES)
