@@ -58,9 +58,7 @@ class Program:
         echo: bool = False,
         memoize_views: bool = True,
         eager_views: bool = False,
-        compiled: bool = False,
-        specialized: bool = False,
-        backend: Optional[str] = None,
+        backend: str = "walker",
         max_steps: Optional[int] = None,
         max_depth: Optional[int] = None,
         line_profile: bool = False,
@@ -68,15 +66,13 @@ class Program:
         """Create a fresh interpreter for this program.  The keyword flags
         select the ablation variants described in DESIGN.md (D1: disable
         view-change memoization; D3: eager instead of lazy implicit view
-        changes).  ``backend`` is the unified selector over
-        ``("walker", "compiled", "specialized", "codegen")`` and overrides
-        the legacy booleans: ``compiled=True`` selects the closure-compiled
-        backend; ``specialized=True`` additionally runs the ahead-of-time
-        specialization pass (slotted layouts, register frames, sealed-family
-        devirtualization — see ``repro/runtime/specialize.py``) and implies
-        ``compiled``; ``backend="codegen"`` emits and ``compile()``s real
-        Python source per specialized method body on top of that
-        (``repro/runtime/codegen.py``).  ``max_steps``/``max_depth`` bound
+        changes).  ``backend`` is ``"walker"`` (the tree-walking reference
+        semantics) or ``"codegen"``, which runs the ahead-of-time
+        specialization pass (slotted layouts, sealed-family
+        devirtualization — see ``repro/runtime/specialize.py``) and emits
+        and ``compile()``s real Python source per specialized method body
+        (``repro/runtime/codegen.py``); ``jx`` mode always runs on the
+        walker.  ``max_steps``/``max_depth`` bound
         evaluation fuel and J&s call depth; exceeding either raises
         :class:`~repro.errors.JnsResourceError`."""
         return Interp(
@@ -85,8 +81,6 @@ class Program:
             echo=echo,
             memoize_views=memoize_views,
             eager_views=eager_views,
-            compiled=compiled,
-            specialized=specialized,
             backend=backend,
             max_steps=max_steps,
             max_depth=max_depth,
@@ -164,7 +158,7 @@ def run_program(
     entry: str = "Main.main",
     mode: str = "jns",
     check: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "walker",
     max_steps: Optional[int] = None,
     max_depth: Optional[int] = None,
 ) -> Tuple[Any, List[str]]:

@@ -128,28 +128,6 @@ def _emit_observability(args, stats) -> None:
         print(json.dumps(stats.to_dict(), sort_keys=True))
 
 
-#: one-shot latch for the --no-specialize deprecation warning
-_no_specialize_warned = False
-
-
-def _resolve_backend(args) -> str:
-    """Merge the unified ``--backend`` selector with the deprecated
-    ``--no-specialize`` alias (warns once per process, maps to
-    ``--backend compiled``).  Default: ``codegen``."""
-    global _no_specialize_warned
-    backend = getattr(args, "backend", None)
-    if getattr(args, "no_specialize", False):
-        if not _no_specialize_warned:
-            print(
-                "warning: --no-specialize is deprecated; use --backend compiled",
-                file=sys.stderr,
-            )
-            _no_specialize_warned = True
-        if backend is None:
-            backend = "compiled"
-    return backend or "codegen"
-
-
 def cmd_run(args) -> int:
     source = _read(args.file)
     if _tracing_requested(args):
@@ -164,7 +142,7 @@ def cmd_run(args) -> int:
         interp = program.interp(
             mode=args.mode,
             echo=True,
-            backend=_resolve_backend(args),
+            backend=args.backend,
             max_steps=args.max_steps,
             max_depth=args.max_depth,
             line_profile=getattr(args, "line_profile", False),
@@ -605,17 +583,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-check", action="store_true")
     p_run.add_argument(
         "--backend",
-        default=None,
-        choices=("walker", "compiled", "specialized", "codegen"),
+        default="codegen",
+        choices=("walker", "codegen"),
         help="execution backend: 'codegen' (default) emits real Python "
-        "per specialized method body; 'specialized' is the register-"
-        "frame escape hatch; 'compiled' closure trees; 'walker' the "
-        "tree interpreter",
-    )
-    p_run.add_argument(
-        "--no-specialize",
-        action="store_true",
-        help="deprecated alias for --backend compiled (warns once)",
+        "per specialized method body; 'walker' is the tree interpreter "
+        "(the reference semantics)",
     )
     p_run.add_argument(
         "--max-steps",
@@ -674,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument(
         "--det-backend",
-        default="specialized",
-        choices=("walker", "compiled", "specialized", "codegen"),
+        default="codegen",
+        choices=("walker", "codegen"),
         help="backend for the deterministic event pass (default "
         "%(default)s; the wall-clock pass always samples codegen)",
     )

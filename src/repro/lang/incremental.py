@@ -612,7 +612,7 @@ class IncrementalChecker:
                 # surviving cache entry that retained them (vtables,
                 # ``find_method`` results green-revalidated under an
                 # unchanged interface) observes the new bodies.  The
-                # member ids are retired so compiled bodies re-compile.
+                # member ids are retired so emitted bodies re-compile.
                 old_ms = [
                     m for m in old.members
                     if not isinstance(m, ast.ClassDecl)

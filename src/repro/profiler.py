@@ -3,9 +3,8 @@
 Two collectors feed one per-line table:
 
 * :class:`LineProfiler` — the deterministic event-cost profiler.  The
-  walker swaps in a counting ``exec_stmt``, the closure/register
-  compilers wrap each compiled statement, and the codegen emitter plants
-  explicit hit calls — all only when the interpreter was built with
+  walker swaps in a counting ``exec_stmt`` and the codegen emitter plants
+  explicit hit calls — both only when the interpreter was built with
   ``line_profile=True``, so unprofiled runs pay nothing (same
   zero-overhead discipline as the fuel counter).  A handful of shared
   runtime hot sites (mask checks in ``get_field``, view adaptation in
@@ -27,12 +26,12 @@ an annotated-source terminal heatmap, a self-contained HTML report, or
 JSON (the ``profile`` op of ``repro serve``).
 
 The deterministic event columns are cross-backend invariants: the
-``steps`` column (statement entries) agrees exactly between walker,
-compiled, specialized, and codegen runs of the same program, as do the
+``steps`` column (statement entries) agrees exactly between walker and
+codegen runs of the same program, as do the
 ``mask`` and ``view`` columns (the codegen tier plants explicit events
 on its elided fast paths so optimized-away work is still attributed).
 The ``dispatch`` column deliberately is *not* invariant — it counts
-dynamic dispatch lookups, which specialization and codegen exist to
+dynamic dispatch lookups, which codegen's devirtualization exists to
 elide, so comparing it across tiers shows exactly what devirtualization
 removed.
 """
@@ -474,7 +473,7 @@ def run_deterministic(
     program,
     entry: str = "Main.main",
     args: Tuple = (),
-    backend: str = "specialized",
+    backend: str = "codegen",
     mode: str = "jns",
 ) -> Tuple[Dict[str, Dict[int, int]], Any]:
     """One profiled run on a deterministic tier; returns (snapshot,
@@ -526,7 +525,7 @@ def profile_source(
     entry: str = "Main.main",
     args: Tuple = (),
     mode: str = "jns",
-    det_backend: str = "specialized",
+    det_backend: str = "codegen",
     sample: bool = True,
     interval: float = 0.001,
     min_samples: int = 0,

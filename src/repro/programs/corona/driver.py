@@ -159,10 +159,9 @@ class EvolutionJournal:
 class Shard:
     """One heap's worth of the ring plus its availability state."""
 
-    def __init__(self, index: int, size: int, specialized: bool, seed: int):
+    def __init__(self, index: int, size: int, seed: int):
         self.index = index
         self.size = size
-        self.specialized = specialized
         self.seed = seed
         self.family = "corona"
         self.epoch = 0
@@ -177,7 +176,7 @@ class Shard:
         self.system = CoronaSystem(
             size=self.size,
             objects=0,
-            specialized=self.specialized,
+            backend="codegen",
             seed=self.seed,
             max_steps=10**9,  # activates fuel accounting for injection
         )
@@ -265,7 +264,6 @@ class ChaosCoronaDriver:
         interarrival_ms: float = 1.0,
         pause_ms_per_node: float = 0.25,
         bee_threshold: int = 3,
-        specialized: bool = True,
     ):
         if shards < 1 or nodes < shards:
             raise ValueError("need at least one node per shard")
@@ -285,7 +283,6 @@ class ChaosCoronaDriver:
         self.interarrival_ms = interarrival_ms
         self.pause_ms_per_node = pause_ms_per_node
         self.bee_threshold = bee_threshold
-        self.specialized = specialized
 
         self._rng = Rng(seed)
         self._hot = min(3, objects)
@@ -351,7 +348,7 @@ class ChaosCoronaDriver:
             for i in range(self.nshards):
                 shard_seed = Rng(self.seed).fork(f"shard{i}").randrange(2**31 - 1)
                 self.shards.append(
-                    Shard(i, self.shard_size, self.specialized, shard_seed)
+                    Shard(i, self.shard_size, shard_seed)
                 )
         for key in range(self.objects):
             self.version_issued[key] = 1

@@ -54,16 +54,12 @@ class CoronaSystem:
         size: int = 16,
         objects: int = 64,
         mode: str = "jns",
-        compiled: bool = False,
-        specialized: bool = False,
-        backend: Optional[str] = None,
+        backend: str = "walker",
         seed: int = 11,
         max_steps: Optional[int] = None,
     ):
         self.interp = program().interp(
             mode=mode,
-            compiled=compiled,
-            specialized=specialized,
             backend=backend,
             max_steps=max_steps,
         )

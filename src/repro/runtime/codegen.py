@@ -1,8 +1,6 @@
-"""The ``jns -> Python`` source-level codegen backend (tier above the
-register compiler).
+"""The ``jns -> Python`` source-level codegen backend.
 
-The register backend (:class:`~repro.runtime.compiler.RegisterCompiler`)
-still pays one Python closure call per expression node.  This module
+The tree walker pays one Python dispatch per AST node.  This module
 removes that layer: each specialized method/constructor body is walked
 once and *emitted* as real Python source — then ``compile()``d and
 ``exec``'d into a plain function cached per ``(declaration, view path)``.
@@ -20,7 +18,7 @@ directly into the emitted text:
 Semantics stay anchored to the interpreter: every slow path (generic
 field access, dispatch misses, casts, dependent types, view changes)
 calls straight back into the same :class:`~repro.runtime.interp.Interp`
-entry points the other backends use, and every emitted call routes
+entry points the walker uses, and every emitted call routes
 through ``Interp._codegen_call`` so stack labels, ``JNS-RES-001``/
 ``JNS-RES-002`` budgets, and RecursionError snapshots are identical.
 The step budget is charged per call and per loop iteration (never per
@@ -42,8 +40,8 @@ callee cells from their compiler, so an incremental edit
 to invalidate closures piecemeal.
 
 Selected with ``repro run --backend codegen`` (the default); the
-four-way differential in ``tests/test_specialize_differential.py`` locks
-the semantics against the other three backends.
+differential in ``tests/test_specialize_differential.py`` locks the
+semantics against the ``walker`` reference.
 """
 
 from __future__ import annotations
@@ -182,8 +180,8 @@ class _Emitter:
             self.cspec = self.spec.class_spec(path)
         except JnsError:
             # Unresolvable sharing state: every ``this`` access falls back
-            # to the generic accessors, which re-raise at the use site —
-            # the same laziness the register backend gets per site.
+            # to the generic accessors, which re-raise at the use site,
+            # as the walker would.
             self.cspec = None
 
     # -- writer helpers -------------------------------------------------
@@ -988,7 +986,7 @@ class _Emitter:
             names.append("u_" + p.name)
             seen["u_" + p.name] = i
         # a duplicated parameter name maps to its last occurrence, as in
-        # the dict and register frames
+        # the walker's dict frames
         for i, n in enumerate(list(names)):
             if seen[n] != i:
                 names[i] = f"_shadow{i}"
@@ -1265,9 +1263,10 @@ class CodegenCompiler:
     # -- allocation ------------------------------------------------------
 
     def allocate(self, rtc, path, args):
-        """Specialized allocation over emitted initializers — the codegen
-        mirror of ``Interp._new_instance_spec`` (identical trace counts,
-        schedule order, and constructor diagnostics)."""
+        """Specialized allocation over emitted initializers: a
+        :class:`~repro.runtime.values.SlottedInstance` over the
+        precomputed layout, with the walker's ``Interp._new_instance``
+        trace counts, schedule order, and constructor diagnostics."""
         plan = self._allocs.get(path)
         if plan is None:
             cspec = self.spec.class_spec(path)

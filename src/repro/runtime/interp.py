@@ -44,19 +44,17 @@ from .values import (
     JnsRuntimeError,
     NullDereference,
     Ref,
-    SlottedInstance,
     UninitializedFieldError,
     default_value,
 )
 
 MODES = ("java", "jx", "jx_cl", "jns")
 
-#: Execution backends, slowest to fastest.  ``walker`` tree-walks,
-#: ``compiled`` builds Python closure trees over dict frames,
-#: ``specialized`` adds AOT specialization with register-list frames,
-#: ``codegen`` emits and ``compile()``s real Python source per
-#: specialized method body (the default for ``repro run``).
-BACKENDS = ("walker", "compiled", "specialized", "codegen")
+#: Execution backends.  ``walker`` tree-walks the AST (the reference
+#: semantics); ``codegen`` runs the AOT specialization pass and emits and
+#: ``compile()``s real Python source per specialized method body (the
+#: default for ``repro run``).
+BACKENDS = ("walker", "codegen")
 
 #: "No value at this heap key" — shared with the slotted representation so
 #: the generic accessors treat an ABSENT slot exactly like a missing dict
@@ -144,9 +142,7 @@ class Interp:
         echo: bool = False,
         memoize_views: bool = True,
         eager_views: bool = False,
-        compiled: bool = False,
-        specialized: bool = False,
-        backend: Optional[str] = None,
+        backend: str = "walker",
         max_steps: Optional[int] = None,
         max_depth: Optional[int] = None,
         line_profile: bool = False,
@@ -154,22 +150,17 @@ class Interp:
         """``memoize_views=False`` disables the per-instance reference-object
         memoization of Section 6.3 (ablation D1); ``eager_views=True``
         propagates an explicit view change through all reachable shared
-        fields immediately instead of lazily at access time (ablation D3);
-        ``compiled=True`` translates method bodies to Python closures once
-        instead of tree-walking them (the Section 6 compilation strategy
-        on the Python substrate).
+        fields immediately instead of lazily at access time (ablation D3).
 
-        ``specialized=True`` additionally runs the ahead-of-time
-        specialization pass of :mod:`repro.runtime.specialize` (slotted
-        object layouts, register frames, sealed-family devirtualization)
-        and implies ``compiled``.  It is ignored in ``jx`` mode, whose
-        point is the *absence* of run-time precomputation.
-
-        ``backend`` is the unified selector (one of :data:`BACKENDS`); it
-        overrides the legacy ``compiled``/``specialized`` booleans when
-        given.  ``codegen`` emits and ``compile()``s real Python source
-        per specialized method body (see :mod:`repro.runtime.codegen`)
-        and implies ``specialized``.
+        ``backend`` is one of :data:`BACKENDS`.  ``walker`` tree-walks
+        method bodies.  ``codegen`` (the Section 6 compilation strategy on
+        the Python substrate) runs the ahead-of-time specialization pass
+        of :mod:`repro.runtime.specialize` (slotted object layouts,
+        sealed-family devirtualization) and emits and ``compile()``s real
+        Python source per specialized method body (see
+        :mod:`repro.runtime.codegen`).  ``jx`` mode always runs on
+        ``walker``, because its point is the *absence* of run-time
+        precomputation; :attr:`backend` then reports ``"walker"``.
 
         ``max_steps`` bounds the number of expression evaluations (fuel;
         ``None`` = unlimited); ``max_depth`` bounds the J&s call depth.
@@ -177,61 +168,45 @@ class Interp:
         J&s call stack, instead of hitting Python's recursion limit."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        if backend is not None:
-            if backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; expected one of {BACKENDS}"
-                )
-            compiled = backend in ("compiled", "specialized", "codegen")
-            specialized = backend in ("specialized", "codegen")
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
+            )
         self.table = table
         self.mode = mode
         self.sharing = mode == "jns"
         self.echo = echo
         self.memoize_views = memoize_views
         self.eager_views = eager_views
-        self.specialized = bool(specialized) and mode != "jx"
-        self.codegen = backend == "codegen" and self.specialized
-        self.compiled = bool(compiled) or self.specialized
-        #: the resolved backend name (jx mode degrades codegen/specialized
-        #: to compiled, mirroring the ``specialized`` docstring above)
-        self.backend = (
-            "codegen" if self.codegen
-            else "specialized" if self.specialized
-            else "compiled" if self.compiled
-            else "walker"
-        )
+        self.codegen = backend == "codegen" and mode != "jx"
+        #: the resolved backend name (jx mode runs on the walker)
+        self.backend = "codegen" if self.codegen else "walker"
         #: deterministic per-jns-line profiling (see repro.profiler):
-        #: compilers plant statement hooks, the walker swaps in a
+        #: codegen plants statement hooks, the walker swaps in a
         #: counting exec_stmt — unprofiled interpreters pay nothing
         self.line_profile = bool(line_profile)
         self.spec = None
-        self._compiler = None
         self._cg = None
         self.output: List[str] = []
         self.loader = Loader(table, cached=(mode != "jx"), sharing=self.sharing)
-        if self.specialized:
+        if self.codegen:
             from .specialize import Specializer
 
             self.spec = Specializer(self)
         # Run-time query caches (see lang/queries.py).  ``dispatch`` is
         # the (view path, method name) inline cache that makes steady-state
-        # dispatch a single dict hit; ``call_site`` counts the compiler's
+        # dispatch a single dict hit; ``call_site`` counts codegen's
         # per-call-site monomorphic inline caches.  jx mode (uncached
         # loader) bypasses all of them to reproduce the J& [31] row of
         # Table 1.
         self.queries = QueryEngine("interp")
         q = self.queries.query
         self._q_dispatch = q("dispatch")
-        self._q_body = q("body")
-        self._q_init = q("init")
         self._q_retarget = q("retarget")
         self._q_conforms = q("conforms")
         self._q_site = q("call_site")
         # Legacy aliases: the underlying dicts of the queries (cleared in
         # place, never replaced), kept for introspection/tests.
-        self._body_cache = self._q_body.table
-        self._init_cache = self._q_init.table
         self._retarget_cache = self._q_retarget.table
         self._conforms_cache = self._q_conforms.table
         table.add_edit_listener(self._on_table_edit)
@@ -296,7 +271,7 @@ class Interp:
         self._depth = 0
         self.call_stack = []
         self._res_stack = None
-        if self.specialized:
+        if self.codegen:
             # Ahead-of-time: precompute layouts, read plans, and sealed
             # targets for the locally closed world before execution.
             self.spec.specialize_program()
@@ -371,8 +346,6 @@ class Interp:
                 )
             if self.codegen:
                 return self._codegen().allocate(rtc, path, args)
-            if self.specialized:
-                return self._new_instance_spec(rtc, path, args)
             return self._new_instance(rtc, path, args)
         except RecursionError:
             if self._res_stack is None:
@@ -394,10 +367,7 @@ class Interp:
             slot = rtc.field_slot[decl.name] if self.sharing else None
             key = (slot, decl.name) if self.sharing else decl.name
             if decl.init is not None:
-                if self.compiled:
-                    inst.fields[key] = self._compiled_init(decl)(frame)
-                else:
-                    inst.fields[key] = self.eval(decl.init, frame)
+                inst.fields[key] = self.eval(decl.init, frame)
             else:
                 inst.fields[key] = default_value(decl.type)
         found = self.loader.find_ctor(rtc, len(args))
@@ -411,48 +381,10 @@ class Interp:
             frame = {"this": ref}
             for param, arg in zip(ctor.params, args):
                 frame[param.name] = arg
-            if self.compiled:
-                self._compiled_body(ctor)(frame)
-            else:
-                try:
-                    self.exec_stmt(ctor.body, frame)
-                except _Return:
-                    pass
-        return ref
-
-    def _new_instance_spec(self, rtc: RTClass, path: Path, args: Tuple) -> Ref:
-        """Specialized allocation: a :class:`SlottedInstance` over the
-        precomputed layout, initializers written straight into their
-        slots, constructor run over a register frame."""
-        if TRACER.enabled:
-            TRACER.count("alloc")
-        cspec = self.spec.class_spec(path)
-        inst = SlottedInstance(path, cspec.layout)
-        view = View(path)
-        ref = Ref(inst, view)
-        inst.view_refs[path] = ref
-        slots = inst.slots
-        for idx, decl, default in cspec.init_plan:
-            if decl is not None:
-                cb = self._compiled_init(decl)
-                frame = [ref]
-                frame.extend(cb.pad)
-                slots[idx] = cb.run(frame)
-            else:
-                slots[idx] = default
-        found = self.loader.find_ctor(rtc, len(args))
-        if found is None:
-            if args:
-                raise JnsRuntimeError(
-                    f"no {len(args)}-argument constructor for {path_str(path)}"
-                )
-        else:
-            _, ctor = found
-            cb = self._compiled_body(ctor)
-            frame = [ref]
-            frame.extend(args)
-            frame.extend(cb.pad)
-            cb.run(frame)
+            try:
+                self.exec_stmt(ctor.body, frame)
+            except _Return:
+                pass
         return ref
 
     def call_method(self, ref: Ref, name: str, args: List[Any]) -> Any:
@@ -466,7 +398,7 @@ class Interp:
 
     def _invoke(self, owner: Path, decl, ref: Ref, name: str, args: List[Any]) -> Any:
         """Invoke an already-resolved method (lookup done by the caller —
-        ``call_method`` or a compiled call site's inline cache)."""
+        ``call_method`` or an emitted call site's inline cache)."""
         if decl.body is None:
             raise JnsRuntimeError(
                 f"abstract method {path_str(owner)}.{name} called"
@@ -498,17 +430,9 @@ class Interp:
             if self.codegen:
                 fn = self._codegen().method_fn(decl, ref.view.path)
                 return fn(ref, *args)
-            if self.specialized:
-                cb = self._compiled_body(decl)
-                rframe = [ref]
-                rframe.extend(args)
-                rframe.extend(cb.pad)
-                return cb.run(rframe)
             frame = {"this": ref}
             for param, arg in zip(decl.params, args):
                 frame[param.name] = arg
-            if self.compiled:
-                return self._compiled_body(decl)(frame)
             try:
                 self.exec_stmt(decl.body, frame)
             except _Return as r:
@@ -522,63 +446,11 @@ class Interp:
             self._depth -= 1
             self.call_stack.pop()
 
-    def _invoke_spec(
-        self, owner: Path, decl, label: str, cbox: List[Any],
-        ref: Ref, name: str, args: List[Any],
-    ) -> Any:
-        """Invoke a statically-bound (devirtualized) method: the call-site
-        label and compiled body are precomputed, so a hot call is a guard,
-        a frame build, and the closure."""
-        if decl.body is None:
-            raise JnsRuntimeError(
-                f"abstract method {path_str(owner)}.{name} called"
-            )
-        if len(decl.params) != len(args):
-            raise JnsRuntimeError(
-                f"{name!r} expects {len(decl.params)} arguments, got {len(args)}"
-            )
-        cb = cbox[0]
-        if cb is None:
-            cb = cbox[0] = self._compiled_body(decl)
-        if self._depth == 0:
-            old_limit = self._enter_boundary()
-            try:
-                return self._guarded_call_spec(label, cb, ref, args)
-            except RecursionError:
-                raise self._boundary_resource_error() from None
-            finally:
-                sys.setrecursionlimit(old_limit)
-        return self._guarded_call_spec(label, cb, ref, args)
-
-    def _guarded_call_spec(self, label: str, cb, ref: Ref, args: List[Any]) -> Any:
-        """Mirror of ``_guarded_call`` for devirtualized sites (identical
-        depth accounting, stack labels, and resource diagnostics)."""
-        self._depth += 1
-        self.call_stack.append(label)
-        try:
-            if self._depth > self._max_depth:
-                raise JnsResourceError(
-                    f"J&s call depth limit exceeded ({self._max_depth})",
-                    code="JNS-RES-002",
-                    jns_stack=list(self.call_stack),
-                )
-            frame = [ref]
-            frame.extend(args)
-            frame.extend(cb.pad)
-            return cb.run(frame)
-        except RecursionError:
-            if self._res_stack is None:
-                self._res_stack = list(self.call_stack)
-            raise
-        finally:
-            self._depth -= 1
-            self.call_stack.pop()
-
     def _codegen_call(self, label: str, fn, ref: Ref, args) -> Any:
-        """Mirror of ``_guarded_call_spec`` for emitted (codegen) bodies:
-        identical depth accounting, stack labels, and resource
-        diagnostics, with the frame build replaced by a plain Python
-        call.  Only reachable from inside an already-guarded call, so the
+        """Mirror of ``_guarded_call`` for calls between emitted (codegen)
+        bodies: identical depth accounting, stack labels, and resource
+        diagnostics, with the call-site label precomputed by the
+        emitter.  Only reachable from inside an already-guarded call, so the
         depth-0 boundary handling lives with the entry points."""
         self._depth += 1
         self.call_stack.append(label)
@@ -606,26 +478,11 @@ class Interp:
             cg = self._cg = CodegenCompiler(self)
         return cg
 
-    def _make_compiler(self):
-        if self.specialized:
-            from .compiler import RegisterCompiler
-
-            return RegisterCompiler(self)
-        from .compiler import BodyCompiler
-
-        return BodyCompiler(self)
-
     def _on_table_edit(self, notice) -> None:
-        """Eviction on an incremental splice.  Compiled bodies and
-        initializers key on member-declaration identity, so the retired
-        ids are dropped explicitly — a recycled ``id()`` must never hit a
-        stale closure.  The coarse-grained caches (dispatch, retargets,
-        conformance, inline call sites) embed types and vtable entries
-        from the edited classes transitively; they are cheap warm-up
-        state, so they clear in place (counters survive)."""
-        for i in notice.retired_ids:
-            self._body_cache.pop(i, None)
-            self._init_cache.pop(i, None)
+        """Eviction on an incremental splice.  The coarse-grained caches
+        (dispatch, retargets, conformance, inline call sites) embed types
+        and vtable entries from the edited classes transitively; they are
+        cheap warm-up state, so they clear in place (counters survive)."""
         if notice.retired_ids or notice.affected:
             # Emitted codegen bodies capture lazily-resolved callee cells
             # from their compiler, so even a body-only graft drops the
@@ -638,34 +495,6 @@ class Interp:
             self._q_site.table.clear()
             if self.spec is not None:
                 self.spec.invalidate_classes(notice.affected)
-            self._compiler = None
-
-    def _compiled_body(self, decl):
-        """Method/constructor body compiled once to Python closures (a
-        :class:`~repro.runtime.compiler.CompiledBody` register unit when
-        specialized)."""
-        fn = self._q_body.get(id(decl))
-        if fn is MISS:
-            if self._compiler is None:
-                self._compiler = self._make_compiler()
-            if self.specialized:
-                compiled = self._compiler.compile_method(decl)
-            else:
-                compiled = self._compiler.compile_body(decl.body)
-            fn = self._q_body.put(id(decl), compiled)
-        return fn
-
-    def _compiled_init(self, decl):
-        fn = self._q_init.get(id(decl))
-        if fn is MISS:
-            if self._compiler is None:
-                self._compiler = self._make_compiler()
-            if self.specialized:
-                compiled = self._compiler.compile_init(decl.init)
-            else:
-                compiled = self._compiler.expr(decl.init)
-            fn = self._q_init.put(id(decl), compiled)
-        return fn
 
     def _lookup_method(self, path: Path, name: str):
         if PROFILER.enabled:
@@ -694,7 +523,7 @@ class Interp:
     def cache_stats(self) -> CacheStats:
         """Snapshot of this interpreter's query caches plus the loader's
         and the class table's (they all serve this run), and the
-        specializer's when the specialized backend is active."""
+        specializer's when the codegen backend is active."""
         engines = [self.queries, self.loader.queries, self.table.queries]
         if self.spec is not None:
             engines.append(self.spec.queries)
@@ -787,8 +616,8 @@ class Interp:
         return self._eval_dispatch[type(e)](e, frame)
 
     def _tick(self, weight: int = 1) -> None:
-        """Charge ``weight`` fuel from the compiled backend, whose loop
-        bodies do not route through :meth:`eval`."""
+        """Charge ``weight`` fuel from emitted codegen bodies, which do
+        not route through :meth:`eval`."""
         if self._max_steps is None:
             return
         self._steps += weight
@@ -838,7 +667,7 @@ class Interp:
                         f"no field {name!r} on {path_str(view.path)}"
                     )
             # both representations answer load(); the dict fast path keeps
-            # the unspecialized backends free of an extra method call
+            # the walker free of an extra method call
             if type(inst) is Instance:
                 v = inst.fields.get(name, _MISSING)
             else:
@@ -1084,7 +913,6 @@ class Interp:
     # -- casts, views, instanceof -------------------------------------------
 
     def _eval_type(self, t: Type, frame) -> Type:
-        this = frame.get("this")
         return self.table.eval_type(
             t, lambda p: self._frame_path_view(p, frame)
         )

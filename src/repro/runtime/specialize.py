@@ -5,8 +5,9 @@ Java bytecode (Section 6), with Section 6.3 describing an object layout
 engineered so view changes are cheap and shared field access is direct.
 This module is the analogous ahead-of-time pass for the Python substrate.
 It runs after loading and before execution, and feeds three
-specializations consumed by :class:`~repro.runtime.compiler.RegisterCompiler`
-and the interpreter's specialized allocation/call paths:
+specializations consumed by the codegen backend
+(:mod:`repro.runtime.codegen`), which bakes them into the Python source
+it emits per method body:
 
 1. **Slotted object layouts** — for each runtime class, a fixed
    field→integer-slot table over the class's *sharing group*: one slot
@@ -29,14 +30,12 @@ All whole-program analyses (slot universes, sealed targets, conformance
 sets) live on the :class:`~repro.lang.classtable.ClassTable` query
 engine, so they amortize across every interpreter sharing the table;
 this class only assembles the per-interpreter :class:`ClassSpec` records
-(which embed compiled initializers and mode-dependent layouts).
+(which embed mode-dependent layouts and initializer schedules).
 
-Escape hatch: ``repro run --backend specialized`` keeps this pass but
-skips the codegen tier above it (:mod:`repro.runtime.codegen`), and
-``--backend compiled``/``walker`` (or ``Program.interp(backend=...)``;
-``--no-specialize`` survives as a deprecated alias for
-``--backend compiled``) restore the unspecialized backends.  The
-four-way differential test locks the semantics.
+Escape hatch: ``repro run --backend walker`` (or
+``Program.interp(backend="walker")``) skips this pass and tree-walks the
+unspecialized program.  The walker-vs-codegen differential test locks
+the semantics.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class ClassSpec:
 
 class Specializer:
     """Assembles and caches :class:`ClassSpec` records for one
-    interpreter, and answers the devirtualization query for its compiled
+    interpreter, and answers the devirtualization query for its emitted
     call sites.  Counters (``slots_built`` / ``sites_devirtualized`` /
     ``views_elided``) are maintained unconditionally; the matching
     ``specialize.*`` tracer counters fire only while tracing is on."""
@@ -237,7 +236,7 @@ class Specializer:
     def noop_view_paths(self, target: Type):
         """Public wrapper over the sharing checker's no-op view set: the
         source view paths from which an unmasked adapt to ``target`` is
-        provably the identity.  Used by the compiled backends to elide
+        provably the identity.  Used by the codegen backend to elide
         explicit view changes and call-receiver adapters per site."""
         return self._noop_paths(target)
 
@@ -245,17 +244,13 @@ class Specializer:
     # devirtualization
     # ------------------------------------------------------------------
 
-    def static_target(self, name: str):
-        """Unique dispatch target for ``name`` across the locally closed
-        world, or ``None`` when the name is polymorphic (the call site
-        keeps its inline cache).  The underlying enumeration is memoized
-        on the class table."""
-        return self.table.sealed_method_target(name)
-
     def static_target_for(self, name: str, rtype: Optional[Type]):
-        """Like :meth:`static_target`, but additionally devirtualizes
-        names that are monomorphic *for this receiver's static type* even
-        when polymorphic globally: when the checker annotated the
+        """Unique dispatch target for ``name`` at a call site, or ``None``
+        when the site stays polymorphic (it keeps its inline cache).
+        Names sealed across the locally closed world resolve directly
+        (the enumeration is memoized on the class table).  Names that are
+        monomorphic *for this receiver's static type* devirtualize too,
+        even when polymorphic globally: when the checker annotated the
         receiver expression with a non-dependent class type, every
         conforming path in the locally closed world resolving ``name`` to
         one declaration seals the site just as well (the same membership
@@ -277,7 +272,7 @@ class Specializer:
         return self.table.monomorphic_method_target(name, paths)
 
     def note_devirtualized(self) -> None:
-        """Called by the compiler when it statically binds a call site."""
+        """Called by the emitter when it statically binds a call site."""
         self.sites_devirtualized += 1
         if TRACER.enabled:
             TRACER.count("specialize.sites_devirtualized")

@@ -232,7 +232,7 @@ class CheckService:
         if isinstance(resp.get("backend"), str):
             # `run` and `profile` answer with the resolved backend name;
             # labeling the request metrics by it keeps per-backend request
-            # rates and latency separable (4 backends x 2 outcomes stays
+            # rates and latency separable (2 backends x 2 outcomes stays
             # far inside the per-family series cap)
             labels["backend"] = resp["backend"]
         self.metrics.inc("serve_requests_total",
@@ -361,7 +361,7 @@ class CheckService:
         entry = req.get("entry", "Main.main")
         if not isinstance(entry, str) or "." not in entry:
             raise KeyError("profile requires 'entry' of the form Class.method")
-        backend = req.get("backend", "specialized")
+        backend = req.get("backend", "codegen")
         if backend not in BACKENDS:
             raise KeyError(
                 f"unknown backend {backend!r} (choices: {', '.join(BACKENDS)})"

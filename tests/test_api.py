@@ -76,3 +76,14 @@ class TestRun:
         src = "class Outer { class Inner { int go() { return 5; } } }"
         result, _ = run_program(src, entry="Outer.Inner.go")
         assert result == 5
+
+    def test_jx_mode_runs_on_walker(self):
+        # jx mode has no run-time precomputation, so a codegen request
+        # runs on the walker and says so
+        program = compile_program(HELLO)
+        jx = program.interp(mode="jx", backend="codegen")
+        walker = program.interp(mode="jx", backend="walker")
+        assert jx.backend == "walker"
+        assert jx.spec is None
+        assert jx.run("Main.main") == walker.run("Main.main") == 7
+        assert jx.output == walker.output == ["hello"]

@@ -84,8 +84,8 @@ class Main {{
 def _observe(src):
     """Everything a user can see from one source: diagnostics from the
     accumulate-everything checker, the strict compile verdict, and the
-    run result + printed output in the tree-walking and compiled
-    backends of each relevant mode."""
+    run result + printed output in the walker and codegen backends of
+    each relevant mode."""
     sink = check_source(src)
     diagnostics = tuple(
         (d.code, d.severity, d.message) for d in sink
@@ -98,13 +98,13 @@ def _observe(src):
         outcomes["check"] = (exc.code, str(exc))
         return outcomes
     for mode in ("jns", "jx_cl", "java"):
-        for compiled in (False, True):
-            interp = program.interp(mode=mode, compiled=compiled)
+        for backend in ("walker", "codegen"):
+            interp = program.interp(mode=mode, backend=backend)
             try:
                 result = interp.run("Main.main")
-                outcomes[(mode, compiled)] = (result, tuple(interp.output))
+                outcomes[(mode, backend)] = (result, tuple(interp.output))
             except JnsError as exc:
-                outcomes[(mode, compiled)] = ("error", exc.code)
+                outcomes[(mode, backend)] = ("error", exc.code)
     return outcomes
 
 

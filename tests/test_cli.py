@@ -56,29 +56,28 @@ class TestRun:
     def test_run_type_error(self, bad_file, capsys):
         assert main(["run", bad_file]) == 1
 
-    @pytest.mark.parametrize(
-        "backend", ["walker", "compiled", "specialized", "codegen"]
-    )
+    @pytest.mark.parametrize("backend", ["walker", "codegen"])
     def test_run_backend_flag(self, good_file, capsys, backend):
         assert main(["run", good_file, "--backend", backend]) == 0
         out = capsys.readouterr().out
         assert "hi" in out and "=> 5" in out
 
-    def test_run_no_specialize_is_deprecated_alias(self, good_file, capsys):
-        import repro.cli as cli
-
-        cli._no_specialize_warned = False
-        try:
-            assert main(["run", good_file, "--no-specialize"]) == 0
-            captured = capsys.readouterr()
-            assert "hi" in captured.out and "=> 5" in captured.out
-            assert "--no-specialize is deprecated" in captured.err
-            assert "--backend compiled" in captured.err
-            # the warning fires once per process, not once per run
-            assert main(["run", good_file, "--no-specialize"]) == 0
-            assert "deprecated" not in capsys.readouterr().err
-        finally:
-            cli._no_specialize_warned = False
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--backend", "specialized"],
+            ["--backend", "compiled"],
+            ["--no-specialize"],
+        ],
+        ids=["specialized", "compiled", "no-specialize"],
+    )
+    def test_run_rejects_removed_backend_options(self, good_file, capsys, flags):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", good_file, *flags])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags[-1] in captured.err
 
     def test_run_no_check_skips_static_errors(self, tmp_path, capsys):
         path = tmp_path / "sloppy.jns"

@@ -1,19 +1,19 @@
 """Tests for the ``jns -> Python`` codegen backend (ISSUE 9).
 
-Covers the acceptance surface beyond the four-way differential:
+Covers the acceptance surface beyond the walker-vs-codegen differential:
 
-- resource-guard parity with the other backends (cumulative fuel trips
+- resource-guard parity with the walker (cumulative fuel trips
   mid-emitted-body as ``JNS-RES-001``, ``reset_budget`` recovery,
   call-depth trips as ``JNS-RES-002`` with identical stack labels,
   reentrancy refusal) mirroring ``TestResourceErrorRecovery``;
 - ``EditNotice`` eviction: a body-only graft through
   :class:`~repro.lang.incremental.IncrementalChecker` must evict cached
-  emitted closures (no stale compiled bodies);
+  emitted closures (no stale emitted bodies);
 - emitted-source shape: slot indices baked in, devirtualized direct
   calls, mask guards — asserted on the retained ``sources`` text;
 - the ``codegen.*`` / ``dispatch.codegen_hit`` obs counters;
 - the satellite counters: ``view_change.elided`` (static per-site view
-  elision, register and codegen backends) and
+  elision) and
   ``specialize.sites_devirtualized`` for receiver-monomorphic names.
 """
 
@@ -190,13 +190,13 @@ class TestEmission:
     def test_backend_attribute_resolution(self):
         program = compile_program(LOOPY)
         assert program.interp(backend="codegen").backend == "codegen"
-        assert program.interp(backend="specialized").backend == "specialized"
-        assert program.interp(backend="compiled").backend == "compiled"
         assert program.interp(backend="walker").backend == "walker"
-        # jx mode has no run-time precomputation: codegen degrades
-        assert program.interp(mode="jx", backend="codegen").backend == "compiled"
-        with pytest.raises(ValueError):
-            program.interp(backend="bytecode")
+        assert program.interp().backend == "walker"
+        # jx mode has no run-time precomputation: it runs on the walker
+        assert program.interp(mode="jx", backend="codegen").backend == "walker"
+        for removed in ("bytecode", "compiled", "specialized"):
+            with pytest.raises(ValueError):
+                program.interp(backend=removed)
 
     def test_codegen_matches_walker_on_error_programs(self):
         src = (
@@ -237,12 +237,12 @@ class Main {
 
 
 class TestSatelliteCounters:
-    @pytest.mark.parametrize("backend", ["specialized", "codegen"])
+    @pytest.mark.parametrize("backend", ["codegen"])
     def test_static_view_change_elided(self, backend):
         """An explicit view change whose target is non-dependent and
         provably a no-op for the source view skips the runtime ``view``
-        call in both compiled backends (satellite: per-site view elision
-        for call receivers)."""
+        call in emitted code (satellite: per-site view elision for call
+        receivers)."""
         obs.enable()
         interp = _interp(VIEW_NOOP, backend=backend)
         ref = interp.new_instance(("Main",), ())
@@ -269,12 +269,11 @@ class Main {
 }
 """
         program = compile_program(src)
-        for backend in ("specialized", "codegen"):
-            clear_caches()
-            interp = program.interp(mode="jns", backend=backend)
-            ref = interp.new_instance(("Main",), ())
-            assert interp.call_method(ref, "main", []) == 12
-            assert interp.spec.sites_devirtualized >= 2, backend
+        clear_caches()
+        interp = program.interp(mode="jns", backend="codegen")
+        ref = interp.new_instance(("Main",), ())
+        assert interp.call_method(ref, "main", []) == 12
+        assert interp.spec.sites_devirtualized >= 2
 
     def test_monomorphic_target_query(self):
         from repro.lang.types import ClassType

@@ -26,7 +26,6 @@ NOT_ON_RUN_PATH = (
     "repro.profiler",
     "repro.lang.infer",
     "repro.source.unparse",
-    "repro.runtime.compiler",
     "repro.telemetry",
     "repro.serve",
 )

@@ -1,9 +1,10 @@
-"""Closure-compilation backend tests: semantics must match the tree
-walker exactly (the two strategies share all view/dispatch machinery)."""
+"""Compiled (codegen) backend tests: semantics must match the tree walker
+exactly (the two strategies share all view/dispatch machinery)."""
 
 import pytest
 
 from repro import JnsRuntimeError, UninitializedFieldError, compile_program
+from repro.runtime.interp import BACKENDS
 
 from conftest import FIG123_SOURCE, FIG5_SOURCE, run_main
 
@@ -12,8 +13,8 @@ def both(src: str, method: str = "main", cls: str = "Main", mode: str = "jns"):
     program = compile_program(src)
     results = []
     outputs = []
-    for compiled in (False, True):
-        interp = program.interp(mode=mode, compiled=compiled)
+    for backend in BACKENDS:
+        interp = program.interp(mode=mode, backend=backend)
         ref = interp.new_instance((cls,), ())
         results.append(interp.call_method(ref, method, []))
         outputs.append(interp.output)
@@ -53,8 +54,8 @@ class TestAgreement:
     def test_figures_example(self):
         src = FIG123_SOURCE
         program = compile_program(src)
-        for compiled in (False, True):
-            interp = program.interp(compiled=compiled)
+        for backend in BACKENDS:
+            interp = program.interp(backend=backend)
             main = interp.new_instance(("Main",), ())
             assert interp.call_method(main, "showSample", []) == "(v1+v2)"
 
@@ -94,7 +95,7 @@ class TestAgreement:
         }
         """
         program = compile_program(src)
-        interp = program.interp(compiled=True)
+        interp = program.interp(backend="codegen")
         main = interp.new_instance(("Main",), ())
         b = interp.call_method(main, "go", [])
         with pytest.raises(UninitializedFieldError):
@@ -132,8 +133,8 @@ class TestAgreement:
         program = compile_program(
             "class Main { int main() { int[] a = new int[1]; return a[3]; } }"
         )
-        for compiled in (False, True):
-            interp = program.interp(compiled=compiled)
+        for backend in BACKENDS:
+            interp = program.interp(backend=backend)
             ref = interp.new_instance(("Main",), ())
             with pytest.raises(JnsRuntimeError):
                 interp.call_method(ref, "main", [])
@@ -146,7 +147,7 @@ class TestAgreement:
         class Main { int main() { A a = new B(); return a.go(); } }
         """
         program = compile_program(src)
-        interp = program.interp(mode=mode, compiled=True)
+        interp = program.interp(mode=mode, backend="codegen")
         ref = interp.new_instance(("Main",), ())
         assert interp.call_method(ref, "main", []) == 20
 
@@ -161,8 +162,8 @@ class TestJoldenAgreement:
         module = BY_NAME[name]
         program = compile_program(module.SOURCE)
         values = []
-        for compiled in (False, True):
-            interp = program.interp(mode="jns", compiled=compiled)
+        for backend in BACKENDS:
+            interp = program.interp(mode="jns", backend=backend)
             ref = interp.new_instance(("Main",), ())
             values.append(
                 interp.call_method(ref, "run", list(module.DEFAULT_ARGS))
@@ -177,8 +178,10 @@ class TestCaching:
             "class Main { int main() { A a = new A(); int s = 0; "
             "for (int i = 0; i < 50; i++) { s += a.m(); } return s; } }"
         )
-        interp = program.interp(compiled=True)
+        interp = program.interp(backend="codegen")
         ref = interp.new_instance(("Main",), ())
         interp.call_method(ref, "main", [])
-        # one compiled body per executed method (main + m)
-        assert len(interp._body_cache) == 2
+        interp.call_method(ref, "main", [])
+        # one emitted body per executed method (main + m), reused by the
+        # second call
+        assert interp._cg.bodies_emitted == 2

@@ -32,6 +32,28 @@ ACCEPTANCE = dict(
     faults="crash:2@120+120,drop:0.02,delay:0.05@6,fuel:77",
 )
 
+#: The acceptance scenario's outcome (the CI chaos smoke run), pinned so
+#: a change to how the shards execute J&s cannot silently change what
+#: the run does: same-seed replay equality alone would not notice.
+ACCEPTANCE_DIGEST = (
+    "cc85a9f750b39c52b43d2b071c824d5f6d4dac79a616e3c6899d2fe481297292"
+)
+ACCEPTANCE_COUNTERS = {
+    "chaos.injected": 22,
+    "chaos.injected.crash": 1,
+    "chaos.injected.delay": 14,
+    "chaos.injected.drop": 6,
+    "chaos.injected.fuel": 1,
+    "chaos.recovered": 1,
+    "chaos.restart": 1,
+    "evolution.applied": 7,
+    "evolution.deferred": 1,
+    "fetch.ok": 350,
+    "publish.ok": 47,
+    "publish.superseded": 3,
+    "retry.attempt": 176,
+}
+
 
 @pytest.fixture(autouse=True)
 def _tracer_restored():
@@ -70,6 +92,12 @@ class TestAcceptance:
         pause = report.histograms["evolution.pause_virtual_ms"]
         assert pause["count"] == c.get("evolution.applied", 0)
         assert pause["p95"] > 0
+
+    def test_outcome_matches_pinned_golden(self):
+        report = run_chaos(**ACCEPTANCE)
+        assert report.oracle_violations == []
+        assert report.trace_digest == ACCEPTANCE_DIGEST
+        assert report.counters == ACCEPTANCE_COUNTERS
 
     def test_byte_identical_replay(self):
         a = run_chaos(**ACCEPTANCE).to_json(include_wall=False)

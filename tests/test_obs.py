@@ -367,16 +367,18 @@ class TestDifferential:
         assert traced == baseline  # byte-identical JSON reports
 
     def test_compiled_backend_identical(self):
-        def run(compiled):
+        def run():
             program = compile_program(VIEWS_PROGRAM)
-            interp = program.interp(mode="jns", compiled=compiled)
+            interp = program.interp(mode="jns", backend="codegen")
             return interp.run("Main.main"), list(interp.output)
 
         obs.enable()
-        traced = run(True)
+        traced = run()
         obs.disable()
-        assert traced == run(True)
-        assert obs.TRACER.counters.get("dispatch.ic_hit", 0) > 0
+        assert traced == run()
+        # emitted call sites count their inline-cache and devirtualized
+        # hits as dispatch.codegen_hit
+        assert obs.TRACER.counters.get("dispatch.codegen_hit", 0) > 0
 
 
 class TestInstantSampling:

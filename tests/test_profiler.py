@@ -220,7 +220,7 @@ class TestSamplingAttribution:
             file=f"jolden:{name}",
             entry="Main.run",
             args=args,
-            det_backend="specialized",
+            det_backend="codegen",
             sample=True,
             interval=0.0005,
             min_samples=40,
@@ -284,7 +284,7 @@ class TestReport:
         program = compile_program(MASKED_LOOP)
         snap, _ = run_deterministic(program, entry="Main.main")
         return merge_reports(
-            MASKED_LOOP, "<test>", snap, None, backend_det="specialized"
+            MASKED_LOOP, "<test>", snap, None, backend_det="codegen"
         )
 
     def test_render_text_has_heat_and_columns(self):
@@ -298,7 +298,7 @@ class TestReport:
 
     def test_to_dict_shape(self):
         d = self._report().to_dict()
-        assert d["backend_det"] == "specialized"
+        assert d["backend_det"] == "codegen"
         assert d["resolution"] == 1.0  # no sampler -> trivially resolved
         assert d["lines"]
         row = d["lines"][0]

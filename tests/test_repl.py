@@ -106,7 +106,7 @@ class TestMetaCommands:
         assert "cache stats" in text  # CacheStats folded into the report
 
     def test_profile_shows_specialize_phase(self, session):
-        """Statement inputs run on the specialized backend, so the traced
+        """Statement inputs run on the codegen backend, so the traced
         pipeline includes the ahead-of-time specialization pass."""
         session.feed(":trace on")
         session.feed("class A { class C { int v = 7; } }")
@@ -117,7 +117,7 @@ class TestMetaCommands:
 
     def test_stats_after_specialized_run(self, session):
         """:stats still renders the process-wide cache table when the
-        specialized backend (with its own sharing checker and query
+        codegen backend (with its own sharing checker and query
         caches) has executed a statement."""
         session.feed("class A { class C { int v = 7; } }")
         assert session.feed("Sys.print(new A.C().v);") == ["7"]

@@ -217,7 +217,7 @@ class TestResourceErrorRecovery:
         caches: objects allocated before the trip stay intact."""
         from repro.programs.corona import CoronaSystem
 
-        system = CoronaSystem(size=8, objects=16, specialized=True, max_steps=10**7)
+        system = CoronaSystem(size=8, objects=16, backend="codegen", max_steps=10**7)
         before = system.run_phase("corona", fetches=30, seed=5)
         interp = system.interp
         interp._steps = interp._max_steps  # inject exhaustion (chaos-style)

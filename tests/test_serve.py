@@ -435,7 +435,7 @@ class TestProfileOp:
     def test_profile_returns_attribution_table(self):
         svc = self._svc()
         resp = svc.handle({"op": "profile", "session": "p"})
-        assert resp["ok"] and resp["backend"] == "specialized"
+        assert resp["ok"] and resp["backend"] == "codegen"
         prof = resp["profile"]
         assert prof["resolution"] == 1.0  # deterministic-only: no samples
         lines = {row["line"]: row for row in prof["lines"]}
@@ -448,7 +448,7 @@ class TestProfileOp:
     def test_profile_on_each_backend(self):
         svc = self._svc()
         tables = {}
-        for backend in ("walker", "compiled", "specialized", "codegen"):
+        for backend in ("walker", "codegen"):
             resp = svc.handle(
                 {"op": "profile", "session": "p", "backend": backend}
             )
@@ -466,6 +466,21 @@ class TestProfileOp:
             {"op": "profile", "session": "p", "backend": "llvm"}
         )
         assert not resp["ok"] and "unknown backend" in resp["error"]
+
+    @pytest.mark.parametrize(
+        "op, backend", [("run", "compiled"), ("profile", "specialized")]
+    )
+    def test_removed_backends_fail_closed(self, op, backend):
+        svc = self._svc()
+        resp = svc.handle({"op": op, "session": "p", "backend": backend})
+        assert resp["ok"] is False
+        assert resp["error"] == (
+            f"unknown backend {backend!r} (choices: walker, codegen)"
+        )
+        # the session keeps serving
+        resp = svc.handle({"op": "run", "session": "p"})
+        assert resp["ok"] and resp["result"] == 120
+        assert resp["backend"] == "codegen"
 
     def test_profile_rejects_non_integer_args(self):
         svc = self._svc()
@@ -488,7 +503,7 @@ class TestBackendLabeledMetrics:
         svc.handle({"op": "open", "session": "p", "source": PROF_SRC})
         svc.handle({"op": "run", "session": "p", "backend": "codegen"})
         svc.handle({"op": "profile", "session": "p",
-                    "backend": "specialized"})
+                    "backend": "walker"})
         snap = svc.handle({"op": "metrics"})["metrics"]
         counters = {
             (c["labels"]["op"], c["labels"].get("backend")): c["value"]
@@ -496,7 +511,7 @@ class TestBackendLabeledMetrics:
             if c["name"] == "serve_requests_total"
         }
         assert counters[("run", "codegen")] == 1
-        assert counters[("profile", "specialized")] == 1
+        assert counters[("profile", "walker")] == 1
         # non-run ops stay unlabeled (no backend dimension to report)
         assert ("open", None) in counters
         hists = {
@@ -511,7 +526,7 @@ class TestBackendLabeledMetrics:
 
         svc = CheckService()
         svc.handle({"op": "open", "session": "p", "source": PROF_SRC})
-        for backend in ("walker", "compiled", "specialized", "codegen"):
+        for backend in ("walker", "codegen"):
             svc.handle({"op": "run", "session": "p", "backend": backend})
             svc.handle({"op": "profile", "session": "p",
                         "backend": backend})

@@ -4,9 +4,10 @@ Covers the slot-layout rules over sharing groups (one slot per
 ``fclass``-distinct field copy; shared fields collapse, duplicated
 unshared/masked fields keep per-family slots — Section 6.3),
 sealed-family devirtualization over the locally closed world, the
-masked/duplicated-field runtime semantics on the specialized backend,
-the ``--no-specialize`` escape hatch, resource-guard parity, and the
-``specialize.*`` observability counters.
+masked/duplicated-field runtime semantics on the codegen backend (which
+consumes the specialization products), the ``--backend walker`` escape
+hatch, resource-guard parity, and the ``specialize.*`` observability
+counters.
 """
 
 import pytest
@@ -21,7 +22,7 @@ from conftest import FIG123_SOURCE, FIG5_SOURCE
 
 def setup(src, cls="Main", mode="jns", **kw):
     program = compile_program(src)
-    interp = program.interp(mode=mode, specialized=True, **kw)
+    interp = program.interp(mode=mode, backend="codegen", **kw)
     return interp, interp.new_instance((cls,), ())
 
 
@@ -40,7 +41,7 @@ def _obs_restored():
 class TestSlotLayouts:
     def _spec(self, source=FIG5_SOURCE, mode="jns"):
         program = compile_program(source)
-        interp = program.interp(mode=mode, specialized=True)
+        interp = program.interp(mode=mode, backend="codegen")
         return interp, interp.spec
 
     def test_shared_field_one_slot_new_field_own_slot(self):
@@ -123,7 +124,7 @@ class TestSealedDevirtualization:
     def test_devirtualized_run_matches_walker(self):
         program = compile_program(FIG123_SOURCE)
         walker = program.interp(mode="jns")
-        spec = program.interp(mode="jns", specialized=True)
+        spec = program.interp(mode="jns", backend="codegen")
         for method in ("evalSample", "showSample"):
             w = walker.call_method(
                 walker.new_instance(("Main",), ()), method, []
@@ -207,8 +208,8 @@ class TestMaskedFieldParity:
 
     def test_mask_error_identical_to_walker(self):
         # The typechecker rejects statically-masked reads, so the runtime
-        # check is exercised through the embedding API: all three
-        # backends must raise the same code and message.
+        # check is exercised through the embedding API: both backends
+        # must raise the same code and message.
         src = FIG5_SOURCE + """
         class Main {
           A2!.B\\f toDerived(A1!.B b) sharing A1!.B = A2!.B\\f {
@@ -218,19 +219,15 @@ class TestMaskedFieldParity:
         """
         program = compile_program(src)
         errors = {}
-        for label, kw in (
-            ("walker", {}),
-            ("compiled", {"compiled": True}),
-            ("specialized", {"specialized": True}),
-        ):
-            interp = program.interp(mode="jns", **kw)
+        for backend in ("walker", "codegen"):
+            interp = program.interp(mode="jns", backend=backend)
             ref = interp.new_instance(("Main",), ())
             b1 = interp.new_instance(("A1", "B"), ())
             b2 = interp.call_method(ref, "toDerived", [b1])
             with pytest.raises(UninitializedFieldError) as exc:
                 interp.get_field(b2, "f")
-            errors[label] = (exc.value.code, str(exc.value))
-        assert errors["walker"] == errors["compiled"] == errors["specialized"]
+            errors[backend] = (exc.value.code, str(exc.value))
+        assert errors["walker"] == errors["codegen"]
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +253,34 @@ class Main {
 
 class TestEscapeHatch:
     def test_specialized_implies_compiled(self):
+        # codegen is the one specialized tier, and it compiles
         program = compile_program(SMALL)
-        interp = program.interp(mode="jns", specialized=True)
-        assert interp.specialized and interp.compiled
+        interp = program.interp(mode="jns", backend="codegen")
+        assert interp.backend == "codegen"
         assert interp.spec is not None
 
     def test_jx_mode_ignores_specialization(self):
         # jx's point is the absence of run-time precomputation
         program = compile_program(SMALL)
-        interp = program.interp(mode="jx", specialized=True)
-        assert not interp.specialized
+        interp = program.interp(mode="jx", backend="codegen")
+        assert interp.backend == "walker"
         assert interp.spec is None
 
     def test_default_interp_is_unspecialized(self):
         program = compile_program(SMALL)
         interp = program.interp(mode="jns")
-        assert not interp.specialized
+        assert interp.backend == "walker"
+        assert interp.spec is None
         ref = interp.new_instance(("Counter",), ())
         assert type(ref.inst) is not SlottedInstance
 
     def test_cli_no_specialize_same_output(self, tmp_path, capsys):
+        # `--backend walker` is the unspecialized escape hatch
         f = tmp_path / "small.jns"
         f.write_text(SMALL)
         assert main(["run", str(f)]) == 0
         specialized_out = capsys.readouterr().out
-        assert main(["run", str(f), "--no-specialize"]) == 0
+        assert main(["run", str(f), "--backend", "walker"]) == 0
         plain_out = capsys.readouterr().out
         assert specialized_out == plain_out
         assert "10" in plain_out
@@ -318,16 +318,17 @@ class TestResourceGuardParity:
         return exc.value
 
     def test_depth_limit_identical(self):
-        spec = self._error(RECURSIVE, specialized=True, max_depth=64)
-        comp = self._error(RECURSIVE, compiled=True, max_depth=64)
-        assert spec.code == comp.code == "JNS-RES-002"
+        cg = self._error(RECURSIVE, backend="codegen", max_depth=64)
+        walker = self._error(RECURSIVE, backend="walker", max_depth=64)
+        assert cg.code == walker.code == "JNS-RES-002"
         # identical call-stack labels, including the devirtualized frames
-        assert spec.jns_stack[-3:] == comp.jns_stack[-3:] == ["Main.spin"] * 3
+        assert cg.jns_stack[-3:] == walker.jns_stack[-3:] == ["Main.spin"] * 3
 
     def test_fuel_limit_identical(self):
-        spec = self._error(LOOPY, specialized=True, max_steps=500)
-        comp = self._error(LOOPY, compiled=True, max_steps=500)
-        assert spec.code == comp.code == "JNS-RES-001"
+        cg = self._error(LOOPY, backend="codegen", max_steps=500)
+        walker = self._error(LOOPY, backend="walker", max_steps=500)
+        assert cg.code == walker.code == "JNS-RES-001"
+        assert cg.jns_stack[-3:] == walker.jns_stack[-3:]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,7 @@ class TestSpecializeObservability:
     def test_tracer_counters_and_span(self):
         program = compile_program(FIG123_SOURCE)
         obs.enable()
-        interp = program.interp(mode="jns", specialized=True)
+        interp = program.interp(mode="jns", backend="codegen")
         interp.run("Main.showSample")
         obs.disable()
         counters = obs.TRACER.counters
@@ -349,7 +350,7 @@ class TestSpecializeObservability:
 
     def test_stats_exposed_on_specializer(self):
         program = compile_program(FIG123_SOURCE)
-        interp = program.interp(mode="jns", specialized=True)
+        interp = program.interp(mode="jns", backend="codegen")
         interp.run("Main.showSample")
         stats = interp.spec.stats()
         assert set(stats) == {
@@ -361,7 +362,7 @@ class TestSpecializeObservability:
 
     def test_cache_stats_include_specializer_engine(self):
         program = compile_program(FIG123_SOURCE)
-        interp = program.interp(mode="jns", specialized=True)
+        interp = program.interp(mode="jns", backend="codegen")
         interp.run("Main.showSample")
         text = interp.cache_stats().format()
         assert "specialize" in text
