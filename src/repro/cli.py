@@ -35,8 +35,11 @@ Commands:
 :mod:`repro.obs`): ``--profile`` prints the unified phase-timing +
 semantic-event + cache report, ``--trace-out FILE`` writes a
 Chrome-trace JSON for ``chrome://tracing`` / Perfetto (a ``.jsonl``
-extension streams events as JSON Lines instead), ``--stats-json``
-emits machine-readable cache counters to stdout.
+extension streams events as JSON Lines instead), ``--flame FILE``
+writes the span tree as collapsed stacks, ``--stats-json`` emits
+machine-readable cache counters to stdout.  ``corona`` takes the same
+flags.  ``profile --flame`` writes its sampled jns-frame stacks through
+the same fold writer.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ def _tracing_requested(args) -> bool:
         getattr(args, "profile", False)
         or getattr(args, "trace_out", None)
         or getattr(args, "flame", None)
-        or getattr(args, "otlp_out", None)
     )
 
 
@@ -118,12 +120,6 @@ def _emit_observability(args, stats) -> None:
             "(fold with flamegraph.pl or load in https://speedscope.app)",
             file=sys.stderr,
         )
-    otlp_out = getattr(args, "otlp_out", None)
-    if otlp_out:
-        from . import telemetry
-
-        n = telemetry.write_otlp_jsonl(obs.TRACER, otlp_out)
-        print(f"wrote {n} OTLP-flavored spans to {otlp_out}", file=sys.stderr)
     if getattr(args, "stats_json", False) and stats is not None:
         print(json.dumps(stats.to_dict(), sort_keys=True))
 
@@ -166,11 +162,11 @@ def cmd_run(args) -> int:
         # Observability output is emitted even when the program failed —
         # a profile of the failing run is exactly what one wants then.
         if getattr(args, "line_profile", False) and interp is not None:
-            from .profiler import PROFILER, merge_reports
+            from .profiler import PROFILER, ProfileReport
 
             PROFILER.stop()
-            report = merge_reports(
-                source, args.file, PROFILER.snapshot(), None,
+            report = ProfileReport(
+                source, args.file, det=PROFILER.snapshot(),
                 backend_det=interp.backend,
             )
             print(
@@ -225,11 +221,8 @@ def cmd_profile(args) -> int:
         print(render(exc.to_diagnostic(), source), file=sys.stderr)
         return 1
     if args.flame:
-        folds = "".join(
-            ";".join(k) + f" {n}\n" for k, n in sorted(report.folds.items())
-        )
         with open(args.flame, "w") as fh:
-            fh.write(folds)
+            fh.write(report.to_collapsed())
         print(
             f"wrote {len(report.folds)} jns-frame folds to {args.flame}",
             file=sys.stderr,
@@ -532,7 +525,7 @@ def cmd_graph(args) -> int:
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """Observability flags shared by ``run`` and ``check``."""
+    """Observability flags shared by ``run``, ``check`` and ``corona``."""
     parser.add_argument(
         "--profile",
         action="store_true",
@@ -562,13 +555,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         help="write the span tree as collapsed-stack lines ('a;b;c USEC', "
         "self-time weighted) — the input format of flamegraph.pl and "
         "speedscope",
-    )
-    parser.add_argument(
-        "--otlp-out",
-        metavar="FILE",
-        default=None,
-        help="write finished spans as OTLP-flavored JSON Lines (traceId/"
-        "spanId/attributes per span) alongside the Chrome-trace formats",
     )
 
 

@@ -7,9 +7,11 @@ collects three kinds of observations:
   ``with TRACER.span("typecheck", unit=name):``.  Every pipeline stage
   (lex → parse → resolve → typecheck → load → compile → run) opens one,
   so a single compile-and-run paints a tree of where time went.  Span
-  durations also feed a per-name histogram (count/total/min/max plus
-  p50/p95 from a deterministic sample reservoir), which is where the
-  report's avg/p50/p95 columns come from.
+  durations also feed a per-name :class:`Histogram` (count/total/min/max
+  plus p50/p95 from a deterministic sample reservoir), which is where
+  the report's avg/p50/p95 columns come from.  The same type, built with
+  bucket bounds, is the histogram series of
+  :class:`~repro.telemetry.MetricsRegistry`.
 * **Semantic events** — typed counters (and ring-buffer instants) for
   the paper-specific runtime operations: explicit/implicit view changes
   and reference-object memo hits (§6.3), dispatch inline-cache hit/miss,
@@ -18,7 +20,7 @@ collects three kinds of observations:
   first-class observations; this is the engineering counterpart.
 
   The chaos harness (:mod:`repro.programs.corona.driver`) mirrors its
-  fault/recovery bookkeeping here when tracing is enabled: counters
+  report counters and histograms here when tracing is enabled: counters
   ``chaos.injected`` (with ``.crash/.drop/.delay/.fuel`` breakdowns),
   ``chaos.restart``, ``chaos.recovered``, ``retry.attempt``,
   ``retry.exhausted``, ``degraded.stale_serve``, and histograms
@@ -46,9 +48,14 @@ first-use order) that the Chrome-trace export emits so concurrent
 sessions land on distinct tracks.  When the bounded ring overwrites an
 old event, the ``events_dropped`` counter bumps (surfaced in the
 ``--profile`` report and in Chrome-trace ``otherData``), so silent loss
-is visible.  ``Tracer.to_collapsed()`` folds the span-path aggregate
-into collapsed-stack lines (``a;b;c VALUE``) for speedscope /
-flamegraph.pl — see ``run/check --flame``.
+is visible.
+
+Collapsed stacks (``a;b;c VALUE`` lines for speedscope / flamegraph.pl)
+have one writer, :func:`format_folds`, which escapes every frame through
+:func:`fold_label`.  ``Tracer.to_collapsed()`` feeds it the span-path
+aggregate (``run/check --flame``, the REPL's ``:flame``) and
+:class:`~repro.profiler.ProfileReport` its sampled jns-frame stacks
+(``repro profile --flame``).
 
 The unified report (:func:`format_report`) folds a
 :class:`~repro.lang.queries.CacheStats` snapshot into the same output,
@@ -61,9 +68,12 @@ from __future__ import annotations
 import json
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "Tracer",
@@ -78,6 +88,8 @@ __all__ = [
     "LineProfiler",
     "PROFILER",
     "fold_label",
+    "format_folds",
+    "DEFAULT_BUCKETS",
 ]
 
 #: Default capacity of the in-memory event ring.  Old events fall off
@@ -119,15 +131,30 @@ _PHASE_ORDER = {
 #: are reproducible.
 HISTOGRAM_SAMPLES = 1024
 
+#: Prometheus latency bucket bounds (seconds) of the labeled metrics
+#: registry — tuned for a local check service where ops run 100µs..1s.
+#: ``+Inf`` is implicit.
+DEFAULT_BUCKETS: Tuple[float, ...] = (
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+)
+
 
 class Histogram:
     """Streaming summary of a series of observations: exact count / total
     / min / max (Python integers do not overflow), plus p50/p95 estimated
-    from a bounded, deterministically decimated sample reservoir."""
+    from a bounded, deterministically decimated sample reservoir.
 
-    __slots__ = ("name", "count", "total", "min", "max", "_samples", "_stride")
+    Built with ``bounds`` (ascending), it also counts observations per
+    fixed bucket, read back cumulatively by :meth:`buckets` — the
+    Prometheus histogram shape."""
 
-    def __init__(self, name: str) -> None:
+    __slots__ = (
+        "name", "count", "total", "min", "max", "_samples", "_stride",
+        "bounds", "_per_bucket",
+    )
+
+    def __init__(self, name: str, bounds: Sequence[float] = ()) -> None:
         self.name = name
         self.count = 0
         self.total = 0
@@ -135,6 +162,9 @@ class Histogram:
         self.max: Optional[float] = None
         self._samples: List[float] = []
         self._stride = 1
+        self.bounds = tuple(bounds)
+        #: observations whose first bound ``>= value`` is this one
+        self._per_bucket = [0] * len(self.bounds)
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -151,6 +181,21 @@ class Histogram:
             if len(self._samples) >= HISTOGRAM_SAMPLES:
                 self._samples = self._samples[::2]
                 self._stride *= 2
+        if self.bounds:
+            i = bisect_left(self.bounds, value)
+            if i < len(self._per_bucket):
+                self._per_bucket[i] += 1
+
+    def buckets(self) -> List[List[Any]]:
+        """``[[le, cumulative count], ...]`` over the bounds, ending with
+        ``["+Inf", count]``."""
+        out: List[List[Any]] = []
+        cum = 0
+        for bound, n in zip(self.bounds, self._per_bucket):
+            cum += n
+            out.append([bound, cum])
+        out.append(["+Inf", self.count])
+        return out
 
     @property
     def mean(self) -> float:
@@ -306,12 +351,8 @@ class Tracer:
         #: counter increments) — the disabled-overhead benchmark uses it
         #: as the count of guarded sites a workload actually traverses.
         self.observations = 0
-        #: keep 1-in-N instant events in the ring/stream (counters and
-        #: spans are unaffected); set via ``enable(sample_rate=N)``.
-        self.sample_rate = 1
-        self._instant_seq = 0
         #: optional JSONL sink (``open_stream``): every finished span and
-        #: every kept instant is written as one Chrome-trace event object
+        #: every instant is written as one Chrome-trace event object
         #: per line, independent of the bounded ring.
         self._stream = None
         #: ring overwrites since the last reset (old events silently
@@ -370,17 +411,11 @@ class Tracer:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def enable(self, reset: bool = True, sample_rate: int = 1) -> None:
-        """Turn on collection.  ``sample_rate=N`` keeps one in every N
-        instant events in the ring (and JSONL stream); counters,
-        histograms, and spans are never sampled, so aggregates stay exact
-        while high-volume instants stop churning the ring."""
-        if sample_rate < 1:
-            raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
+    def enable(self, reset: bool = True) -> None:
+        """Turn on collection (clearing old data unless ``reset=False``)."""
         if reset:
             self.reset()
         self.enabled = True
-        self.sample_rate = sample_rate
         self._epoch_ns = time.perf_counter_ns()
         self._enabled_at_ns = self._epoch_ns
 
@@ -396,7 +431,6 @@ class Tracer:
             self.histograms.clear()
             self.observations = 0
             self.events_dropped = 0
-            self._instant_seq = 0
             self._stack.clear()
             self._span_agg.clear()
             self._epoch_ns = time.perf_counter_ns()
@@ -407,7 +441,7 @@ class Tracer:
 
     def open_stream(self, path: str) -> None:
         """Stream events to ``path`` as JSON Lines: every finished span
-        and every kept instant is appended as one Chrome-trace event
+        and every instant is appended as one Chrome-trace event
         object per line as it happens, so long-running workloads are not
         limited by the bounded in-memory ring."""
         self.close_stream()
@@ -442,15 +476,10 @@ class Tracer:
         """Record an instant semantic event into the ring (and bump the
         same-named counter).  Callers on hot paths must guard with
         ``if TRACER.enabled:`` — this method assumes it is only reached
-        while enabled.  Under ``enable(sample_rate=N)`` only one in N
-        instants lands in the ring/stream; the counter always bumps."""
+        while enabled."""
         with self._lock:
             self.observations += 1
             self.counters[name] = self.counters.get(name, 0) + 1
-            seq = self._instant_seq
-            self._instant_seq = seq + 1
-            if self.sample_rate > 1 and seq % self.sample_rate:
-                return
             rec = InstantRecord(
                 name,
                 time.perf_counter_ns() - self._epoch_ns,
@@ -498,19 +527,6 @@ class Tracer:
             (path, agg[0], agg[1])
             for path, agg in sorted(items, key=lambda kv: key(kv[0]))
         ]
-
-    def span_args(self, path: Tuple[str, ...]) -> Dict[str, Any]:
-        """Bounded per-key summary of the args seen by spans at this call
-        path: key -> {"values": [up to SPAN_ARG_VALUES distinct],
-        "dropped": count of further distinct values}.  Empty when the
-        spans carried no args."""
-        agg = self._span_agg.get(path)
-        if agg is None:
-            return {}
-        return {
-            k: {"values": list(entry[0]), "dropped": entry[1]}
-            for k, entry in agg[2].items()
-        }
 
     def to_chrome_trace(self) -> Dict[str, Any]:
         """The event ring as a Chrome-trace (Trace Event Format) object.
@@ -573,49 +589,20 @@ class Tracer:
         if weight not in ("us", "count"):
             raise ValueError(f"weight must be 'us' or 'count', got {weight!r}")
         rows = self.span_tree()
-        totals = {path: total for path, _, total in rows}
-        lines = []
-        for path, count, total_ns in rows:
-            if weight == "count":
-                value = count
-            else:
-                child_ns = sum(
-                    t
-                    for p, t in totals.items()
-                    if len(p) == len(path) + 1 and p[: len(path)] == path
-                )
-                value = max(0, total_ns - child_ns) // 1000
-            lines.append(";".join(fold_label(p) for p in path) + f" {value}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        if weight == "count":
+            return format_folds((path, count) for path, count, _ in rows)
+        # self time: each path's total minus its direct children's totals
+        self_ns = {path: total for path, _, total in rows}
+        for path, _, total in rows:
+            if path[:-1] in self_ns:
+                self_ns[path[:-1]] -= total
+        return format_folds(
+            (path, max(0, ns) // 1000) for path, ns in self_ns.items()
+        )
 
     def write_collapsed(self, path: str, weight: str = "us") -> None:
         with open(path, "w") as f:
             f.write(self.to_collapsed(weight=weight))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Machine-readable aggregate snapshot (no ring contents)."""
-        return {
-            "enabled": self.enabled,
-            "observations": self.observations,
-            "events_dropped": self.events_dropped,
-            "counters": dict(sorted(self.counters.items())),
-            "histograms": {
-                name: h.to_dict() for name, h in sorted(self.histograms.items())
-            },
-            "spans": [
-                {
-                    "path": list(path),
-                    "count": count,
-                    "total_ns": total,
-                    **(
-                        {"args": self.span_args(path)}
-                        if self._span_agg[path][2]
-                        else {}
-                    ),
-                }
-                for path, count, total in self.span_tree()
-            ],
-        }
 
     # ------------------------------------------------------------------
     # report
@@ -624,7 +611,8 @@ class Tracer:
     def format_phases(self) -> str:
         """Human-readable phase-timing tree (indent = span nesting).  Spans
         that carried args show a bounded summary of the distinct values
-        seen, e.g. ``unit=Main.main mode=jns`` (PR 3 follow-up)."""
+        seen, e.g. ``unit=Main.main mode=jns``; ``…+N`` counts the
+        distinct values past :data:`SPAN_ARG_VALUES`."""
         rows = self.span_tree()
         if not rows:
             return "phase timings: (no spans recorded)"
@@ -652,7 +640,7 @@ class Tracer:
             )
             summary = self._span_agg[path][2]
             if summary:
-                row += "  " + _fmt_span_args(summary)
+                row += "  " + _fmt_arg_summary(summary)
             lines.append(row)
         return "\n".join(lines)
 
@@ -688,6 +676,17 @@ def fold_label(name: str) -> str:
     return "".join(out)
 
 
+def format_folds(rows: Iterable[Tuple[Sequence[str], Any]]) -> str:
+    """Render ``(frames, weight)`` rows, outermost frame first, as
+    collapsed-stack lines ``a;b;c WEIGHT`` (each frame escaped by
+    :func:`fold_label`), the input format of flamegraph.pl and
+    speedscope.  The one fold writer behind every ``--flame`` output."""
+    return "".join(
+        ";".join(map(fold_label, frames)) + f" {weight}\n"
+        for frames, weight in rows
+    )
+
+
 def _trace_event(rec: Any) -> Dict[str, Any]:
     """One ring record as a Chrome-trace (Trace Event Format) object —
     shared by :meth:`Tracer.to_chrome_trace` and the JSONL stream."""
@@ -714,7 +713,7 @@ def _trace_event(rec: Any) -> Dict[str, Any]:
     }
 
 
-def _fmt_span_args(summary: Dict[str, Any]) -> str:
+def _fmt_arg_summary(summary: Dict[str, Any]) -> str:
     """Render a span-arg summary: ``key=v1,v2`` per key, with an
     ``…+N`` suffix when distinct values beyond the cap were dropped."""
     parts = []
@@ -823,11 +822,9 @@ def enabled() -> bool:
     return TRACER.enabled
 
 
-def enable(reset: bool = True, sample_rate: int = 1) -> None:
-    """Turn on the process-wide tracer (clearing old data by default).
-    ``sample_rate=N`` keeps 1-in-N instant events in the ring/stream;
-    spans and counters are never sampled."""
-    TRACER.enable(reset=reset, sample_rate=sample_rate)
+def enable(reset: bool = True) -> None:
+    """Turn on the process-wide tracer (clearing old data by default)."""
+    TRACER.enable(reset=reset)
 
 
 def disable() -> None:

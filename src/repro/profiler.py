@@ -21,9 +21,10 @@ Two collectors feed one per-line table:
   frames also yield collapsed-stack folds keyed by jns frames rather
   than obs span paths.
 
-``merge_reports`` joins both into a :class:`ProfileReport` rendered as
-an annotated-source terminal heatmap, a self-contained HTML report, or
-JSON (the ``profile`` op of ``repro serve``).
+A :class:`ProfileReport` joins both, rendered as an annotated-source
+terminal heatmap, a self-contained HTML report, JSON (the ``profile`` op
+of ``repro serve``), or collapsed stacks through the one fold writer,
+:func:`repro.obs.format_folds` (``repro profile --flame``).
 
 The deterministic event columns are cross-backend invariants: the
 ``steps`` column (statement entries) agrees exactly between walker and
@@ -45,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 # The hot-path collector lives next to ``obs.TRACER`` and the source-map
 # type next to the emitter that builds it, so a plain ``repro run`` never
 # imports this module; they are re-exported here unchanged.
-from .obs import PROFILER, LineProfiler, fold_label
+from .obs import PROFILER, LineProfiler, fold_label, format_folds
 from .runtime.codegen import EmittedSource
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "EmittedSource",
     "ProfileReport",
     "fold_label",
-    "merge_reports",
     "profile_source",
 ]
 
@@ -184,21 +184,6 @@ class SamplingProfiler:
             return 0.0
         return self.wall_seconds / self.samples_total
 
-    def to_collapsed(self) -> str:
-        """Collapsed folds keyed by jns frames (``P.C.m:line``), one
-        fold per line, for flamegraph.pl / speedscope."""
-        lines = [
-            ";".join(key) + f" {n}"
-            for key, n in sorted(self.folds.items())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_collapsed(self, path: str) -> int:
-        text = self.to_collapsed()
-        with open(path, "w") as fh:
-            fh.write(text)
-        return len(self.folds)
-
 
 # ---------------------------------------------------------------------------
 # merged report
@@ -268,6 +253,11 @@ class ProfileReport:
             "self_samples": self.self_samples.get(line, 0),
             "total_samples": self.total_samples.get(line, 0),
         }
+
+    def to_collapsed(self) -> str:
+        """The sampled jns-frame stacks (``P.C.m:line``, outermost first)
+        as collapsed-stack lines, for flamegraph.pl / speedscope."""
+        return format_folds(sorted(self.folds.items()))
 
     def to_dict(self) -> Dict[str, Any]:
         src_lines = self.source.splitlines()
@@ -446,24 +436,6 @@ class ProfileReport:
         )
 
 
-def merge_reports(
-    source: str,
-    file: str,
-    det: Optional[Dict[str, Dict[int, int]]],
-    sampler: Optional[SamplingProfiler],
-    backend_det: str = "",
-    backend_sampled: str = "",
-) -> ProfileReport:
-    return ProfileReport(
-        source,
-        file=file,
-        det=det,
-        sampler=sampler,
-        backend_det=backend_det,
-        backend_sampled=backend_sampled,
-    )
-
-
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
@@ -548,11 +520,11 @@ def profile_source(
             interval=interval,
             min_samples=min_samples,
         )
-    return merge_reports(
+    return ProfileReport(
         source,
-        file,
-        det,
-        sampler,
+        file=file,
+        det=det,
+        sampler=sampler,
         backend_det=det_backend,
         backend_sampled="codegen" if sample else "",
     )

@@ -51,16 +51,16 @@ Reports are byte-identical across runs with the same seed and plan:
 and counter state, and every random decision comes from per-request
 forks of the master :class:`Rng`.
 
-Telemetry (PR 8): every request carries a deterministic
+Telemetry: every request carries a deterministic
 :class:`~repro.telemetry.TraceContext` drawn from the ``trace{rid}``
 fork of the master RNG — replays with the same seed regenerate the same
 128-bit trace-id sequence, digested into ``ChaosReport.trace_digest``
 (part of the replay surface).  Each attempt's shard-side work runs
 under a ``corona.request`` span tagged ``{op, shard, request,
-trace_id}`` when tracing is enabled, and an always-on labeled
-:class:`~repro.telemetry.MetricsRegistry` (``driver.metrics``) counts
-requests by op/outcome and faults by kind — the exposition surface the
-multiprocess rung will aggregate across workers.
+trace_id}`` when tracing is enabled.  Every fault, retry and request
+outcome is recorded once, in ``ChaosReport.counters`` (the digest
+surface), and mirrored into ``obs.TRACER`` for ``--profile`` while
+tracing is on.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ...chaos import FaultPlan, RetryPolicy, Rng, SimEvent, SimLoop
 from ...errors import JnsResourceError
 from ...obs import TRACER, Histogram
-from ...telemetry import MetricsRegistry, TraceContext
+from ...telemetry import TraceContext
 from .system import FAMILIES, CoronaSystem
 
 #: The evolution schedule: each entry is one two-phase transition.
@@ -288,9 +288,6 @@ class ChaosCoronaDriver:
         self._hot = min(3, objects)
         self.counters: Dict[str, int] = {}
         self._hists: Dict[str, Histogram] = {}
-        #: always-on labeled metrics (op/outcome request counts, fault
-        #: kinds) — the exposition surface for multiprocess aggregation.
-        self.metrics = MetricsRegistry()
         #: per-request trace ids in rid order (hex), digested into the
         #: replay surface; identical across same-seed replays.
         self.trace_ids: List[str] = []
@@ -326,8 +323,6 @@ class ChaosCoronaDriver:
     def _fault(self, kind: str) -> None:
         self._count("chaos.injected")
         self._count(f"chaos.injected.{kind}")
-        self.metrics.inc("corona_faults_total", kind=kind,
-                         help="injected faults by kind")
 
     def _violation(self, rid: int, key: int, reason: str, **detail: Any) -> None:
         self._count("oracle.violation")
@@ -457,15 +452,11 @@ class ChaosCoronaDriver:
             )
             if outcome == "ok":
                 self._completed += 1
-                self.metrics.inc("corona_requests_total", op=op, outcome="ok",
-                                 help="corona requests by op and outcome")
                 if attempts:
                     self._observe("retry.per_request", attempts)
                 return
             attempts += 1
             self._count("retry.attempt")
-            self.metrics.inc("corona_retries_total", op=op,
-                             help="retries by op")
             if attempts >= self.retry.max_attempts:
                 self._count("retry.exhausted")
                 self._degrade(rid, op, key, outcome)
@@ -583,9 +574,6 @@ class ChaosCoronaDriver:
         if op == "fetch" and key in self._stale:
             stale_version, _content = self._stale[key]
             self._count("degraded.stale_serve")
-            self.metrics.inc("corona_requests_total", op=op,
-                             outcome="degraded",
-                             help="corona requests by op and outcome")
             self._observe(
                 "degraded.staleness",
                 max(0, self.version_acked.get(key, 0) - stale_version),
@@ -593,8 +581,6 @@ class ChaosCoronaDriver:
             self._completed += 1
             return
         self._count("requests.failed")
-        self.metrics.inc("corona_requests_total", op=op, outcome="failed",
-                         help="corona requests by op and outcome")
         self.failures.append(
             {"rid": rid, "op": op, "key": key, "last_outcome": last_outcome}
         )

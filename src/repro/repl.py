@@ -229,7 +229,7 @@ class ReplSession:
     def _run_profiled(self, program, source: str) -> List[str]:
         """`:lines on` path: run under the deterministic line profiler
         and append the annotated heatmap (kept for a bare `:lines`)."""
-        from .profiler import PROFILE_LOCK, PROFILER, merge_reports
+        from .profiler import PROFILE_LOCK, PROFILER, ProfileReport
 
         with PROFILE_LOCK:
             interp = program.interp(
@@ -244,8 +244,8 @@ class ReplSession:
             finally:
                 PROFILER.stop()
             snap = PROFILER.snapshot()
-        report = merge_reports(
-            source, "<repl>", snap, None, backend_det=self.backend
+        report = ProfileReport(
+            source, "<repl>", det=snap, backend_det=self.backend
         )
         self._last_lines = report.render_text(context=1).splitlines()
         return interp.output + self._last_lines

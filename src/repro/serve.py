@@ -58,21 +58,20 @@ provenance capture never wipes the session's warm incremental state.
 
 Observability (request-scoped — see :mod:`repro.telemetry`): every
 request gets a deterministic :class:`~repro.telemetry.TraceContext`
-(drawn from a seeded ``Rng``, or adopted from an inbound ``traceparent``
-field) whose W3C-style rendering is echoed as ``trace`` in the response;
-when tracing is enabled each request runs under a ``serve.request`` span
-tagged with the op / session / trace ids, the ``serve.request.{ok,error}``
-counters bump, and per-op latencies land in ``serve.latency.<op>``
-histograms.  Independently of the tracer, a labeled
-:class:`~repro.telemetry.MetricsRegistry` is always on: per-op
-request counters and latency histograms (``run`` and ``profile``
-requests are additionally labeled with the resolved ``backend=``, so
-per-backend rates and latencies stay separable), session gauges, and
-per-session
-query-cache gauges (hits / misses / green revalidations) refreshed after
-every ``check``.  The ``metrics`` op returns the cumulative snapshot
-(scrapes never reset state), and ``repro serve --metrics-port`` exposes
-the same registry in Prometheus text format over HTTP for scrapers and
+(drawn from a seeded ``Rng``, or adopted from a well-formed inbound
+``traceparent`` field; a malformed one gets a fresh root) whose
+W3C-style rendering is echoed as ``trace`` in the response.  When
+tracing is enabled each request runs under a ``serve.request`` span
+tagged with the op / session / trace ids.  Request counts and latencies
+are recorded once, in a labeled :class:`~repro.telemetry.MetricsRegistry`
+that is always on: ``serve_requests_total`` and ``serve_request_seconds``
+by op and outcome (``run`` and ``profile`` requests are additionally
+labeled with the resolved ``backend=``, so per-backend rates and
+latencies stay separable), session gauges, and per-session query-cache
+gauges (hits / misses / green revalidations) refreshed after every
+``check``.  The ``metrics`` op returns the cumulative snapshot (scrapes
+never reset state), and ``repro serve --metrics-port`` exposes the same
+registry in Prometheus text format over HTTP for scrapers and
 ``repro top``.
 """
 
@@ -186,8 +185,8 @@ class CheckService:
         mode becomes an error *response* (the connection survives).
 
         Every request gets a trace context (echoed as ``trace`` in the
-        response), a per-op latency observation, and an outcome counter;
-        when tracing is enabled the dispatch runs under a
+        response), and one ``serve_requests_total`` count and one
+        ``serve_request_seconds`` observation; when tracing is enabled the dispatch runs under a
         ``serve.request`` span carrying the trace identity."""
         self.requests += 1
         rid = req.get("id")
@@ -239,10 +238,6 @@ class CheckService:
                          help="serve requests by op and outcome", **labels)
         self.metrics.observe("serve_request_seconds", elapsed,
                              help="serve request latency by op", **labels)
-        if TRACER.enabled:
-            TRACER.count("serve.request")
-            TRACER.count(f"serve.request.{outcome}")
-            TRACER.observe(f"serve.latency.{opname}", elapsed * 1000.0)
         resp["trace"] = ctx.traceparent
         if rid is not None:
             resp["id"] = rid

@@ -1,4 +1,4 @@
-"""Request-scoped telemetry: trace contexts, labeled metrics, OTLP export.
+"""Request-scoped telemetry: trace contexts and labeled metrics.
 
 :mod:`repro.obs` is a process-global tracer — great for one pipeline run,
 blind to *which request* a span or counter belongs to.  This module adds
@@ -10,26 +10,27 @@ the request-scoped layer on top of it:
   (:meth:`TraceContext.from_rng`), so two CorONA chaos replays with the
   same seed produce byte-identical trace-id sequences, and the check
   service hands every JSONL request a ``traceparent`` that clients can
-  also supply inbound (:meth:`TraceContext.parse`).
+  also supply inbound (:meth:`TraceContext.parse`, which accepts only
+  the exact lowercase-hex ``00-<32>-<16>-<2>`` shape).
 * :class:`MetricsRegistry` — labeled counters / gauges / histograms with
   **bounded label cardinality** (beyond :data:`MAX_SERIES_PER_FAMILY`
   distinct label sets per family, further series collapse into an
   ``overflow="true"`` bucket — misbehaving label values can never grow
-  memory without bound).  Snapshots are JSON-able and cumulative
-  (scrapes never reset state); :func:`diff_snapshots` subtracts two
-  snapshots for rate/p50/p95 windows, which is how ``repro top``
-  computes per-interval views.  :meth:`MetricsRegistry.exposition`
-  renders Prometheus text format 0.0.4, served by the ``metrics`` op and
-  ``repro serve --metrics-port``.  :func:`validate_exposition` is the
+  memory without bound).  Histogram series are
+  :class:`repro.obs.Histogram` built with the fixed
+  :data:`~repro.obs.DEFAULT_BUCKETS` bounds.  Snapshots are JSON-able
+  and cumulative (scrapes never reset state); :func:`diff_snapshots`
+  subtracts two snapshots for rate/p50/p95 windows, which is how
+  ``repro top`` computes per-interval views.
+  :meth:`MetricsRegistry.exposition` renders Prometheus text format
+  0.0.4, served by the ``metrics`` op and ``repro serve
+  --metrics-port``.  :func:`validate_exposition` is the
   checker both the tests and ``scripts/metrics_smoke.py`` run against a
   scrape.
-* :func:`write_otlp_jsonl` — the tracer's span ring as OTLP-flavored
-  JSON Lines (one span object per line with ``traceId`` / ``spanId`` /
-  ``startTimeUnixNano`` / ``attributes``), alongside the existing
-  Chrome-trace export.  Spans that carried ``trace_id`` / ``span_id``
-  args (the request spans) keep their real identity; others get a
-  synthetic one derived from their call path so the file is
-  self-consistent.
+
+Request spans carry their trace identity as ``trace_id`` / ``span_id``
+args, so it shows in the Chrome trace and the JSONL stream of
+:mod:`repro.obs`.
 
 Everything here is pure stdlib and allocation-light: registries are flat
 dicts keyed by ``(name, sorted-label-items)``, histogram buckets are
@@ -40,21 +41,20 @@ hot path.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from .obs import DEFAULT_BUCKETS, Histogram
 
 __all__ = [
     "TraceContext",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
     "MAX_SERIES_PER_FAMILY",
     "diff_snapshots",
     "quantile_from_buckets",
     "validate_exposition",
-    "write_otlp_jsonl",
     "render_top",
 ]
 
@@ -65,6 +65,8 @@ __all__ = [
 
 _TRACE_MASK = (1 << 128) - 1
 _SPAN_MASK = (1 << 64) - 1
+
+_TRACEPARENT_RE = re.compile(r"00-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}")
 
 
 @dataclass(frozen=True)
@@ -115,14 +117,13 @@ class TraceContext:
     @classmethod
     def parse(cls, traceparent: str) -> "TraceContext":
         """Parse a ``traceparent`` header value; raises ``ValueError`` on
-        anything that is not ``VV-<32 hex>-<16 hex>-FF``."""
-        parts = traceparent.strip().split("-")
-        if len(parts) != 4 or len(parts[1]) != 32 or len(parts[2]) != 16:
+        anything that is not exactly ``00-<32 hex>-<16 hex>-<2 hex>`` in
+        lowercase, or that carries an all-zero id."""
+        m = _TRACEPARENT_RE.fullmatch(traceparent)
+        if m is None:
             raise ValueError(f"malformed traceparent {traceparent!r}")
-        if parts[0] != "00":
-            raise ValueError(f"unknown traceparent version {parts[0]!r}")
-        trace_id = int(parts[1], 16)
-        span_id = int(parts[2], 16)
+        trace_id = int(m.group(1), 16)
+        span_id = int(m.group(2), 16)
         if not trace_id or not span_id:
             raise ValueError(f"all-zero ids in traceparent {traceparent!r}")
         return cls(trace_id, span_id)
@@ -131,13 +132,6 @@ class TraceContext:
 # ----------------------------------------------------------------------
 # labeled metrics
 # ----------------------------------------------------------------------
-
-#: Default latency buckets (seconds) — tuned for a local check service
-#: where ops run 100µs..1s.  ``+Inf`` is implicit.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-)
 
 #: Distinct label sets retained per metric family; further series fold
 #: into the ``overflow="true"`` bucket and bump ``dropped_series``.
@@ -148,33 +142,6 @@ _OVERFLOW_KEY: Tuple[Tuple[str, str], ...] = (("overflow", "true"),)
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
 
-class _Hist:
-    """One histogram series: cumulative bucket counts, sum, count."""
-
-    __slots__ = ("bounds", "bucket_counts", "sum", "count")
-
-    def __init__(self, bounds: Sequence[float]) -> None:
-        self.bounds = tuple(bounds)
-        self.bucket_counts = [0] * len(self.bounds)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-
-    def cumulative(self) -> List[List[Any]]:
-        """``[[le, cumulative_count], ...]`` ending with ``["+Inf", count]``."""
-        out: List[List[Any]] = [
-            [bound, self.bucket_counts[i]] for i, bound in enumerate(self.bounds)
-        ]
-        out.append(["+Inf", self.count])
-        return out
-
-
 class _Family:
     __slots__ = ("name", "kind", "help", "series")
 
@@ -182,7 +149,7 @@ class _Family:
         self.name = name
         self.kind = kind
         self.help = help_
-        #: label-items tuple -> float (counter/gauge) or _Hist
+        #: label-items tuple -> float (counter/gauge) or obs.Histogram
         self.series: Dict[Tuple[Tuple[str, str], ...], Any] = {}
 
 
@@ -243,21 +210,15 @@ class MetricsRegistry:
             fam = self._family(name, "gauge", help)
             fam.series[self._series_key(fam, labels)] = value
 
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        help: str = "",
-        **labels: Any,
-    ) -> None:
-        """Record ``value`` into the histogram series ``name{labels}``."""
+    def observe(self, name: str, value: float, help: str = "", **labels: Any) -> None:
+        """Record ``value`` into the histogram series ``name{labels}``
+        (bucketed by :data:`~repro.obs.DEFAULT_BUCKETS`)."""
         with self._lock:
             fam = self._family(name, "histogram", help)
             key = self._series_key(fam, labels)
             hist = fam.series.get(key)
             if hist is None:
-                hist = fam.series[key] = _Hist(buckets)
+                hist = fam.series[key] = Histogram(name, DEFAULT_BUCKETS)
             hist.observe(value)
 
     # -- readers --------------------------------------------------------
@@ -285,8 +246,8 @@ class MetricsRegistry:
                                 "name": fam.name,
                                 "labels": labels,
                                 "count": h.count,
-                                "sum": h.sum,
-                                "buckets": h.cumulative(),
+                                "sum": float(h.total),
+                                "buckets": h.buckets(),
                             }
                         )
                     elif fam.kind == "counter":
@@ -321,7 +282,7 @@ class MetricsRegistry:
                 for key in sorted(fam.series):
                     if fam.kind == "histogram":
                         h = fam.series[key]
-                        for le, cum in h.cumulative():
+                        for le, cum in h.buckets():
                             le_txt = le if le == "+Inf" else _fmt_value(le)
                             lines.append(
                                 f"{fam.name}_bucket"
@@ -329,7 +290,8 @@ class MetricsRegistry:
                                 f" {cum}"
                             )
                         lines.append(
-                            f"{fam.name}_sum{_fmt_labels(key)} {_fmt_value(h.sum)}"
+                            f"{fam.name}_sum{_fmt_labels(key)}"
+                            f" {_fmt_value(float(h.total))}"
                         )
                         lines.append(f"{fam.name}_count{_fmt_labels(key)} {h.count}")
                     else:
@@ -554,94 +516,6 @@ def _split_labels(body: str) -> List[str]:
     if cur:
         items.append("".join(cur))
     return items
-
-
-# ----------------------------------------------------------------------
-# OTLP-flavored span export
-# ----------------------------------------------------------------------
-
-
-def _synth_ids(path: Tuple[str, ...], start_ns: int) -> Tuple[str, str]:
-    """Synthetic (trace, span) hex ids for spans that carried no explicit
-    trace context: trace id from the root span name, span id from the
-    full path + start offset — stable for a given recording."""
-    root = path[0] if path else "span"
-    trace = hashlib.blake2b(root.encode(), digest_size=16).hexdigest()
-    span = hashlib.blake2b(
-        f"{';'.join(path)}:{start_ns}".encode(), digest_size=8
-    ).hexdigest()
-    return trace, span
-
-
-def _attr_value(v: Any) -> Dict[str, Any]:
-    if isinstance(v, bool):
-        return {"boolValue": v}
-    if isinstance(v, int):
-        return {"intValue": v}
-    if isinstance(v, float):
-        return {"doubleValue": v}
-    return {"stringValue": str(v)}
-
-
-def write_otlp_jsonl(tracer: Any, path: str) -> int:
-    """Write every finished span in the tracer's ring as one
-    OTLP-flavored JSON object per line; returns the number of spans
-    written.  Spans whose args carry ``trace_id`` / ``span_id`` (the
-    request spans) keep that identity; ``parent_span_id`` maps to
-    ``parentSpanId``.  Spans without explicit identity get synthetic ids
-    and are linked to the tightest enclosing span one path level up."""
-    from .obs import SpanRecord
-
-    recs = [rec for rec in list(tracer.events) if isinstance(rec, SpanRecord)]
-    rows = []
-    for rec in recs:
-        args = dict(rec.args)
-        trace_id = args.pop("trace_id", None)
-        span_id = args.pop("span_id", None)
-        parent = args.pop("parent_span_id", "")
-        if not trace_id or not span_id:
-            s_trace, s_span = _synth_ids(rec.path, rec.start_ns)
-            trace_id = trace_id or s_trace
-            span_id = span_id or s_span
-        rows.append([rec, args, str(trace_id), str(span_id), str(parent)])
-    # Link spans that carried no explicit parent: the enclosing span is
-    # the one whose path is ours minus the leaf and whose time interval
-    # contains ours (tightest wins, for recursive same-path nests).
-    for row in rows:
-        rec, _, _, _, parent = row
-        if parent or len(rec.path) < 2:
-            continue
-        lo, hi = rec.start_ns, rec.start_ns + rec.dur_ns
-        best = None
-        for cand in rows:
-            crec = cand[0]
-            if crec is rec or crec.path != rec.path[:-1]:
-                continue
-            if crec.start_ns <= lo and crec.start_ns + crec.dur_ns >= hi:
-                if best is None or crec.dur_ns < best[0].dur_ns:
-                    best = cand
-        if best is not None:
-            row[2] = best[2]  # inherit the parent's trace id
-            row[4] = best[3]
-    n = 0
-    with open(path, "w") as f:
-        for rec, args, trace_id, span_id, parent in rows:
-            span = {
-                "name": rec.name,
-                "traceId": trace_id,
-                "spanId": span_id,
-                "parentSpanId": parent,
-                "kind": "SPAN_KIND_INTERNAL",
-                "startTimeUnixNano": rec.start_ns,
-                "endTimeUnixNano": rec.start_ns + rec.dur_ns,
-                "attributes": [
-                    {"key": k, "value": _attr_value(v)}
-                    for k, v in sorted(args.items())
-                ],
-            }
-            f.write(json.dumps(span) + "\n")
-            n += 1
-    return n
 
 
 # ----------------------------------------------------------------------

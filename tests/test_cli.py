@@ -251,16 +251,6 @@ class TestFlameAndOtlp:
             path, value = line.rsplit(" ", 1)
             assert path and value.isdigit()
 
-    def test_check_otlp_out_writes_spans(self, good_file, tmp_path, capsys):
-        out = tmp_path / "spans.jsonl"
-        assert main(["check", good_file, "--otlp-out", str(out)]) == 0
-        capsys.readouterr()
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
-        assert rows
-        for row in rows:
-            assert len(row["traceId"]) == 32 and len(row["spanId"]) == 16
-            assert row["endTimeUnixNano"] >= row["startTimeUnixNano"]
-
     def test_flame_leaves_tracer_disabled(self, good_file, tmp_path, capsys):
         from repro import obs
 

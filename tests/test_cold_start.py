@@ -90,18 +90,17 @@ def test_profiler_reexports_are_the_same_objects():
 def test_exit_path_writes_complete_outputs(driver, tmp_path):
     proc = python("-m", "repro", "run", str(driver), "--entry", "Bench.main",
                   "--trace-out", "t.jsonl", "--flame", "f.txt",
-                  "--otlp-out", "o.jsonl", "--stats-json", cwd=tmp_path)
+                  "--stats-json", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     # The program's own output ends with its result; --stats-json adds
     # one JSON line after it.
     *program, stats = proc.stdout.splitlines()
     assert program[-1] == RESULT
     assert json.loads(stats)["hits"] > 0
-    for name in ("t.jsonl", "o.jsonl"):
-        text = (tmp_path / name).read_text()
-        assert text.endswith("\n")
-        events = [json.loads(line) for line in text.splitlines()]
-        assert {"parse", "typecheck"} <= {e["name"] for e in events}, name
+    text = (tmp_path / "t.jsonl").read_text()
+    assert text.endswith("\n")
+    events = [json.loads(line) for line in text.splitlines()]
+    assert {"parse", "typecheck"} <= {e["name"] for e in events}
     folds = (tmp_path / "f.txt").read_text()
     assert folds.endswith("\n")
     lines = folds.splitlines()

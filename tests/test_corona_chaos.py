@@ -374,14 +374,11 @@ class TestTraceDeterminism:
             assert args["op"] in ("fetch", "publish")
 
     def test_labeled_request_metrics(self):
-        driver, report = self._run()
-        snap = driver.metrics.snapshot()
-        by_op = {
-            (c["labels"]["op"], c["labels"]["outcome"]): c["value"]
-            for c in snap["counters"]
-            if c["name"] == "corona_requests_total"
-        }
-        total = sum(by_op.values())
-        assert total == self.SMALL["requests"]
-        assert by_op[("fetch", "ok")] > 0
-        assert by_op[("publish", "ok")] > 0
+        """Every request ends ok, degraded or failed, as the report
+        counts them."""
+        _, report = self._run()
+        # requests_completed counts ok and degraded (stale-served) ends
+        completed = report.wall["requests_completed"]
+        failed = report.counters.get("requests.failed", 0)
+        assert completed + failed == self.SMALL["requests"]
+        assert completed > report.counters.get("degraded.stale_serve", 0)

@@ -16,8 +16,8 @@ from repro.cli import main as cli_main
 from repro.profiler import (
     PROFILER,
     EmittedSource,
+    ProfileReport,
     fold_label,
-    merge_reports,
     profile_source,
     run_deterministic,
 )
@@ -283,8 +283,8 @@ class TestReport:
     def _report(self):
         program = compile_program(MASKED_LOOP)
         snap, _ = run_deterministic(program, entry="Main.main")
-        return merge_reports(
-            MASKED_LOOP, "<test>", snap, None, backend_det="codegen"
+        return ProfileReport(
+            MASKED_LOOP, "<test>", det=snap, backend_det="codegen"
         )
 
     def test_render_text_has_heat_and_columns(self):
@@ -304,6 +304,14 @@ class TestReport:
         row = d["lines"][0]
         for key in ("line", "steps", "text"):
             assert key in row
+
+    def test_to_collapsed_sorts_folds(self):
+        report = self._report()
+        assert report.to_collapsed() == ""  # no sampler, no folds
+        report.folds = {("Main.run:9", "Main.f:3"): 4, ("Main.run:8",): 2}
+        assert report.to_collapsed() == (
+            "Main.run:8 2\nMain.run:9;Main.f:3 4\n"
+        )
 
     def test_render_html_is_self_contained(self):
         html = self._report().render_html()

@@ -271,21 +271,25 @@ def test_metrics_op_optional_exposition():
 
 
 def test_tracer_counts_request_outcomes():
-    from repro import obs
-
-    obs.TRACER.reset()
-    obs.enable()
-    try:
-        svc = CheckService()
-        svc.handle({"op": "ping"})
-        svc.handle({"op": "nope"})
-        assert obs.TRACER.counters["serve.request"] == 2
-        assert obs.TRACER.counters["serve.request.ok"] == 1
-        assert obs.TRACER.counters["serve.request.error"] == 1
-        assert obs.TRACER.histograms["serve.latency.ping"].count == 1
-    finally:
-        obs.disable()
-        obs.TRACER.reset()
+    """Request outcomes and latencies are recorded once, in the metrics
+    registry (the tracer keeps only the ``serve.request`` span)."""
+    svc = CheckService()
+    svc.handle({"op": "ping"})
+    svc.handle({"op": "nope"})
+    snap = svc.handle({"op": "metrics"})["metrics"]
+    # the metrics request itself is recorded only after it answers
+    requests = {
+        (c["labels"]["op"], c["labels"]["outcome"]): c["value"]
+        for c in snap["counters"]
+        if c["name"] == "serve_requests_total"
+    }
+    assert requests == {("ping", "ok"): 1.0, ("nope", "error"): 1.0}
+    latency = {
+        h["labels"]["op"]: h["count"]
+        for h in snap["histograms"]
+        if h["name"] == "serve_request_seconds"
+    }
+    assert latency == {"ping": 1, "nope": 1}
 
 
 def test_trace_ids_deterministic_for_seed():
@@ -309,6 +313,18 @@ def test_inbound_traceparent_is_adopted():
     # malformed inbound context falls back to a fresh one, not an error
     resp = svc.handle({"op": "ping", "traceparent": "garbage"})
     assert resp["ok"] and resp["trace"].startswith("00-")
+
+
+def test_malformed_traceparent_gets_seeded_root():
+    # int(..., 16) alone reads this id as a different, valid trace id
+    bad = "00-0123456789abcdef_123456789abcdef-0123456789abcdef-01"
+    first_root = CheckService(seed=3).handle({"op": "ping"})["trace"]
+    svc = CheckService(seed=3)
+    resp = svc.handle({"op": "ping", "traceparent": bad})
+    assert resp["ok"] and resp["trace"] == first_root
+    nxt = svc.handle({"op": "ping", "id": 2})
+    assert nxt["ok"] and nxt["id"] == 2
+    assert nxt["trace"] not in (first_root, bad)
 
 
 def test_metrics_http_endpoint_scrape():

@@ -1,6 +1,5 @@
 """Trace-context derivation, the labeled metrics registry, Prometheus
-exposition, delta snapshots, and the OTLP span exporter
-(:mod:`repro.telemetry`).
+exposition, and delta snapshots (:mod:`repro.telemetry`).
 
 The serve/CorONA integration of these pieces is covered in
 tests/test_serve.py and tests/test_corona_chaos.py; here we pin the
@@ -11,20 +10,19 @@ validity, bounded label cardinality, and snapshot arithmetic.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro import obs
 from repro.chaos import Rng
+from repro.obs import DEFAULT_BUCKETS
 from repro.telemetry import (
-    DEFAULT_BUCKETS,
     MAX_SERIES_PER_FAMILY,
     MetricsRegistry,
     TraceContext,
     diff_snapshots,
     quantile_from_buckets,
     validate_exposition,
-    write_otlp_jsonl,
 )
 
 
@@ -63,6 +61,12 @@ class TestTraceContext:
             "00-" + "1" * 32 + "-" + "0" * 16 + "-01",  # all-zero span id
             "01-" + "1" * 32 + "-" + "2" * 16 + "-01",  # unknown version
             "00-" + "1" * 31 + "-" + "2" * 16 + "-01",  # short trace id
+            # int(..., 16) alone accepts each of these
+            "00-0123456789abcdef_123456789abcdef-0123456789abcdef-01",
+            "00-" + "A" * 32 + "-" + "B" * 16 + "-01",  # uppercase hex
+            "00-" + "1" * 32 + "-" + "2" * 16 + "-zz",  # non-hex flags
+            "00- " + "1" * 31 + "-" + "2" * 16 + "-01",  # space inside id
+            "00-+" + "1" * 31 + "-" + "2" * 16 + "-01",  # sign inside id
         ],
     )
     def test_parse_rejects_malformed(self, bad):
@@ -221,48 +225,39 @@ class TestSnapshots:
 
 
 # ----------------------------------------------------------------------
-# OTLP JSONL export
+# byte goldens: scrapers, `repro top` and snapshot diffs read these bytes,
+# so any change to them is a format change
 # ----------------------------------------------------------------------
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
-class TestOtlpExport:
-    def test_spans_round_trip_with_identity(self, tmp_path):
-        t = obs.Tracer()
-        t.enable()
-        ctx = TraceContext.from_rng(Rng(3))
-        kid = ctx.child("inner")
-        with t.span("outer", trace_id=ctx.hex_trace, span_id=ctx.hex_span):
-            with t.span(
-                "inner",
-                trace_id=kid.hex_trace,
-                span_id=kid.hex_span,
-                parent_span_id=ctx.hex_span,
-                shard=2,
-            ):
-                pass
-        out = tmp_path / "spans.jsonl"
-        n = write_otlp_jsonl(t, str(out))
-        assert n == 2
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
-        by_name = {r["name"]: r for r in rows}
-        inner, outer = by_name["inner"], by_name["outer"]
-        assert inner["traceId"] == outer["traceId"] == ctx.hex_trace
-        assert inner["parentSpanId"] == outer["spanId"] == ctx.hex_span
-        assert inner["endTimeUnixNano"] >= inner["startTimeUnixNano"]
-        # identity fields were popped out of attributes; tags remain
-        attrs = {a["key"]: a["value"] for a in inner["attributes"]}
-        assert "trace_id" not in attrs and attrs["shard"]["intValue"] == 2
 
-    def test_spans_without_identity_get_synthetic_ids(self, tmp_path):
-        t = obs.Tracer()
-        t.enable()
-        with t.span("a"):
-            with t.span("b"):
-                pass
-        out = tmp_path / "spans.jsonl"
-        assert write_otlp_jsonl(t, str(out)) == 2
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
-        by_name = {r["name"]: r for r in rows}
-        assert by_name["a"]["traceId"] == by_name["b"]["traceId"]
-        assert by_name["b"]["parentSpanId"] == by_name["a"]["spanId"]
-        assert len(by_name["a"]["traceId"]) == 32
+def _golden_registry() -> MetricsRegistry:
+    """Counters with escaped label values, gauges, a histogram with
+    values on bucket bounds and past the last bound, and one family past
+    the series cap."""
+    reg = MetricsRegistry()
+    reg.inc("req_total", help="requests served", op="check", outcome="ok")
+    reg.inc("req_total", value=2.5, op="edit", outcome="error")
+    reg.inc("weird_total", help="escaped labels", path='a"b\\c\nd')
+    reg.set_gauge("sessions", 3, help="live sessions")
+    reg.set_gauge("sessions", 1.25, kind="idle")
+    for v in (DEFAULT_BUCKETS[0], DEFAULT_BUCKETS[3], DEFAULT_BUCKETS[-1],
+              0.0001, 0.007, 3.0, 10):
+        reg.observe("lat_seconds", v, help="latency by op", op="run")
+    reg.observe("lat_seconds", 0.0025, op="check")
+    for i in range(MAX_SERIES_PER_FAMILY + 3):
+        reg.inc("wide_total", key=f"k{i:02d}")
+    return reg
+
+
+class TestGoldens:
+    def test_exposition_bytes(self):
+        text = _golden_registry().exposition()
+        assert validate_exposition(text) == []
+        assert text == (GOLDEN_DIR / "metrics_exposition.txt").read_text()
+
+    def test_snapshot_bytes(self):
+        text = json.dumps(_golden_registry().snapshot(), sort_keys=True)
+        golden = (GOLDEN_DIR / "metrics_snapshot.json").read_text()
+        assert text == golden.rstrip("\n")
