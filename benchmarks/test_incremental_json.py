@@ -1,28 +1,25 @@
-"""Incremental re-check speedup benchmark (ISSUE 7 acceptance).
+"""Incremental re-check speedup benchmark.
 
-Measures the warm single-edit re-check (one body edit inside the CorONA
-tower, applied through ``IncrementalChecker.apply_edit`` + ``check``)
-against the cold from-scratch build-and-check of the same edited text,
-asserts the >= 5x acceptance floor, and records the numbers
-machine-readably in ``BENCH_incremental.json`` at the repo root.
+Times the cold from-scratch build-and-check of an edited CorONA source
+against the warm single-edit re-check (one body edit inside the CorONA
+tower, applied through ``IncrementalChecker.apply_edit`` + ``check``), in
+alternating pairs, and checks the >= 5x floor on the first quartile of
+the paired speedups.  The numbers land in ``BENCH_incremental.json``.
 
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_incremental_json.py -q -s
 """
 
-import json
-import time
-from pathlib import Path
+from itertools import cycle
 
+from benchmarks import harness
 from repro.lang.incremental import IncrementalChecker
 from repro.programs.corona.source import SOURCE as CORONA
 
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
 MIN_SPEEDUP = 5.0
-ROUNDS = 5
 
-#: One body-level statement inside corona.Store.put — line count and
+#: One body-level statement inside corona.Store.put: line count and
 #: every signature position preserved, so the edit grafts.
 EDIT_OLD = "count = count + 1;"
 EDIT_NEW = "count = count + 1 + 0;"
@@ -30,75 +27,39 @@ EDIT_NEW = "count = count + 1 + 0;"
 _RESULTS = {}
 
 
-def _edits():
-    """An alternating pair of edited sources (so consecutive warm
-    rounds are real edits, never no-ops)."""
-    a = CORONA.replace(EDIT_OLD, EDIT_NEW)
-    assert a != CORONA
-    return CORONA, a
-
-
-def _best_cold():
-    base, edited = _edits()
-    best = float("inf")
-    for i in range(ROUNDS):
-        src = edited if i % 2 == 0 else base
-        t0 = time.perf_counter()
-        inc = IncrementalChecker(src, file="corona.jns")
-        report = inc.check()
-        best = min(best, time.perf_counter() - t0)
-        assert not report.has_errors
-    return best
-
-
-def _best_warm():
-    base, edited = _edits()
-    inc = IncrementalChecker(base, file="corona.jns")
-    assert not inc.check().has_errors
-    best = float("inf")
-    strategies = []
-    for i in range(ROUNDS):
-        src = edited if i % 2 == 0 else base
-        t0 = time.perf_counter()
-        stats = inc.apply_edit(src)
-        report = inc.check()
-        best = min(best, time.perf_counter() - t0)
-        strategies.append(stats["strategy"])
-        assert not report.has_errors
-    assert strategies == ["incremental"] * ROUNDS, strategies
-    return best, inc.last_stats["check"]
-
-
 def test_incremental_speedup_floor():
-    cold = _best_cold()
-    warm, acct = _best_warm()
-    speedup = cold / warm
-    _RESULTS.update(
-        {
-            "program": "corona",
-            "edit": {"old": EDIT_OLD, "new": EDIT_NEW, "kind": "body"},
-            "cold_ms": round(cold * 1e3, 3),
-            "warm_ms": round(warm * 1e3, 3),
-            "speedup": round(speedup, 2),
-            "min_speedup": MIN_SPEEDUP,
-            "rounds": ROUNDS,
-            "accounting": acct,
-        }
+    edited = CORONA.replace(EDIT_OLD, EDIT_NEW)
+    assert edited != CORONA
+    # Alternate the two sources so every warm call is a real edit.
+    cold_sources, warm_sources = cycle((edited, CORONA)), cycle((edited, CORONA))
+    strategies = []
+
+    def cold():
+        report = IncrementalChecker(next(cold_sources), file="corona.jns").check()
+        assert not report.has_errors
+
+    inc = IncrementalChecker(CORONA, file="corona.jns")
+    assert not inc.check().has_errors
+
+    def warm():
+        strategies.append(inc.apply_edit(next(warm_sources))["strategy"])
+        assert not inc.check().has_errors
+
+    cold_s, warm_s = harness.paired(cold, warm)
+    assert strategies == ["incremental"] * harness.REPEATS, strategies
+    result = _RESULTS["corona:body-edit"] = harness.entry(
+        cold_s=cold_s, warm_s=warm_s, speedup=[c / w for c, w in zip(cold_s, warm_s)]
     )
-    print(
-        f"\nincremental re-check: cold {cold * 1e3:.1f}ms, "
-        f"warm {warm * 1e3:.1f}ms, {speedup:.1f}x"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"warm single-edit re-check only {speedup:.2f}x faster than cold "
-        f"(floor {MIN_SPEEDUP}x): cold {cold * 1e3:.1f}ms vs warm "
-        f"{warm * 1e3:.1f}ms"
-    )
+    harness.floor(result, "speedup", MIN_SPEEDUP)
 
 
 def test_write_bench_json():
-    assert _RESULTS, "speedup test must run first"
-    JSON_PATH.write_text(
-        json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n"
+    """Runs last (file order): persist everything measured above."""
+    harness.write_bench(
+        harness.ROOT / "BENCH_incremental.json",
+        "incremental single-edit re-check vs cold check",
+        f"program corona, body edit {EDIT_OLD!r} -> {EDIT_NEW!r}; alternating "
+        "pairs of a cold IncrementalChecker build + check and a warm "
+        "apply_edit + check; floor on q1 of the paired speedups",
+        _RESULTS,
     )
-    assert json.loads(JSON_PATH.read_text())["speedup"] >= MIN_SPEEDUP

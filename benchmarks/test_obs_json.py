@@ -1,25 +1,25 @@
-"""Tracing-overhead benchmark (ISSUE 3 acceptance criterion).
+"""Tracing-overhead benchmark: the disabled tracer must be near-free.
 
-The observability layer must be near-free when disabled: every
-instrumented hot site pays exactly one ``TRACER.enabled`` attribute load
-plus a branch.  A true uninstrumented baseline cannot be measured
-in-process (the guards are compiled into the functions), so the disabled
-overhead is bounded from above by direct construction:
+Every instrumented hot site pays one ``TRACER.enabled`` attribute load
+plus a branch when tracing is off.  A true uninstrumented baseline cannot
+be measured in-process (the guards are compiled into the functions), so
+the disabled overhead is bounded from above by construction:
 
-1. run each workload tracing-*enabled* and read ``TRACER.observations``
-   — the number of guarded sites actually traversed (every span, event,
-   and counter increment passes through one guard);
-2. microbenchmark the cost of one disabled guard (attribute load +
-   false branch) with ``timeit``;
+1. run each workload tracing-*enabled* and read ``TRACER.observations``,
+   the number of guarded sites traversed (every span, event and counter
+   increment passes through one guard);
+2. microbenchmark the cost of one disabled guard (attribute load + false
+   branch) with ``timeit``;
 3. ``guard_ns * observations / disabled_wall_ns`` is then a conservative
-   estimate of the fraction of the disabled run spent in guards —
-   conservative because the enabled run traverses at least every site
-   the disabled run does.
+   estimate of the fraction of the disabled run spent in guards:
+   conservative because the enabled run traverses at least every site the
+   disabled run does.
 
-The estimate must stay <= 5% (``MAX_OVERHEAD``) for every workload; the
-numbers land in ``BENCH_obs.json`` at the repo root, and a sample Chrome
-trace of the last workload is written to ``trace.json`` for the CI
-artifact (load it in chrome://tracing or https://ui.perfetto.dev).
+Disabled and enabled runs alternate in pairs; each pair gives one
+estimate, and the third quartile of the estimates must stay <= 5%
+(``MAX_OVERHEAD``) for every workload.  The numbers land in
+``BENCH_obs.json``, and a sample Chrome trace is written to ``trace.json``
+(load it in chrome://tracing or https://ui.perfetto.dev).
 
 Run with::
 
@@ -27,21 +27,17 @@ Run with::
 """
 
 import json
-import time
 import timeit
-from pathlib import Path
 
 import pytest
 
+from benchmarks import harness
 from repro import clear_caches, obs
 from repro.programs import cached_program
 from repro.programs.jolden import bisort, em3d, treeadd
 
-ROOT = Path(__file__).resolve().parent.parent
-JSON_PATH = ROOT / "BENCH_obs.json"
-TRACE_PATH = ROOT / "trace.json"
+TRACE_PATH = harness.ROOT / "trace.json"
 MAX_OVERHEAD = 0.05
-ROUNDS = 3
 
 #: Same trimmed jolden driver set as the query benchmark, so the two
 #: BENCH_*.json files describe the same workloads.
@@ -62,91 +58,64 @@ def _obs_restored():
     clear_caches()
 
 
-def _best(fn):
-    best, value = float("inf"), None
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, value
-
-
-def _guard_cost_ns():
-    """Per-traversal cost of a disabled guard: one attribute load plus a
-    not-taken branch, exactly what every instrumented hot site executes
+def _guard_ns():
+    """REPEATS samples of the cost of one disabled guard: an attribute load
+    plus a not-taken branch, what every instrumented hot site executes
     when tracing is off."""
     obs.disable()
     timer = timeit.Timer(
         "if tracer.enabled:\n    raise AssertionError",
         globals={"tracer": obs.TRACER},
     )
-    number = 1_000_000
-    seconds = min(timer.repeat(repeat=5, number=number))
-    return seconds * 1e9 / number
-
-
-def _measure(name, run_once, guard_ns):
-    # Disabled wall time: the number the <= 5% bound protects.
-    obs.disable()
-    obs.TRACER.reset()
-    disabled, _ = _best(run_once)
-
-    # Enabled run: counts guarded-site traversals and gives the (purely
-    # informational) enabled-mode wall time.
-    def enabled_round():
-        obs.enable()  # reset=True: per-round observation counts
-        return run_once()
-
-    enabled, _ = _best(enabled_round)
-    observations = obs.TRACER.observations
-    events_ringed = len(obs.TRACER.events)
-    obs.disable()
-
-    overhead = (guard_ns * observations) / (disabled * 1e9)
-    entry = {
-        "seconds_disabled": round(disabled, 6),
-        "seconds_enabled": round(enabled, 6),
-        "enabled_slowdown": round(enabled / disabled, 3),
-        "guarded_site_traversals": observations,
-        "events_in_ring": events_ringed,
-        "guard_ns": round(guard_ns, 2),
-        "estimated_disabled_overhead": round(overhead, 5),
-    }
-    _RESULTS[name] = entry
-    assert overhead <= MAX_OVERHEAD, (
-        f"{name}: estimated disabled-tracing overhead {overhead:.2%} exceeds "
-        f"{MAX_OVERHEAD:.0%} ({observations} guards x {guard_ns:.0f}ns "
-        f"against {disabled:.3f}s wall)"
-    )
+    number = 200_000
+    return [s * 1e9 / number for s in timer.repeat(repeat=harness.REPEATS, number=number)]
 
 
 @pytest.mark.parametrize("module,args", JOLDEN, ids=[m.NAME for m, _ in JOLDEN])
 def test_disabled_tracing_overhead(module, args):
     program = cached_program(module.SOURCE)
-    guard_ns = _guard_cost_ns()
+    observations = []
 
     def run_once():
         interp = program.interp(mode="jns")
         ref = interp.new_instance(("Main",), ())
         interp.call_method(ref, "run", list(args))
-        return interp
 
-    _measure(f"jolden:{module.NAME}", run_once, guard_ns)
+    def traced():
+        run_once()
+        observations.append(obs.TRACER.observations)
+
+    guard_ns = _guard_ns()
+    run_once()  # warm the query caches outside the clock
+    disabled, enabled = harness.paired(
+        run_once, traced, setup_a=obs.disable, setup_b=obs.enable
+    )
+    obs.disable()
+    overhead = [
+        g * n / (d * 1e9) for g, n, d in zip(guard_ns, observations, disabled)
+    ]
+    result = _RESULTS[f"jolden:{module.NAME}"] = harness.entry(
+        disabled_s=disabled,
+        enabled_s=enabled,
+        enabled_slowdown=[e / d for e, d in zip(enabled, disabled)],
+        guard_ns=guard_ns,
+        guarded_site_traversals=observations,
+        overhead=overhead,
+    )
+    harness.floor(result, "overhead", MAX_OVERHEAD, better="lower")
 
 
 def test_write_sample_trace():
-    """Produce the sample Chrome trace uploaded by the CI obs-smoke job:
-    a full traced pipeline plus the Table 2 binary-tree view-change
-    workload, so the trace shows semantic instants (view changes,
-    sharing-group lookups) alongside the phase spans."""
+    """The sample Chrome trace uploaded by CI: a traced Table 2
+    binary-tree view-change workload, so the trace shows semantic instants
+    (view changes, sharing-group lookups) alongside the phase spans."""
     from repro.programs import trees
 
     obs.enable()
     trees.measure(height=6, mode="jns")
     obs.disable()
     obs.TRACER.write_chrome_trace(str(TRACE_PATH))
-    payload = json.loads(TRACE_PATH.read_text())
-    events = payload["traceEvents"]
+    events = json.loads(TRACE_PATH.read_text())["traceEvents"]
     assert any(e["ph"] == "X" for e in events)
     assert any(e["ph"] == "i" for e in events), "expected semantic instants"
     print(f"\nwrote {TRACE_PATH} ({len(events)} events)")
@@ -154,25 +123,12 @@ def test_write_sample_trace():
 
 def test_write_bench_json():
     """Runs last (file order): persist everything measured above."""
-    assert _RESULTS, "measurement tests did not run"
-    payload = {
-        "benchmark": "tracing disabled-overhead bound",
-        "mode": "jns",
-        "rounds": ROUNDS,
-        "max_overhead_allowed": MAX_OVERHEAD,
-        "method": (
-            "guard_ns (timeit, disabled branch) * guarded_site_traversals "
-            "(TRACER.observations, enabled run) / disabled wall time"
-        ),
-        "results": _RESULTS,
-    }
-    JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {JSON_PATH}")
-    for name, entry in _RESULTS.items():
-        print(
-            f"  {name}: est. disabled overhead "
-            f"{entry['estimated_disabled_overhead']:.2%} "
-            f"({entry['guarded_site_traversals']} guards x "
-            f"{entry['guard_ns']}ns over {entry['seconds_disabled']}s); "
-            f"enabled slowdown {entry['enabled_slowdown']}x"
-        )
+    harness.write_bench(
+        harness.ROOT / "BENCH_obs.json",
+        "tracing disabled-overhead bound (mode jns)",
+        "alternating pairs of tracing-disabled and tracing-enabled runs; "
+        "overhead = guard_ns (timeit, disabled branch) * "
+        "guarded_site_traversals (TRACER.observations, enabled run) / "
+        "disabled wall time, one estimate per pair; ceiling on q3",
+        _RESULTS,
+    )

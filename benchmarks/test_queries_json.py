@@ -1,32 +1,25 @@
-"""Query-engine speedup benchmark (ISSUE 2 satellite).
+"""Query-engine speedup: caches on vs off.
 
-Measures end-to-end wall time for a jolden subset and the CorONA
-evolution workload with the query caches *on* (steady state) versus
-globally *disabled* (every judgment, loader synthesis, and dispatch
-recomputed from scratch), asserts the >= 1.5x speedup acceptance
-criterion, and records the numbers machine-readably in
-``BENCH_queries.json`` at the repo root.
+Times a jolden subset and the CorONA evolution workload with the query
+caches globally *disabled* (every judgment, loader synthesis and dispatch
+recomputed from scratch) against *enabled* and warm (steady state), in
+alternating pairs, and checks the >= 1.5x floor on the first quartile of
+the paired ratios.  The numbers land in ``BENCH_queries.json``.
 
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_queries_json.py -q -s
 """
 
-import json
-import time
-from pathlib import Path
-
 import pytest
 
+from benchmarks import harness
 from repro import clear_caches, set_caches_enabled
-from repro.lang.queries import reset_counters
 from repro.programs import cached_program
 from repro.programs.corona import CoronaSystem
 from repro.programs.jolden import bisort, em3d, treeadd
 
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_queries.json"
 MIN_SPEEDUP = 1.5
-ROUNDS = 3
 
 #: Sizes trimmed so the *uncached* end stays tolerable under pytest.
 JOLDEN = [
@@ -45,44 +38,27 @@ def _caches_restored():
     clear_caches()
 
 
-def _best(fn):
-    """min-of-N wall time plus the last round's return value."""
-    best, value = float("inf"), None
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, value
-
-
 def _measure(name, run_once):
-    """Time ``run_once`` caches-off then caches-on (warmed), record the
-    entry, and enforce the speedup floor.  ``run_once`` returns the
-    interpreter it drove so the cached end can report its hit rate."""
-    set_caches_enabled(False)
-    clear_caches()
-    uncached, _ = _best(run_once)
+    """Pair ``run_once`` caches-off with ``run_once`` caches-on (warmed
+    outside the clock before every timed call) and check the floor."""
 
-    set_caches_enabled(True)
-    clear_caches()
-    run_once()  # warm every cache
-    reset_counters()  # report the steady-state hit rate, not warm-up traffic
-    cached, interp = _best(run_once)
+    def caches_off():
+        set_caches_enabled(False)
+        clear_caches()
 
-    stats = interp.cache_stats()
-    entry = {
-        "seconds_uncached": round(uncached, 6),
-        "seconds_cached": round(cached, 6),
-        "speedup": round(uncached / cached, 2),
-        "cache_hit_rate": round(stats.hit_rate, 4),
-        "hits": stats.hits,
-        "misses": stats.misses,
-    }
-    _RESULTS[name] = entry
-    assert entry["speedup"] >= MIN_SPEEDUP, (
-        f"{name}: {entry['speedup']}x < {MIN_SPEEDUP}x "
-        f"({uncached:.3f}s uncached vs {cached:.3f}s cached)"
+    def caches_warm():
+        set_caches_enabled(True)
+        clear_caches()
+        run_once()
+
+    uncached, cached = harness.paired(
+        run_once, run_once, setup_a=caches_off, setup_b=caches_warm
     )
+    speedup = [u / c for u, c in zip(uncached, cached)]
+    result = _RESULTS[name] = harness.entry(
+        uncached_s=uncached, cached_s=cached, speedup=speedup
+    )
+    harness.floor(result, "speedup", MIN_SPEEDUP)
 
 
 @pytest.mark.parametrize("module,args", JOLDEN, ids=[m.NAME for m, _ in JOLDEN])
@@ -93,7 +69,6 @@ def test_jolden_speedup(module, args):
         interp = program.interp(mode="jns")
         ref = interp.new_instance(("Main",), ())
         interp.call_method(ref, "run", list(args))
-        return interp
 
     _measure(f"jolden:{module.NAME}", run_once)
 
@@ -104,26 +79,16 @@ def test_corona_evolution_speedup():
         system.run_phase("corona", fetches=60)
         system.evolve_to_pc()
         system.run_phase("pccorona", fetches=60)
-        return system.interp
 
     _measure("corona:evolution", run_once)
 
 
 def test_write_bench_json():
     """Runs last (file order): persist everything measured above."""
-    assert _RESULTS, "measurement tests did not run"
-    payload = {
-        "benchmark": "query-engine caches on vs off",
-        "mode": "jns",
-        "rounds": ROUNDS,
-        "min_speedup_required": MIN_SPEEDUP,
-        "results": _RESULTS,
-    }
-    JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {JSON_PATH}")
-    for name, entry in _RESULTS.items():
-        print(
-            f"  {name}: {entry['speedup']}x "
-            f"({entry['seconds_uncached']}s -> {entry['seconds_cached']}s, "
-            f"{entry['cache_hit_rate']:.1%} hit rate)"
-        )
+    harness.write_bench(
+        harness.ROOT / "BENCH_queries.json",
+        "query-engine caches on vs off (mode jns)",
+        "alternating pairs of caches-off and warm caches-on calls; "
+        "floor on q1 of the paired speedups",
+        _RESULTS,
+    )

@@ -1,63 +1,29 @@
-"""Table 1 (Section 7.1): jolden benchmarks under the four execution
-modes — Java baseline, J& [31] (no classloader), J& with classloader,
-and J&s.
+"""Table 1 (Section 7.1) shape: jolden under the four execution modes,
+Java baseline, J& [31] (no classloader), J& with classloader and J&s.
 
-Run with ``pytest benchmarks/test_table1_jolden.py --benchmark-only``.
-Group by benchmark to compare the four modes side by side, e.g.::
+The paper's claim, checked on the medians of repeated treeadd runs: jx is
+by far the slowest, jx_cl is close to java, and jns pays a moderate
+view-machinery overhead over jx_cl.  The full table is printed by
+``python -m repro.programs.jolden.report``.
 
-    pytest benchmarks/ --benchmark-only --benchmark-group-by=param:name
+Run with::
 
-The expected shape (the paper's claim): jx is by far the slowest; jx_cl
-is close to java; jns pays a moderate view-machinery overhead over jx_cl.
-A full paper-style table is printed by ``python -m
-repro.programs.jolden.report``.
+    PYTHONPATH=src python -m pytest benchmarks/test_table1_jolden.py -q -s
 """
 
-import pytest
-
-from repro.programs import cached_program
-from repro.programs.jolden import ALL
+from benchmarks import harness
+from repro.programs.jolden import treeadd
 
 MODES = ("java", "jx", "jx_cl", "jns")
 
-#: Reduced sizes so the full 10x4 grid stays fast under pytest-benchmark.
-BENCH_ARGS = {
-    "bh": (16, 2, 7),
-    "bisort": (7, 12345),
-    "em3d": (64, 4, 5, 777),
-    "health": (2, 15, 42),
-    "mst": (32, 321),
-    "perimeter": (32,),
-    "power": (3, 3, 4, 4),
-    "treeadd": (10, 3),
-    "tsp": (21, 99),
-    "voronoi": (20, 5),
-}
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("module", ALL, ids=[m.NAME for m in ALL])
-def test_jolden(benchmark, module, mode):
-    program = cached_program(module.SOURCE)
-    args = list(BENCH_ARGS[module.NAME])
-
-    def run_once():
-        interp = program.interp(mode=mode)
-        ref = interp.new_instance(("Main",), ())
-        return interp.call_method(ref, "run", args)
-
-    benchmark.group = f"table1:{module.NAME}"
-    result = benchmark.pedantic(run_once, rounds=3, iterations=1)
-    assert result is not None
-
 
 def test_table1_shape():
-    """The ordering claim itself, asserted on one representative
-    benchmark: jx slowest, jx_cl within 2x of java, jns within 2.5x of
-    jx_cl."""
-    from repro.programs.jolden import treeadd
-
-    times = {mode: treeadd.timed(mode, 11, 3)[0] for mode in MODES}
+    """jx slowest, jx_cl within 2x of java, jns within 2.5x of jx_cl."""
+    times = {}
+    for mode in MODES:
+        _, runs = harness.repeated(lambda: treeadd.timed(mode, 11, 3)[0])
+        times[mode] = harness.summary(runs)["median"]
+    print(f"\ntreeadd(11, 3) median seconds: {times}")
     assert times["jx"] > 1.5 * times["jx_cl"]
     assert times["jx_cl"] < 2.0 * times["java"] + 0.01
     assert times["jns"] < 2.5 * times["jx_cl"] + 0.01

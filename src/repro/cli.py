@@ -26,7 +26,6 @@ Commands:
   any per-request oracle violation.
 * ``repl``          — an interactive J&s session (see :mod:`repro.repl`).
 * ``profile FILE``  — per-jns-line event counts and wall-clock samples.
-* ``bench-diff``    — gate the two latest ``BENCH_history.jsonl`` entries.
 * ``graph FILE``    — print the family graph (``--dot`` for Graphviz).
 * ``serve``         — the long-lived incremental check service over TCP.
 * ``top``           — a live ops console for a running ``repro serve``.
@@ -241,17 +240,6 @@ def cmd_profile(args) -> int:
             end="",
         )
     return 0
-
-
-def cmd_bench_diff(args) -> int:
-    """Compare the two latest BENCH_history.jsonl entries; exit 1 when a
-    directed metric regressed past the threshold."""
-    from .benchtrack import bench_diff
-
-    status, lines = bench_diff(args.history, threshold=args.threshold)
-    for line in lines:
-        print(line)
-    return status
 
 
 def cmd_check(args) -> int:
@@ -679,26 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the merged per-line table as JSON instead of the heatmap",
     )
     p_profile.set_defaults(func=cmd_profile)
-
-    p_bdiff = sub.add_parser(
-        "bench-diff",
-        help="compare the two latest BENCH_history.jsonl entries; exits "
-        "nonzero when a directed metric regressed past the threshold",
-    )
-    p_bdiff.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="history file written by scripts/bench_history.py "
-        "(default %(default)s)",
-    )
-    p_bdiff.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help="relative regression threshold (default %(default)s = 25%%)",
-    )
-    p_bdiff.set_defaults(func=cmd_bench_diff)
 
     p_check = sub.add_parser("check", help="type-check a J&s program")
     p_check.add_argument("file")

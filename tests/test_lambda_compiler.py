@@ -162,6 +162,45 @@ class TestInPlaceTranslation:
         body = lc.interp.get_field(out, "e")
         assert body.view.path == ("base", "Var")
 
+    def test_pure_term_translated_fully_in_place(self, lc):
+        """A sharing-only term of depth 5 translates with zero new AST
+        objects (the in-place translation claim of Section 3.2)."""
+        term = _tree(lc, 5, lambda l, r: lc.app("sumpair", l, r))
+        before, after = set(), set()
+        _collect(lc, term, before)
+        _collect(lc, lc.translate("sumpair", term), after)
+        assert after <= before
+
+    def test_pair_dense_term_normalizes(self, lc):
+        """Depth-4 ``fst(pair(l, r))`` chains translate out of ``sumpair``
+        and reduce to the leftmost leaf."""
+        F = "sumpair"
+        term = _tree(lc, 4, lambda l, r: lc.fst(F, lc.pair(F, l, r)))
+        out = lc.normalize(lc.translate(F, term), fuel=2000)
+        assert lc.show(out) == "v0"
+
+
+def _tree(lc, depth, node, i=0):
+    """A complete binary tree of ``sumpair`` vars ``v0, v1, ...`` joined
+    by ``node(left, right)``."""
+    if depth == 0:
+        return lc.var("sumpair", f"v{i}")
+    return node(_tree(lc, depth - 1, node, 2 * i), _tree(lc, depth - 1, node, 2 * i + 1))
+
+
+def _collect(lc, ref, seen):
+    """Add the identity of every AST instance reachable from ``ref``."""
+    if id(ref.inst) in seen:
+        return
+    seen.add(id(ref.inst))
+    for child_field in ("e", "f", "a"):
+        try:
+            child = lc.interp.get_field(ref, child_field)
+        except Exception:
+            continue
+        if child is not None and hasattr(child, "inst"):
+            _collect(lc, child, seen)
+
 
 class TestNormalizer:
     def test_identity_application(self, lc):

@@ -1,7 +1,6 @@
 """Source-level profiler tests: jns source maps on the emitted code,
 deterministic per-line event counters across every backend, sampling
-attribution through the codegen tier, the report surfaces, and the
-bench-history regression gate."""
+attribution through the codegen tier, and the report surfaces."""
 
 import json
 import linecache
@@ -10,7 +9,6 @@ import sys
 
 import pytest
 
-from repro import benchtrack
 from repro.api import compile_program
 from repro.cli import main as cli_main
 from repro.profiler import (
@@ -424,108 +422,3 @@ class TestProfileCli:
         assert cli_main(["run", masked_file, "--line-profile"]) == 0
         err = capsys.readouterr().err
         assert "steps" in err and "heat" in err
-
-
-# ----------------------------------------------------------------------
-# bench history + regression gate
-# ----------------------------------------------------------------------
-
-
-def _entry(sha, **metrics):
-    return {
-        "sha": sha,
-        "date": "2026-01-01T00:00:00+00:00",
-        "benchmarks": {"BENCH_x": dict(metrics)},
-    }
-
-
-class TestBenchtrack:
-    def test_metric_direction(self):
-        assert benchtrack.metric_direction("a.seconds_warm") == -1
-        assert benchtrack.metric_direction("a.estimated_disabled_overhead") == -1
-        assert benchtrack.metric_direction("a.speedup_vs_walker") == 1
-        assert benchtrack.metric_direction("a.requests_per_s") == 1
-        assert benchtrack.metric_direction("a.iterations") is None
-
-    def test_direction_checked_on_leaf_only(self):
-        # a "speedup" container must not flip a leaf's direction
-        assert benchtrack.metric_direction("speedup.iterations") is None
-
-    def test_flatten(self):
-        flat = benchtrack.flatten(
-            {"results": {"d": {"seconds": 1.5, "name": "x", "ok": True}}}
-        )
-        assert flat == {"results.d.seconds": 1.5}
-
-    def test_append_and_dedup(self, tmp_path):
-        root = tmp_path
-        (root / "BENCH_x.json").write_text(json.dumps({"seconds": 2.0}))
-        first = benchtrack.append_history(str(root), sha="abc")
-        assert first is not None
-        # identical sha + numbers -> skipped
-        assert benchtrack.append_history(str(root), sha="abc") is None
-        # force appends anyway
-        assert benchtrack.append_history(
-            str(root), sha="abc", force=True
-        ) is not None
-        entries = benchtrack.load_history(
-            str(root / benchtrack.HISTORY_NAME)
-        )
-        assert len(entries) == 2
-
-    def test_diff_flags_regression(self):
-        lines, regressions = benchtrack.diff_entries(
-            _entry("a", seconds_warm=1.0),
-            _entry("b", seconds_warm=2.0),
-            threshold=0.25,
-        )
-        assert len(regressions) == 1
-        assert any(line.startswith("REGRESSION") for line in lines)
-
-    def test_diff_improvement_not_flagged(self):
-        _, regressions = benchtrack.diff_entries(
-            _entry("a", seconds_warm=2.0),
-            _entry("b", seconds_warm=1.0),
-        )
-        assert regressions == []
-
-    def test_diff_unknown_direction_informational(self):
-        lines, regressions = benchtrack.diff_entries(
-            _entry("a", iterations=10.0),
-            _entry("b", iterations=100.0),
-        )
-        assert regressions == []
-        assert any("iterations" in line for line in lines)
-
-    def test_bench_diff_short_history_ok(self, tmp_path):
-        status, lines = benchtrack.bench_diff(str(tmp_path / "none.jsonl"))
-        assert status == 0 and "need two" in lines[0]
-
-    def test_bench_diff_cli_gate(self, tmp_path, capsys):
-        hist = tmp_path / "h.jsonl"
-        with open(hist, "w") as fh:
-            fh.write(json.dumps(_entry("a", seconds_warm=1.0)) + "\n")
-            fh.write(json.dumps(_entry("b", seconds_warm=2.0)) + "\n")
-        assert cli_main(["bench-diff", "--history", str(hist)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_bench_diff_cli_threshold(self, tmp_path, capsys):
-        hist = tmp_path / "h.jsonl"
-        with open(hist, "w") as fh:
-            fh.write(json.dumps(_entry("a", seconds_warm=1.0)) + "\n")
-            fh.write(json.dumps(_entry("b", seconds_warm=2.0)) + "\n")
-        assert cli_main(
-            ["bench-diff", "--history", str(hist), "--threshold", "1.5"]
-        ) == 0
-
-    def test_repo_history_seeded(self):
-        import os
-
-        root = os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
-        )
-        entries = benchtrack.load_history(
-            os.path.join(root, benchtrack.HISTORY_NAME)
-        )
-        assert entries, "BENCH_history.jsonl must ship seeded"
-        assert entries[-1]["benchmarks"]

@@ -4,8 +4,9 @@ memoization, duplicate fields, uninitialized-read protection."""
 
 import pytest
 
-from repro import UninitializedFieldError, compile_program
+from repro import UninitializedFieldError, compile_program, obs
 from repro.lang.types import ClassType
+from repro.programs import cached_program, trees
 
 from conftest import FIG123_SOURCE, FIG5_SOURCE
 
@@ -223,6 +224,63 @@ class TestImplicitViewChanges:
         # original views untouched
         assert root.view.path == ("AST", "Binary")
         assert interp.call_method(root, "eval", []) == 6
+
+
+class TestViewAblations:
+    """Design choices D1 (memoized view changes) and D3 (lazy implicit
+    view changes) of Section 6.3, measured exactly by the tracer's
+    ``view_change.*`` counters on a Table 2 tree of height 6 (63 nodes,
+    124 child edges)."""
+
+    HEIGHT = 6
+
+    @pytest.fixture(autouse=True)
+    def _tracer_restored(self):
+        yield
+        obs.disable()
+        obs.TRACER.reset()
+
+    def _tree(self, **options):
+        interp = cached_program(trees.SOURCE).interp(mode="jns", **options)
+        harness = interp.new_instance(("Harness",), ())
+        return interp, harness, interp.call_method(harness, "create", [self.HEIGHT])
+
+    def _retraverse(self, memoize_views):
+        interp, harness, root = self._tree(memoize_views=memoize_views)
+        xroot = interp.call_method(harness, "change", [root])
+        first = interp.call_method(harness, "traverseExt", [xroot])
+        obs.enable()
+        again = interp.call_method(harness, "traverseExt", [xroot])
+        obs.disable()
+        assert first == again == (2 ** self.HEIGHT - 1) * 2 ** self.HEIGHT
+        return obs.TRACER.counters
+
+    def test_d1_memoized_retraversal_allocates_nothing(self):
+        counters = self._retraverse(memoize_views=True)
+        assert counters.get("view_change.new_ref", 0) == 0
+        assert counters["view_change.memo_hit"] == 124
+
+    def test_d1_unmemoized_retraversal_reallocates_every_edge(self):
+        counters = self._retraverse(memoize_views=False)
+        assert counters["view_change.new_ref"] == 124
+        assert counters.get("view_change.memo_hit", 0) == 0
+
+    @pytest.mark.parametrize("eager,adapted", [(False, 6), (True, 63)])
+    def test_d3_left_spine_visit(self, eager, adapted):
+        """Adapt the root, then walk only the left spine: laziness adapts
+        the six spine nodes, eagerness the whole tree."""
+        interp, harness, root = self._tree(eager_views=eager)
+        obs.enable()
+        node = interp.call_method(harness, "change", [root])
+        while node is not None:
+            node = interp.get_field(node, "left")
+        obs.disable()
+        assert obs.TRACER.counters["view_change.new_ref"] == adapted
+
+    def test_d3_eager_propagation_visits_everything(self):
+        interp, harness, root = self._tree()
+        xroot = interp.call_method(harness, "change", [root])
+        assert interp.propagate_views(xroot) == 2 ** self.HEIGHT - 1
 
 
 class TestEvolution:
