@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """CI smoke for the metrics exposition path: start the real ``repro
-serve`` process with ``--metrics-port``, drive an editing session, then
-scrape the HTTP endpoint and validate the Prometheus text format with
-:func:`repro.telemetry.validate_exposition`.
+serve`` process, drive an editing session, then scrape the Prometheus
+text through the ``metrics`` op (``exposition: true``) and validate it
+with :func:`repro.telemetry.validate_exposition`.
 
-Also checks the ``metrics`` op snapshot agrees with the scrape (same
-request counts) and that every response carries a ``trace`` field.
+Also checks the snapshot in the same response agrees with the scrape
+(same request counts) and that every response carries a ``trace`` field.
 
 Exits non-zero (with a diagnostic on stderr) on any problem.
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-import urllib.request
 
 from repro.serve import ServeClient
 from repro.telemetry import validate_exposition
@@ -43,7 +42,7 @@ def main() -> int:
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--metrics-port", "0", "--seed", "7",
+            "--port", "0", "--seed", "7",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -53,10 +52,7 @@ def main() -> int:
         ready = json.loads(proc.stdout.readline())
         assert ready.get("event") == "ready", ready
         host, port = ready["host"], ready["port"]
-        metrics_port = ready.get("metrics_port")
-        if not metrics_port:
-            return fail(f"no metrics_port on ready line: {ready}")
-        print(f"server ready on {host}:{port}, metrics on :{metrics_port}")
+        print(f"server ready on {host}:{port}")
 
         client = ServeClient(host, port)
         traces = []
@@ -75,13 +71,11 @@ def main() -> int:
         if len(set(traces)) != len(traces):
             return fail(f"trace contexts not unique per request: {traces}")
 
-        url = f"http://{host}:{metrics_port}/metrics"
-        with urllib.request.urlopen(url, timeout=10) as r:
-            assert r.status == 200, r.status
-            ctype = r.headers["Content-Type"]
-            text = r.read().decode()
-        if not ctype.startswith("text/plain"):
-            return fail(f"wrong content type {ctype!r}")
+        scrape = client.request("metrics", exposition=True)
+        assert scrape["ok"], scrape
+        text = scrape.get("exposition")
+        if not isinstance(text, str):
+            return fail(f"metrics op returned no exposition: {sorted(scrape)}")
         problems = validate_exposition(text)
         if problems:
             for p in problems:
@@ -98,11 +92,9 @@ def main() -> int:
                 return fail(f"scrape missing {needle!r}")
         print(f"scrape ok: {len(text.splitlines())} lines, 0 problems")
 
-        # The metrics op must agree with the HTTP scrape.
-        snap = client.request("metrics")
-        assert snap["ok"], snap
+        # The snapshot must agree with the exposition text.
         op_check = [
-            c for c in snap["metrics"]["counters"]
+            c for c in scrape["metrics"]["counters"]
             if c["name"] == "serve_requests_total"
             and c["labels"].get("op") == "check"
         ]

@@ -25,10 +25,10 @@ Commands:
   (``--nodes N --shards K --faults PLAN --seed S``); exits non-zero on
   any per-request oracle violation.
 * ``repl``          — an interactive J&s session (see :mod:`repro.repl`).
-* ``profile FILE``  — per-jns-line event counts and wall-clock samples.
+* ``profile FILE``  — per-jns-line event counts (steps, dispatches, view
+  changes, mask checks).
 * ``graph FILE``    — print the family graph (``--dot`` for Graphviz).
 * ``serve``         — the long-lived incremental check service over TCP.
-* ``top``           — a live ops console for a running ``repro serve``.
 
 ``run`` and ``check`` share the observability flags (see
 :mod:`repro.obs`): ``--profile`` prints the unified phase-timing +
@@ -37,8 +37,7 @@ Chrome-trace JSON for ``chrome://tracing`` / Perfetto (a ``.jsonl``
 extension streams events as JSON Lines instead), ``--flame FILE``
 writes the span tree as collapsed stacks, ``--stats-json`` emits
 machine-readable cache counters to stdout.  ``corona`` takes the same
-flags.  ``profile --flame`` writes its sampled jns-frame stacks through
-the same fold writer.
+flags.
 """
 
 from __future__ import annotations
@@ -181,8 +180,7 @@ def cmd_run(args) -> int:
 
 def cmd_profile(args) -> int:
     """Source-level line profiler: deterministic event counts on one
-    backend merged with wall-clock samples from the codegen tier,
-    rendered as an annotated-source heatmap (or HTML/JSON/flame)."""
+    backend, rendered as an annotated-source heatmap (or HTML/JSON)."""
     from . import profiler as prof
 
     if args.file.startswith("jolden:"):
@@ -212,20 +210,10 @@ def cmd_profile(args) -> int:
             args=entry_args,
             mode=args.mode,
             det_backend=args.det_backend,
-            sample=not args.no_sample,
-            interval=args.interval / 1000.0,
-            min_samples=args.min_samples,
         )
     except JnsError as exc:
         print(render(exc.to_diagnostic(), source), file=sys.stderr)
         return 1
-    if args.flame:
-        with open(args.flame, "w") as fh:
-            fh.write(report.to_collapsed())
-        print(
-            f"wrote {len(report.folds)} jns-frame folds to {args.flame}",
-            file=sys.stderr,
-        )
     if args.html:
         with open(args.html, "w") as fh:
             fh.write(report.render_html())
@@ -452,51 +440,6 @@ def cmd_corona(args) -> int:
     return 1 if report.oracle_violations else 0
 
 
-def cmd_top(args) -> int:
-    """``repro top`` — a live ops console for a running ``repro serve``:
-    polls the ``metrics`` op and redraws req/s, per-op p50/p95 latency,
-    cache hit rate, and incremental revalidation counts in place."""
-    import time as _time
-
-    from . import telemetry
-    from .serve import ServeClient
-
-    try:
-        client = ServeClient(args.host, args.port, timeout=5.0)
-    except OSError as exc:
-        print(f"error: cannot connect to {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
-    prev = None
-    prev_t: Optional[float] = None
-    frames = 0
-    try:
-        while True:
-            try:
-                resp = client.request("metrics")
-            except (OSError, ConnectionError) as exc:
-                print(f"error: lost server: {exc}", file=sys.stderr)
-                return 1
-            if not resp.get("ok"):
-                print(f"error: {resp.get('error')}", file=sys.stderr)
-                return 1
-            now = _time.monotonic()
-            dt = None if prev_t is None else now - prev_t
-            frame = telemetry.render_top(resp, prev, dt)
-            if not args.no_clear:
-                print("\x1b[2J\x1b[H", end="")
-            print(frame, flush=True)
-            prev, prev_t = resp, now
-            frames += 1
-            if args.iterations is not None and frames >= args.iterations:
-                return 0
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        client.close()
-
-
 def cmd_graph(args) -> int:
     from .lang.graph import family_graph
 
@@ -594,9 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        help="source-level line profiler: deterministic event counts "
-        "merged with wall-clock samples from the codegen tier, rendered "
-        "as an annotated-source heatmap (FILE or jolden:NAME)",
+        help="source-level line profiler: deterministic per-line event "
+        "counts, rendered as an annotated-source heatmap "
+        "(FILE or jolden:NAME)",
     )
     p_profile.add_argument(
         "file", help="a .jns source file, or jolden:NAME for a built-in driver"
@@ -623,27 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="codegen",
         choices=("walker", "codegen"),
         help="backend for the deterministic event pass (default "
-        "%(default)s; the wall-clock pass always samples codegen)",
-    )
-    p_profile.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="MS",
-        help="sampling interval in milliseconds (default %(default)s)",
-    )
-    p_profile.add_argument(
-        "--min-samples",
-        type=int,
-        default=80,
-        metavar="N",
-        help="repeat the entry until N wall-clock samples landed "
-        "(default %(default)s; 0 = single run)",
-    )
-    p_profile.add_argument(
-        "--no-sample",
-        action="store_true",
-        help="skip the codegen sampling pass (deterministic counts only)",
+        "%(default)s)",
     )
     p_profile.add_argument(
         "--context",
@@ -658,13 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a self-contained HTML report",
     )
     p_profile.add_argument(
-        "--flame", default=None, metavar="OUT",
-        help="also write collapsed folds keyed by jns frames "
-        "(P.C.m:line) for flamegraph.pl / speedscope",
-    )
-    p_profile.add_argument(
         "--json", action="store_true",
-        help="emit the merged per-line table as JSON instead of the heatmap",
+        help="emit the per-line table as JSON instead of the heatmap",
     )
     p_profile.set_defaults(func=cmd_profile)
 
@@ -801,15 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict sessions idle longer than S seconds (default %(default)s)",
     )
     p_serve.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="P",
-        help="also serve GET /metrics (Prometheus text format) over HTTP "
-        "on this port (0 picks an ephemeral one, announced as "
-        "metrics_port on the ready line); omitted = no HTTP endpoint",
-    )
-    p_serve.add_argument(
         "--seed",
         type=int,
         default=0,
@@ -820,39 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(
         func=lambda args: __import__("repro.serve", fromlist=["main"]).main(args)
     )
-
-    p_top = sub.add_parser(
-        "top",
-        help="live ops console for a running 'repro serve': polls the "
-        "metrics op and renders req/s, per-op p50/p95 latency, cache "
-        "hit rate, and incremental revalidation counts in place",
-    )
-    p_top.add_argument(
-        "--host", default="127.0.0.1", help="server host (default %(default)s)"
-    )
-    p_top.add_argument(
-        "--port", type=int, required=True, help="server port (from the ready line)"
-    )
-    p_top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="seconds between polls (default %(default)s)",
-    )
-    p_top.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N frames (default: run until Ctrl-C)",
-    )
-    p_top.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append frames instead of clearing the screen (for logs/tests)",
-    )
-    p_top.set_defaults(func=cmd_top)
 
     return parser
 

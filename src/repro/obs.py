@@ -52,10 +52,9 @@ is visible.
 
 Collapsed stacks (``a;b;c VALUE`` lines for speedscope / flamegraph.pl)
 have one writer, :func:`format_folds`, which escapes every frame through
-:func:`fold_label`.  ``Tracer.to_collapsed()`` feeds it the span-path
-aggregate (``run/check --flame``, the REPL's ``:flame``) and
-:class:`~repro.profiler.ProfileReport` its sampled jns-frame stacks
-(``repro profile --flame``).
+:func:`fold_label`, and one producer, ``Tracer.to_collapsed()``, which
+feeds it the span-path aggregate (``run/check/corona --flame``, the
+REPL's ``:flame``).
 
 The unified report (:func:`format_report`) folds a
 :class:`~repro.lang.queries.CacheStats` snapshot into the same output,

@@ -979,7 +979,7 @@ class _Emitter:
         is a thunk that runs the emitter over the body.  ``entry_pos``
         (the declaration's span) attributes the scaffolding the function
         spends its entry in — the header and the fuel/ABSENT prologue —
-        so samples landing there still resolve to a jns span."""
+        so frames stopped there still resolve to a jns span."""
         names: List[str] = []
         seen: Dict[str, int] = {}
         for i, p in enumerate(params):
@@ -1176,8 +1176,8 @@ class CodegenCompiler:
         #: emitted text per label; values are :class:`EmittedSource`
         #: (str subclasses carrying the per-line jns source map)
         self.sources: Dict[str, EmittedSource] = {}
-        #: the same bodies keyed by compiled ``co_filename`` — how the
-        #: sampling profiler resolves live frames back to jns lines
+        #: the same bodies keyed by compiled ``co_filename`` — how a
+        #: live frame resolves back to its jns line
         self.by_filename: Dict[str, EmittedSource] = {}
         self._miss_fns: Dict[str, Any] = {}
         self._generic_fns: Dict[str, Any] = {}

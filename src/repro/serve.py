@@ -45,8 +45,10 @@ Every response additionally carries ``trace``: the request's W3C-style
 client's inbound ``traceparent`` field when one was supplied).
 
 Error responses are ``{"ok": false, "error": "..."}`` with the request
-``id`` echoed; a malformed line (bad JSON, no ``op``) also gets an error
-response rather than dropping the connection.
+``id`` echoed; a malformed line (bad JSON, no ``op``) or an ill-typed
+field (``file`` not a string, ``strict`` or ``exposition`` not a
+boolean) also gets an error response rather than dropping the
+connection.
 
 Sessions are created by ``open``, keyed by a client-chosen name, and
 serialized per-session by a lock (two clients editing one session
@@ -70,9 +72,8 @@ labeled with the resolved ``backend=``, so per-backend rates and
 latencies stay separable), session gauges, and per-session query-cache
 gauges (hits / misses / green revalidations) refreshed after every
 ``check``.  The ``metrics`` op returns the cumulative snapshot (scrapes
-never reset state), and ``repro serve --metrics-port`` exposes the same
-registry in Prometheus text format over HTTP for scrapers and
-``repro top``.
+never reset state) and, with ``exposition: true``, the same registry in
+Prometheus text format.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ import socketserver
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from .chaos import Rng
@@ -253,10 +253,16 @@ class CheckService:
         source = req.get("source")
         if not isinstance(source, str):
             raise KeyError("open requires 'source' (the program text)")
+        file = req.get("file", "")
+        if not isinstance(file, str):
+            raise KeyError("open 'file' must be a string")
+        strict = req.get("strict", False)
+        if not isinstance(strict, bool):
+            raise KeyError("open 'strict' must be a boolean")
         checker = IncrementalChecker(
             source,
-            file=req.get("file") or f"<{name}>",
-            strict_sharing=bool(req.get("strict", False)),
+            file=file or f"<{name}>",
+            strict_sharing=strict,
         )
         sess = _Session(name, checker)
         with self._sessions_lock:
@@ -345,9 +351,7 @@ class CheckService:
         (statement hits, dispatches, view changes, mask checks) on the
         requested tier.  The profiler's counters are process-global, so
         :data:`repro.profiler.PROFILE_LOCK` serializes concurrent
-        profile requests across sessions — they queue, never blend.
-        Sampling is deliberately off here (a wall-clock sampler thread
-        per request is the wrong shape for a shared service)."""
+        profile requests across sessions — they queue, never blend."""
         from . import profiler
         from .errors import JnsError
         from .runtime.interp import BACKENDS
@@ -382,7 +386,6 @@ class CheckService:
                 entry=entry,
                 args=tuple(pargs),
                 det_backend=backend,
-                sample=False,
             )
         except JnsError as exc:
             return {"ok": False, "error": str(exc)}
@@ -458,8 +461,11 @@ class CheckService:
         return {"ok": True, "session": name}
 
     def _op_metrics(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        """Cumulative telemetry snapshot for scrapers and ``repro top``;
-        pass ``"exposition": true`` to also get the Prometheus text."""
+        """Cumulative telemetry snapshot for scrapers; pass
+        ``"exposition": true`` to also get the Prometheus text."""
+        exposition = req.get("exposition", False)
+        if not isinstance(exposition, bool):
+            raise KeyError("metrics 'exposition' must be a boolean")
         with self._sessions_lock:
             names = sorted(self.sessions)
         resp = {
@@ -469,7 +475,7 @@ class CheckService:
             "sessions": names,
             "metrics": self.metrics.snapshot(),
         }
-        if req.get("exposition"):
+        if exposition:
             resp["exposition"] = self.metrics.exposition()
         return resp
 
@@ -512,61 +518,22 @@ class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """``GET /metrics`` → the registry in Prometheus text format.
-    Anything else is 404; access logging is suppressed (scrapers poll)."""
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        service: CheckService = self.server.service  # type: ignore[attr-defined]
-        if self.path.split("?", 1)[0].rstrip("/") in ("", "/metrics"):
-            body = service.metrics.exposition().encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_error(404, "try /metrics")
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass
-
-
-class _MetricsServer(ThreadingHTTPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
 class ServeHandle:
     """A running service bound to a socket — tests start one in-process
     via :func:`start_server` and tear it down with :meth:`stop`."""
 
     def __init__(self, server: _Server, service: CheckService,
-                 thread: threading.Thread, reaper: threading.Thread,
-                 metrics_server: Optional[_MetricsServer] = None,
-                 metrics_thread: Optional[threading.Thread] = None) -> None:
+                 thread: threading.Thread, reaper: threading.Thread) -> None:
         self.server = server
         self.service = service
         self.thread = thread
         self.reaper = reaper
         self.host, self.port = server.server_address[:2]
-        self.metrics_server = metrics_server
-        self.metrics_thread = metrics_thread
-        self.metrics_port: Optional[int] = (
-            metrics_server.server_address[1] if metrics_server else None
-        )
 
     def stop(self) -> None:
         self.service.shutdown_requested.set()
         self.server.shutdown()
         self.server.server_close()
-        if self.metrics_server is not None:
-            self.metrics_server.shutdown()
-            self.metrics_server.server_close()
-            if self.metrics_thread is not None:
-                self.metrics_thread.join(timeout=5)
         self.thread.join(timeout=5)
 
 
@@ -574,14 +541,11 @@ def start_server(
     host: str = "127.0.0.1",
     port: int = 0,
     idle_timeout: float = 300.0,
-    metrics_port: Optional[int] = None,
     seed: int = 0,
 ) -> ServeHandle:
     """Bind, start the accept loop and the idle reaper (both daemon
     threads), and return a handle exposing the chosen port (``port=0``
-    binds an ephemeral one).  ``metrics_port`` additionally binds an
-    HTTP endpoint (same host; 0 = ephemeral) serving ``GET /metrics``
-    in Prometheus text format."""
+    binds an ephemeral one)."""
     service = CheckService(idle_timeout=idle_timeout, seed=seed)
     server = _Server((host, port), _Handler)
     server.service = service  # type: ignore[attr-defined]
@@ -598,17 +562,7 @@ def start_server(
     reaper = threading.Thread(target=_reap, name="repro-serve-reaper",
                               daemon=True)
     reaper.start()
-    metrics_server = metrics_thread = None
-    if metrics_port is not None:
-        metrics_server = _MetricsServer((host, metrics_port), _MetricsHandler)
-        metrics_server.service = service  # type: ignore[attr-defined]
-        metrics_thread = threading.Thread(
-            target=metrics_server.serve_forever,
-            name="repro-serve-metrics", daemon=True,
-        )
-        metrics_thread.start()
-    return ServeHandle(server, service, thread, reaper,
-                       metrics_server, metrics_thread)
+    return ServeHandle(server, service, thread, reaper)
 
 
 class ServeClient:
@@ -653,12 +607,9 @@ def main(args) -> int:
     op or Ctrl-C."""
     handle = start_server(
         host=args.host, port=args.port, idle_timeout=args.idle_timeout,
-        metrics_port=getattr(args, "metrics_port", None),
         seed=getattr(args, "seed", 0),
     )
     ready = {"event": "ready", "host": handle.host, "port": handle.port}
-    if handle.metrics_port is not None:
-        ready["metrics_port"] = handle.metrics_port
     print(json.dumps(ready), flush=True)
     try:
         while not handle.service.shutdown_requested.wait(0.2):

@@ -19,12 +19,10 @@ the request-scoped layer on top of it:
   memory without bound).  Histogram series are
   :class:`repro.obs.Histogram` built with the fixed
   :data:`~repro.obs.DEFAULT_BUCKETS` bounds.  Snapshots are JSON-able
-  and cumulative (scrapes never reset state); :func:`diff_snapshots`
-  subtracts two snapshots for rate/p50/p95 windows, which is how
-  ``repro top`` computes per-interval views.
+  and cumulative (scrapes never reset state).
   :meth:`MetricsRegistry.exposition` renders Prometheus text format
-  0.0.4, served by the ``metrics`` op and ``repro serve
-  --metrics-port``.  :func:`validate_exposition` is the
+  0.0.4, returned by the ``metrics`` op of ``repro serve`` when asked
+  with ``exposition: true``.  :func:`validate_exposition` is the
   checker both the tests and ``scripts/metrics_smoke.py`` run against a
   scrape.
 
@@ -52,10 +50,7 @@ __all__ = [
     "TraceContext",
     "MetricsRegistry",
     "MAX_SERIES_PER_FAMILY",
-    "diff_snapshots",
-    "quantile_from_buckets",
     "validate_exposition",
-    "render_top",
 ]
 
 
@@ -164,7 +159,7 @@ class MetricsRegistry:
     cumulative: scrapes read a consistent :meth:`snapshot` or
     :meth:`exposition` without resetting anything, so any number of
     scrapers can watch one registry (delta computation is the reader's
-    job — see :func:`diff_snapshots`)."""
+    job)."""
 
     def __init__(self, max_series: int = MAX_SERIES_PER_FAMILY) -> None:
         self.max_series = max_series
@@ -324,81 +319,6 @@ def _fmt_labels(items: Tuple[Tuple[str, str], ...]) -> str:
 
 
 # ----------------------------------------------------------------------
-# snapshot arithmetic (delta windows for `repro top`)
-# ----------------------------------------------------------------------
-
-
-def _series_index(rows: List[Dict[str, Any]]) -> Dict[Tuple[Any, ...], Dict[str, Any]]:
-    return {
-        (row["name"], tuple(sorted(row["labels"].items()))): row for row in rows
-    }
-
-
-def diff_snapshots(prev: Dict[str, Any], cur: Dict[str, Any]) -> Dict[str, Any]:
-    """``cur - prev`` for counters and histograms (gauges pass through
-    unchanged — they are levels, not totals).  Series absent from
-    ``prev`` diff against zero; a counter that went *backwards* (server
-    restart) is passed through at its current value."""
-    out: Dict[str, Any] = {"counters": [], "gauges": list(cur.get("gauges", [])),
-                           "histograms": [],
-                           "dropped_series": cur.get("dropped_series", 0)}
-    prev_counters = _series_index(prev.get("counters", []))
-    for row in cur.get("counters", []):
-        key = (row["name"], tuple(sorted(row["labels"].items())))
-        base = prev_counters.get(key, {}).get("value", 0.0)
-        delta = row["value"] - base
-        if delta < 0:
-            delta = row["value"]
-        out["counters"].append({**row, "value": delta})
-    prev_hists = _series_index(prev.get("histograms", []))
-    for row in cur.get("histograms", []):
-        key = (row["name"], tuple(sorted(row["labels"].items())))
-        base = prev_hists.get(key)
-        if base is None or base["count"] > row["count"]:
-            out["histograms"].append(dict(row))
-            continue
-        base_buckets = {le: cum for le, cum in base["buckets"]}
-        out["histograms"].append(
-            {
-                **row,
-                "count": row["count"] - base["count"],
-                "sum": row["sum"] - base["sum"],
-                "buckets": [
-                    [le, cum - base_buckets.get(le, 0)]
-                    for le, cum in row["buckets"]
-                ],
-            }
-        )
-    return out
-
-
-def quantile_from_buckets(buckets: List[List[Any]], q: float) -> Optional[float]:
-    """Estimate the q-quantile (0..1) from cumulative ``[le, count]``
-    buckets by linear interpolation within the target bucket (the
-    standard Prometheus ``histogram_quantile`` scheme).  Returns None on
-    an empty histogram; clamps to the last finite bound when the target
-    falls in the ``+Inf`` bucket."""
-    if not buckets:
-        return None
-    total = buckets[-1][1]
-    if total <= 0:
-        return None
-    rank = q * total
-    prev_bound = 0.0
-    prev_cum = 0
-    last_finite: Optional[float] = None
-    for le, cum in buckets:
-        if le == "+Inf":
-            return last_finite  # target beyond every finite bound
-        bound = float(le)
-        if cum >= rank and cum > prev_cum:
-            frac = (rank - prev_cum) / (cum - prev_cum)
-            return prev_bound + (bound - prev_bound) * min(1.0, max(0.0, frac))
-        prev_bound, prev_cum, last_finite = bound, cum, bound
-    return last_finite
-
-
-# ----------------------------------------------------------------------
 # exposition validation (tests + scripts/metrics_smoke.py)
 # ----------------------------------------------------------------------
 
@@ -517,131 +437,3 @@ def _split_labels(body: str) -> List[str]:
         items.append("".join(cur))
     return items
 
-
-# ----------------------------------------------------------------------
-# `repro top` frame rendering
-# ----------------------------------------------------------------------
-
-
-def _find(rows: List[Dict[str, Any]], name: str, **labels: str) -> List[Dict[str, Any]]:
-    want = set(labels.items())
-    return [
-        r for r in rows
-        if r["name"] == name and want <= set(r["labels"].items())
-    ]
-
-
-def render_top(
-    resp: Dict[str, Any],
-    prev: Optional[Dict[str, Any]] = None,
-    dt: Optional[float] = None,
-) -> str:
-    """One ``repro top`` frame from a ``metrics`` op response (and the
-    previous response, for delta rates).  Renders service uptime,
-    sessions, req/s, a per-op table (count / rate / p50 / p95), cache
-    hit rate, and incremental revalidation counts."""
-    snap = resp.get("metrics", {})
-    window = snap if prev is None else diff_snapshots(
-        prev.get("metrics", {}), snap
-    )
-    lines: List[str] = []
-    uptime = resp.get("uptime_s", 0.0)
-    sessions = resp.get("sessions", [])
-    total_req = resp.get("requests", 0)
-    window_req = sum(
-        r["value"] for r in window.get("counters", [])
-        if r["name"] == "serve_requests_total"
-    )
-    if dt and dt > 0:
-        rate_txt = f"{window_req / dt:8.1f} req/s"
-    else:
-        rate_txt = "     (first sample)"
-    lines.append(
-        f"repro top — uptime {uptime:7.1f}s   sessions {len(sessions):3d}   "
-        f"requests {total_req:8d}   {rate_txt}"
-    )
-    lines.append("")
-    # per-op table from the serve_request_seconds histograms
-    hists = [
-        r for r in window.get("histograms", [])
-        if r["name"] == "serve_request_seconds"
-    ]
-    lines.append(f"  {'op':<10} {'count':>8} {'rate':>9} {'p50':>9} {'p95':>9}")
-    if not hists:
-        lines.append("  (no requests in window)")
-    for row in sorted(hists, key=lambda r: -r["count"]):
-        op = row["labels"].get("op", "?")
-        count = row["count"]
-        rate = f"{count / dt:8.1f}" if dt and dt > 0 else "       -"
-        p50 = quantile_from_buckets(row["buckets"], 0.50)
-        p95 = quantile_from_buckets(row["buckets"], 0.95)
-        lines.append(
-            "  {:<10} {:>8} {:>9} {:>9} {:>9}".format(
-                op,
-                count,
-                rate,
-                _fmt_secs(p50),
-                _fmt_secs(p95),
-            )
-        )
-    # outcome split
-    ok = sum(
-        r["value"]
-        for r in _find(window.get("counters", []), "serve_requests_total",
-                       outcome="ok")
-    )
-    err = sum(
-        r["value"]
-        for r in _find(window.get("counters", []), "serve_requests_total",
-                       outcome="error")
-    )
-    lines.append("")
-    lines.append(f"  outcomes: ok {int(ok)}  error {int(err)}")
-    # per-session cache + incremental gauges (levels: read from cur snapshot)
-    gauges = snap.get("gauges", [])
-    cache_lines = []
-    for sess in sessions:
-        hits = sum(r["value"] for r in _find(gauges, "repro_query_cache_hits",
-                                             session=sess))
-        misses = sum(r["value"] for r in _find(gauges, "repro_query_cache_misses",
-                                               session=sess))
-        reval = sum(
-            r["value"]
-            for r in _find(gauges, "repro_query_cache_revalidations",
-                           session=sess)
-        )
-        reused = sum(
-            r["value"]
-            for r in _find(gauges, "repro_incr_check_classes",
-                           session=sess, kind="reused")
-        )
-        recheck = sum(
-            r["value"]
-            for r in _find(gauges, "repro_incr_check_classes",
-                           session=sess, kind="recomputed")
-        )
-        total = hits + misses
-        hit_rate = f"{100.0 * hits / total:5.1f}%" if total else "    -"
-        cache_lines.append(
-            f"  {sess:<16} cache hit {hit_rate}  revalidated {int(reval):6d}  "
-            f"classes reused {int(reused):4d} / rechecked {int(recheck):4d}"
-        )
-    if cache_lines:
-        lines.append("")
-        lines.append("  sessions:")
-        lines.extend(cache_lines)
-    dropped = snap.get("dropped_series", 0)
-    if dropped:
-        lines.append("")
-        lines.append(f"  ! {dropped} metric series dropped (label overflow)")
-    return "\n".join(lines)
-
-
-def _fmt_secs(s: Optional[float]) -> str:
-    if s is None:
-        return "-"
-    if s < 0.001:
-        return f"{s * 1e6:.0f}µs"
-    if s < 1.0:
-        return f"{s * 1e3:.1f}ms"
-    return f"{s:.2f}s"

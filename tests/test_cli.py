@@ -258,38 +258,9 @@ class TestFlameAndOtlp:
         assert not obs.enabled()
 
 
-class TestTop:
-    def test_top_renders_frames_against_live_server(self, capsys):
-        from repro.serve import ServeClient, start_server
-
-        handle = start_server()
-        try:
-            c = ServeClient(handle.host, handle.port)
-            c.request(
-                "open", session="demo",
-                source="class app { class A { int x; } }",
-            )
-            c.request("check", session="demo")
-            c.close()
-            rc = main([
-                "top", "--port", str(handle.port), "--host", handle.host,
-                "--interval", "0.01", "--iterations", "2", "--no-clear",
-            ])
-        finally:
-            handle.stop()
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.count("repro top —") == 2
-        assert "sessions   1" in out
-        assert "check" in out and "p95" in out
-
-    def test_top_connection_refused_exits_1(self, capsys):
-        import socket
-
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()  # nothing listens here now
-        rc = main(["top", "--port", str(port), "--iterations", "1"])
-        assert rc == 1
-        assert "error" in capsys.readouterr().err
+class TestRemovedCommands:
+    def test_top_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["top", "--port", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'top'" in capsys.readouterr().err

@@ -1,7 +1,8 @@
 """What a fresh ``python -m repro run`` process loads and leaves behind.
 
 A one-shot ``repro run`` pays for every module it imports, so the run
-path must not import modules only other commands use.  The process
+path must not import modules only other commands use; ``repro serve``
+likewise loads no HTTP stack.  The process
 also skips the interpreter's exit-time GC sweep (see ``__main__.py``);
 the last test checks that every output a run writes is still complete.
 """
@@ -76,6 +77,16 @@ def test_run_footprint(driver, tmp_path):
     assert sorted(loaded.intersection(NOT_ON_RUN_PATH)) == []
 
 
+def test_import_serve_footprint(tmp_path):
+    """The check service speaks JSON Lines over a raw socket; it must not
+    pull in an HTTP stack (``http.server`` drags in ``email``)."""
+    proc = python("-X", "importtime", "-c", "import repro.serve", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = imported(proc.stderr)
+    assert "repro.serve" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] in ("http", "email")) == []
+
+
 def test_profiler_reexports_are_the_same_objects():
     import repro.obs
     import repro.profiler
@@ -83,7 +94,6 @@ def test_profiler_reexports_are_the_same_objects():
 
     assert repro.profiler.PROFILER is repro.obs.PROFILER
     assert repro.profiler.LineProfiler is repro.obs.LineProfiler
-    assert repro.profiler.fold_label is repro.obs.fold_label
     assert repro.profiler.EmittedSource is repro.runtime.codegen.EmittedSource
 
 

@@ -1,6 +1,6 @@
 """Source-level profiler tests: jns source maps on the emitted code,
-deterministic per-line event counters across every backend, sampling
-attribution through the codegen tier, and the report surfaces."""
+deterministic per-line event counters across every backend, and the
+report surfaces."""
 
 import json
 import linecache
@@ -11,18 +11,17 @@ import pytest
 
 from repro.api import compile_program
 from repro.cli import main as cli_main
+from repro.obs import fold_label
 from repro.profiler import (
     PROFILER,
     EmittedSource,
     ProfileReport,
-    fold_label,
-    profile_source,
     run_deterministic,
 )
 from repro.runtime.interp import BACKENDS
 
 # Fig. 5-style masked field behind a view change, plus a loop so the
-# deterministic counters and the sampler both have somewhere to land.
+# deterministic counters have a hot line.
 MASKED_LOOP = """
 class F0 {
   class A {
@@ -116,7 +115,7 @@ class TestSourceMaps:
         cg = self._cg()
         src = cg.sources["Main.main"]
         # the def header (python line 1) carries the declaration's span,
-        # so samples taken at function entry still resolve
+        # so a frame stopped at function entry still resolves
         assert src.resolve(1) is not None
 
     def test_by_filename_index_and_linecache(self):
@@ -203,77 +202,7 @@ class TestDeterministicParity:
 
 
 # ----------------------------------------------------------------------
-# sampling profiler: the >=95% attribution gate
-# ----------------------------------------------------------------------
-
-
-class TestSamplingAttribution:
-    @pytest.mark.parametrize("name,args", [("treeadd", (8, 2))])
-    def test_jolden_resolution_gate(self, name, args):
-        from repro.programs import jolden
-
-        mod = jolden.BY_NAME[name]
-        report = profile_source(
-            mod.SOURCE,
-            file=f"jolden:{name}",
-            entry="Main.run",
-            args=args,
-            det_backend="codegen",
-            sample=True,
-            interval=0.0005,
-            min_samples=40,
-        )
-        assert report.samples_total >= 40
-        assert report.jns_samples > 0
-        # the acceptance gate: >=95% of codegen-tier samples resolve
-        # through the source map to a valid jns span
-        assert report.resolution >= 0.95
-        # resolved lines really are source lines
-        n_lines = len(mod.SOURCE.splitlines())
-        assert all(0 < ln <= n_lines for ln in report.self_samples)
-
-    def test_sampler_agrees_with_deterministic_on_hot_line(self):
-        from repro.programs import jolden
-
-        mod = jolden.BY_NAME["treeadd"]
-        report = profile_source(
-            mod.SOURCE,
-            entry="Main.run",
-            args=(8, 2),
-            det_backend="walker",
-            sample=True,
-            interval=0.0005,
-            min_samples=20,
-        )
-        stepped = set(report.det["steps"])
-        sampled = sorted(
-            report.self_samples, key=report.self_samples.get, reverse=True
-        )
-        # the hottest sampled line is one the deterministic profiler
-        # also stepped (merged rows align on the same jns lines)
-        assert sampled[0] in stepped
-
-    def test_folds_are_escaped_jns_frames(self):
-        from repro.programs import jolden
-
-        mod = jolden.BY_NAME["treeadd"]
-        report = profile_source(
-            mod.SOURCE,
-            entry="Main.run",
-            args=(7, 2),
-            sample=True,
-            interval=0.0005,
-            min_samples=10,
-        )
-        assert report.folds
-        for key in report.folds:
-            for frame in key:
-                assert ";" not in frame
-                assert not any(c.isspace() for c in frame)
-
-
-# ----------------------------------------------------------------------
-# the merged report
+# the report
 # ----------------------------------------------------------------------
 
 
@@ -296,20 +225,11 @@ class TestReport:
 
     def test_to_dict_shape(self):
         d = self._report().to_dict()
+        assert set(d) == {"file", "backend_det", "lines"}
         assert d["backend_det"] == "codegen"
-        assert d["resolution"] == 1.0  # no sampler -> trivially resolved
         assert d["lines"]
         row = d["lines"][0]
-        for key in ("line", "steps", "text"):
-            assert key in row
-
-    def test_to_collapsed_sorts_folds(self):
-        report = self._report()
-        assert report.to_collapsed() == ""  # no sampler, no folds
-        report.folds = {("Main.run:9", "Main.f:3"): 4, ("Main.run:8",): 2}
-        assert report.to_collapsed() == (
-            "Main.run:8 2\nMain.run:9;Main.f:3 4\n"
-        )
+        assert set(row) == {"line", "steps", "mask", "view", "dispatch", "text"}
 
     def test_render_html_is_self_contained(self):
         html = self._report().render_html()
@@ -374,49 +294,40 @@ def masked_file(tmp_path):
 
 class TestProfileCli:
     def test_json_output(self, masked_file, capsys):
-        assert cli_main(
-            ["profile", masked_file, "--no-sample", "--json"]
-        ) == 0
+        assert cli_main(["profile", masked_file, "--json"]) == 0
         d = json.loads(capsys.readouterr().out)
-        assert d["lines"] and d["resolution"] == 1.0
+        assert d["lines"] and set(d) == {"file", "backend_det", "lines"}
 
     def test_text_heatmap(self, masked_file, capsys):
-        assert cli_main(["profile", masked_file, "--no-sample"]) == 0
+        assert cli_main(["profile", masked_file]) == 0
         out = capsys.readouterr().out
         assert "steps" in out and "source" in out
 
     def test_html_report(self, masked_file, tmp_path, capsys):
         out = tmp_path / "profile.html"
-        assert cli_main(
-            ["profile", masked_file, "--no-sample", "--html", str(out)]
-        ) == 0
+        assert cli_main(["profile", masked_file, "--html", str(out)]) == 0
         html = out.read_text()
         assert "<details" in html and "<script" not in html
 
-    def test_flame_folds_escaped(self, tmp_path, capsys):
-        out = tmp_path / "folds.txt"
-        assert cli_main(
-            [
-                "profile",
-                "jolden:treeadd",
-                "--args", "7", "2",
-                "--min-samples", "5",
-                "--interval", "0.5",
-                "--flame", str(out),
-            ]
-        ) == 0
-        for line in out.read_text().splitlines():
-            stack, value = line.rsplit(" ", 1)
-            assert int(value) > 0
-            assert " " not in stack
+    @pytest.mark.parametrize(
+        "flag",
+        [["--no-sample"], ["--flame", "f.txt"], ["--interval", "1"],
+         ["--min-samples", "5"]],
+        ids=["no-sample", "flame", "interval", "min-samples"],
+    )
+    def test_sampler_flags_are_gone(self, masked_file, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["profile", masked_file, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_jolden_driver(self, capsys):
-        assert cli_main(["profile", "jolden:nope", "--no-sample"]) == 2
+        assert cli_main(["profile", "jolden:nope"]) == 2
 
     def test_check_error_renders_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.jns"
         bad.write_text('class Main { int main() { return "oops"; } }')
-        assert cli_main(["profile", str(bad), "--no-sample"]) == 1
+        assert cli_main(["profile", str(bad)]) == 1
 
     def test_run_line_profile_flag(self, masked_file, capsys):
         assert cli_main(["run", masked_file, "--line-profile"]) == 0

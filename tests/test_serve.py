@@ -327,34 +327,38 @@ def test_malformed_traceparent_gets_seeded_root():
     assert nxt["trace"] not in (first_root, bad)
 
 
-def test_metrics_http_endpoint_scrape():
-    import urllib.request
+def test_metrics_op_scrape_over_socket(client):
+    client.request("open", session="s", source=SRC)
+    client.request("check", session="s")
+    resp = client.request("metrics", exposition=True)
+    assert resp["ok"]
+    text = resp["exposition"]
+    from repro.telemetry import validate_exposition
 
-    handle = start_server(metrics_port=0)
-    try:
-        client = ServeClient(handle.host, handle.port)
-        client.request("open", session="s", source=SRC)
-        client.request("check", session="s")
-        client.close()
-        url = f"http://{handle.host}:{handle.metrics_port}/metrics"
-        with urllib.request.urlopen(url) as r:
-            assert r.status == 200
-            assert r.headers["Content-Type"].startswith("text/plain")
-            text = r.read().decode()
-        from repro.telemetry import validate_exposition
+    assert validate_exposition(text) == []
+    assert 'serve_requests_total{op="check",outcome="ok"} 1' in text
 
-        assert validate_exposition(text) == []
-        assert 'serve_requests_total{op="check",outcome="ok"} 1' in text
-        req = urllib.request.Request(
-            f"http://{handle.host}:{handle.metrics_port}/nope"
-        )
-        try:
-            urllib.request.urlopen(req)
-            assert False, "expected 404"
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 404
-    finally:
-        handle.stop()
+
+@pytest.mark.parametrize(
+    "op,fields,error",
+    [
+        ("open", {"session": "s", "source": SRC, "file": 7},
+         "open 'file' must be a string"),
+        ("open", {"session": "s", "source": SRC, "strict": "yes"},
+         "open 'strict' must be a boolean"),
+        ("metrics", {"exposition": "no"},
+         "metrics 'exposition' must be a boolean"),
+    ],
+    ids=["file", "strict", "exposition"],
+)
+def test_ill_typed_fields_are_error_responses(client, op, fields, error):
+    resp = client.request(op, **fields)
+    assert resp["ok"] is False
+    assert resp["error"] == error
+    assert "exposition" not in resp
+    # the connection is still usable, and a rejected open made no session
+    assert client.request("ping")["pong"] is True
+    assert client.request("stats")["sessions"] == []
 
 
 def test_concurrent_sessions_get_distinct_trace_tids(server):
@@ -453,7 +457,7 @@ class TestProfileOp:
         resp = svc.handle({"op": "profile", "session": "p"})
         assert resp["ok"] and resp["backend"] == "codegen"
         prof = resp["profile"]
-        assert prof["resolution"] == 1.0  # deterministic-only: no samples
+        assert set(prof) == {"file", "backend_det", "lines"}
         lines = {row["line"]: row for row in prof["lines"]}
         # the one-line while on line 20: one loop entry plus its two
         # body statements stepping once per iteration

@@ -1,10 +1,10 @@
-"""Trace-context derivation, the labeled metrics registry, Prometheus
-exposition, and delta snapshots (:mod:`repro.telemetry`).
+"""Trace-context derivation, the labeled metrics registry, and Prometheus
+exposition (:mod:`repro.telemetry`).
 
 The serve/CorONA integration of these pieces is covered in
 tests/test_serve.py and tests/test_corona_chaos.py; here we pin the
 substrate itself: determinism of id derivation, exposition-format
-validity, bounded label cardinality, and snapshot arithmetic.
+validity, and bounded label cardinality.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from repro.telemetry import (
     MAX_SERIES_PER_FAMILY,
     MetricsRegistry,
     TraceContext,
-    diff_snapshots,
-    quantile_from_buckets,
     validate_exposition,
 )
 
@@ -176,57 +174,8 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# snapshot arithmetic
-# ----------------------------------------------------------------------
-
-
-class TestSnapshots:
-    def _reg(self):
-        reg = MetricsRegistry()
-        reg.inc("req_total", value=5, op="check")
-        reg.set_gauge("sessions", 4)
-        for v in (0.001, 0.003):
-            reg.observe("lat", v)
-        return reg
-
-    def test_diff_subtracts_counters_and_histograms(self):
-        reg = self._reg()
-        prev = reg.snapshot()
-        reg.inc("req_total", value=2, op="check")
-        reg.observe("lat", 0.004)
-        reg.set_gauge("sessions", 9)
-        delta = diff_snapshots(prev, reg.snapshot())
-        (c,) = delta["counters"]
-        assert c["value"] == 2.0
-        (g,) = delta["gauges"]  # gauges are levels: pass through
-        assert g["value"] == 9.0
-        (h,) = delta["histograms"]
-        assert h["count"] == 1
-
-    def test_diff_detects_restart(self):
-        reg = self._reg()
-        prev = reg.snapshot()
-        fresh = MetricsRegistry()
-        fresh.inc("req_total", value=1, op="check")
-        delta = diff_snapshots(prev, fresh.snapshot())
-        (c,) = delta["counters"]
-        assert c["value"] == 1.0  # counter went backwards -> treat as restart
-
-    def test_quantile_from_buckets(self):
-        reg = MetricsRegistry()
-        for v in [0.001] * 50 + [0.2] * 50:
-            reg.observe("lat", v)
-        (h,) = reg.snapshot()["histograms"]
-        p50 = quantile_from_buckets(h["buckets"], 0.50)
-        p95 = quantile_from_buckets(h["buckets"], 0.95)
-        assert p50 <= DEFAULT_BUCKETS[2]
-        assert 0.1 <= p95 <= 0.25
-        assert quantile_from_buckets([], 0.5) is None
-
-
-# ----------------------------------------------------------------------
-# byte goldens: scrapers, `repro top` and snapshot diffs read these bytes,
-# so any change to them is a format change
+# byte goldens: scrapers and the metrics op read these bytes, so any
+# change to them is a format change
 # ----------------------------------------------------------------------
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
