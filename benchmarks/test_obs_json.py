@@ -1,9 +1,13 @@
 """Tracing-overhead benchmark: the disabled tracer must be near-free.
 
-Every instrumented hot site pays one ``TRACER.enabled`` attribute load
-plus a branch when tracing is off.  A true uninstrumented baseline cannot
-be measured in-process (the guards are compiled into the functions), so
-the disabled overhead is bounded from above by construction:
+Every instrumented hot site of the interpreter pays one
+``TRACER.enabled`` attribute load plus a branch when tracing is off;
+these workloads run on the walker, where all of them sit.  Bodies
+emitted by the codegen tier pay nothing: their counts are planted only
+when the compiler is built with tracing on.  A true uninstrumented
+baseline cannot be measured in-process (the guards are compiled into
+the functions), so the disabled overhead is bounded from above by
+construction:
 
 1. run each workload tracing-*enabled* and read ``TRACER.observations``,
    the number of guarded sites traversed (every span, event and counter

@@ -39,7 +39,9 @@ Eviction is all-or-nothing: emitted bodies capture lazily-resolved
 callee cells from their compiler, so an incremental edit
 (:class:`~repro.lang.incremental.EditNotice`) drops the whole
 :class:`CodegenCompiler` (``Interp._on_table_edit``) rather than trying
-to invalidate closures piecemeal.
+to invalidate closures piecemeal.  So does turning tracing on or off:
+a compiler plants trace counts in its bodies only if tracing was on
+when it was built (``Interp._codegen``).
 
 Selected with ``repro run --backend codegen`` (the default); the
 differential in ``tests/test_specialize_differential.py`` locks the
@@ -57,13 +59,14 @@ from ..lang.classtable import JnsError, ResolveError, path_str
 from ..lang.types import ClassType, View
 from ..obs import PROFILER, TRACER
 from ..source import ast
-from .interp import _jdiv, _jmod, to_jstring
+from .interp import _jdiv, _jmod, allocate, to_jstring
 from .values import (
     ABSENT,
+    ArrayError,
+    DivisionByZero,
     JnsRuntimeError,
     NullDereference,
     Ref,
-    SlottedInstance,
     UninitializedFieldError,
     default_value,
 )
@@ -185,6 +188,9 @@ class _Emitter:
         #: line-profile mode: plant deterministic counting hooks in the
         #: emitted text (profiled interpreters compile fresh bodies)
         self.lp = bool(getattr(cg.interp, "line_profile", False))
+        #: trace counts are planted by the same rule, fixed when the
+        #: compiler was built (``Interp._codegen`` rebuilds on a toggle)
+        self.traced = cg.traced
         self.indent = 1
         self.consts: Dict[str, Any] = {}
         self._const_ids: Dict[int, str] = {}
@@ -271,6 +277,12 @@ class _Emitter:
         t = self.temp()
         self.w(f"{t} = {code}")
         return t
+
+    def count(self, event: str, pad: str = "") -> None:
+        """Plant ``_TR.count(event)`` — only in a traced compiler's
+        bodies, and then with no ``enabled`` branch."""
+        if self.traced:
+            self.w(f"{pad}{self.helper('_TR', TRACER)}.count({event!r})")
 
     def _fv(self) -> str:
         """A ``_FrameView`` over the live locals, for cold dependent-type
@@ -444,14 +456,8 @@ class _Emitter:
             return f"({left} - {right})"
         if op == "*":
             return f"({left} * {right})"
-        if op == "/":
-            t = self.temp()
-            self.w(f"{t} = {self.helper('_jdiv', _jdiv)}({left}, {right})")
-            return t
-        if op == "%":
-            t = self.temp()
-            self.w(f"{t} = {self.helper('_jmod', _jmod)}({left}, {right})")
-            return t
+        if op in ("/", "%"):
+            return self._divmod(op, left, right, e.left, e.right)
         if op in ("==", "!="):
             lt, rt = self._rt(e.left), self._rt(e.right)
             if lt in _PRIMITIVE and rt in _PRIMITIVE:
@@ -474,6 +480,50 @@ class _Emitter:
         if op in ("<", "<=", ">", ">="):
             return f"({left} {op} {right})"
         raise JnsRuntimeError(f"unknown operator {op!r}")
+
+    def _divmod(self, op: str, left: str, right: str, lexpr, rexpr) -> str:
+        """``/`` or ``%`` into a temp.  Two static ints lower inline: a
+        zero test, then a truncating ``//`` or ``%`` whose operand signs
+        pick the form (a folded divisor fixes the sign at emission).
+        A static double may still hold a Python int (``double x = 3``
+        divides as an int on both backends), so a double ``/`` is inline
+        only behind a float test on the divisor; everything else calls
+        the walker's ``_jdiv``/``_jmod``."""
+        lt, rt = self._rt(lexpr), self._rt(rexpr)
+        t = self.temp()
+        if lt == T.INT and rt == T.INT:
+            a = self._named(left)
+            py = "//" if op == "/" else "%"
+            ok, k = self._fold(rexpr)
+            if ok and isinstance(k, int) and k != 0:
+                cond = f"{a} >= 0" if k > 0 else f"{a} <= 0"
+                self.w(f"{t} = ({a} {py} {k}) if {cond} else -(-{a} {py} {k})")
+                return t
+            b = self._named(right)
+            zero = self.helper(
+                "_div0" if op == "/" else "_mod0",
+                _raise_div0 if op == "/" else _raise_mod0,
+            )
+            self.w(f"if {b} == 0: {zero}()")
+            self.w(
+                f"{t} = ({a} {py} {b}) if ({a} >= 0) == ({b} > 0) "
+                f"else -(-{a} {py} {b})"
+            )
+            return t
+        if op == "/":
+            jdiv = self.helper("_jdiv", _jdiv)
+            if lt in _NUMERIC and rt in _NUMERIC:
+                b = self._named(right)
+                fl = self.helper("_float", float)
+                self.w(
+                    f"{t} = ({left} / {b}) if {b}.__class__ is {fl} and {b} "
+                    f"else {jdiv}({left}, {b})"
+                )
+            else:
+                self.w(f"{t} = {jdiv}({left}, {right})")
+            return t
+        self.w(f"{t} = {self.helper('_jmod', _jmod)}({left}, {right})")
+        return t
 
     def _cond(self, e: ast.Cond) -> str:
         if not (self._effectful(e.then) or self._effectful(e.els)):
@@ -508,21 +558,31 @@ class _Emitter:
         return t
 
     def _new(self, e: ast.NewObj) -> str:
-        new = self.helper("_new", self.interp.new_instance)
         if type(e.type) is ClassType:
-            kp = self.const(e.type.path)
+            # one call: the shared allocator over this class's plan for
+            # this arity, built when the site first runs
+            alloc = self.helper("_alloc", allocate)
+            plans = self.const(self.cg.new_plans(e.type.path))
             args = self.emit_seq(e.args)
             t = self.temp()
-            self.w(f"{t} = {new}({kp}, ({', '.join(args)}{',' if args else ''}))")
+            self.w(
+                f"{t} = {alloc}(({', '.join(args)}{',' if args else ''}), "
+                f"{plans}[{len(args)}])"
+            )
             return t
         # dependent target type: evaluate the type *before* the arguments
         # (walker order), against a by-name view of the live locals
+        alloc = self.helper("_alloc", allocate)
+        plans = self.const(self.cg.new_plans)
         npk = self.const(self.cg.new_path_fn(e.type))
         tp = self.temp()
         self.w(f"{tp} = {npk}({self._fv()})")
         args = self.emit_seq(e.args)
         t = self.temp()
-        self.w(f"{t} = {new}({tp}, ({', '.join(args)}{',' if args else ''}))")
+        self.w(
+            f"{t} = {alloc}(({', '.join(args)}{',' if args else ''}), "
+            f"{plans}({tp})[{len(args)}])"
+        )
         return t
 
     def _newarray(self, e: ast.NewArray) -> str:
@@ -590,10 +650,18 @@ class _Emitter:
         name = e.name
         if type(e.obj) is ast.This:
             return self._this_read(name)
-        o = self.spill(self.emit(e.obj))
-        ref = self.helper("_Ref", Ref)
+        code = self.emit(e.obj)
         gf = self.helper("_gf", self.interp.get_field)
+        rt = self._rt(e.obj)
+        if name == "length" and rt is not None and isinstance(rt.pure(), T.ArrayType):
+            o = self._named(code)
+            ln = self.helper("_len", len)
+            t = self.temp()
+            self.w(f"{t} = {ln}({o}) if {o} is not None else {gf}({o}, 'length')")
+            return t
+        o = self.spill(code)
         t = self.temp()
+        ref = self.helper("_Ref", Ref)
         if not self.sharing:
             fill = self.const(self.cg.fill_plain_fn(name))
             site = self.const([None, None])
@@ -608,17 +676,15 @@ class _Emitter:
             self.w(f"else:")
             self.w(f"    {t} = {gf}({o}, {name!r})")
             self.helper("_ABSENT", ABSENT)
-            self.helper("_TR", TRACER)
             return t
         fill = self.const(self.cg.fill_shared_fn(name))
         plan = self.const(self.cg.plan_apply_fn(name))
         mblk = self.helper("_mblk", _raise_masked)
         site = self.const([None, -1, None])
         self.cg.note_site()
-        tr = self.helper("_TR", TRACER)
         ab = self.helper("_ABSENT", ABSENT)
         self.w(f"if {o}.__class__ is {ref}:")
-        self.w(f"    if {tr}.enabled: {tr}.count('mask.check')")
+        self.count("mask.check", "    ")
         if self.lp:
             pfm = self.helper("_pfm", PROFILER.mask_hit)
             self.w(f"    {pfm}()")
@@ -648,9 +714,8 @@ class _Emitter:
             self.w(f"{t} = u_this.inst.slots[{slot}]")
             self.w(f"if {t} is {ab}: {t} = {gf}(u_this, {name!r})")
             return t
-        tr = self.helper("_TR", TRACER)
         mblk = self.helper("_mblk", _raise_masked)
-        self.w(f"if {tr}.enabled: {tr}.count('mask.check')")
+        self.count("mask.check")
         if self.lp:
             pfm = self.helper("_pfm", PROFILER.mask_hit)
             self.w(f"{pfm}()")
@@ -730,7 +795,6 @@ class _Emitter:
 
     def _call(self, e: ast.Call) -> str:
         name = e.name
-        tr = self.helper("_TR", TRACER)
         if type(e.obj) is ast.This:
             found = self.interp._lookup_method(self.path, name)
             if (
@@ -744,7 +808,7 @@ class _Emitter:
                 args = self.emit_seq(e.args)
                 self.cg.note_site()
                 t = self.temp()
-                self.w(f"if {tr}.enabled: {tr}.count('dispatch.codegen_hit')")
+                self.count("dispatch.codegen_hit")
                 self.w(f"{t} = {dv}[{vp}](u_this{''.join(', ' + a for a in args)})")
                 return t
             o = "u_this"
@@ -775,7 +839,7 @@ class _Emitter:
             vp = self.temp()
             self.w(f"{vp} = {o}.view.path")
             self.w(f"if {vp} in {kv}:")
-            self.w(f"    if {tr}.enabled: {tr}.count('dispatch.codegen_hit')")
+            self.count("dispatch.codegen_hit", "    ")
             self.w(f"    {t} = {dv}[{vp}]({o}{argstr})")
             self.w(f"else:")
             self.w(f"    {t} = {gen}({o}, {len(args)})({o}{argstr})")
@@ -786,10 +850,13 @@ class _Emitter:
         args = self.emit_seq(e.args)
         argstr = "".join(", " + a for a in args)
         t = self.temp()
-        self.w(f"if {site}[0] == {o}.view.path:")
-        self.w(f"    if {tr}.enabled: {tr}.count('dispatch.codegen_hit')")
-        self.w(f"else:")
-        self.w(f"    {miss}({site}, {o}, {len(args)})")
+        if self.traced:
+            self.w(f"if {site}[0] == {o}.view.path:")
+            self.count("dispatch.codegen_hit", "    ")
+            self.w(f"else:")
+            self.w(f"    {miss}({site}, {o}, {len(args)})")
+        else:
+            self.w(f"if {site}[0] != {o}.view.path: {miss}({site}, {o}, {len(args)})")
         self.w(f"{t} = {site}[1]({o}{argstr})")
         return t
 
@@ -804,18 +871,20 @@ class _Emitter:
         cur = self.spill(self.emit(target))
         r = self.emit(e.value)
         binop = e.op[0]
-        t = self.temp()
-        if (
-            binop in "+-*"
-            and self._rt(target) == T.INT
-            and self._rt(e.value) == T.INT
-        ):
+        ints = self._rt(target) == T.INT and self._rt(e.value) == T.INT
+        if ints and binop in "/%":
+            # an int quotient or remainder stays an int: no coercion
+            t = self._divmod(binop, cur, r, target, e.value)
+        elif ints and binop in "+-*":
+            t = self.temp()
             self.w(f"{t} = ({cur} {binop} {r})")
         else:
+            t = self.temp()
             h = self.helper(
-                {"+": "_cadd", "-": "_csub", "*": "_cmul", "/": "_cdiv"}[binop],
-                {"+": _compound_add, "-": _compound_sub,
-                 "*": _compound_mul, "/": _compound_div}[binop],
+                {"+": "_cadd", "-": "_csub", "*": "_cmul", "/": "_cdiv",
+                 "%": "_cmod"}[binop],
+                {"+": _compound_add, "-": _compound_sub, "*": _compound_mul,
+                 "/": _compound_div, "%": _compound_mod}[binop],
             )
             self.w(f"{t} = {h}({cur}, {r})")
         self._store(target, t)
@@ -1109,7 +1178,15 @@ def _raise_null_array():
 
 
 def _raise_oob(idx, arr):
-    raise JnsRuntimeError(f"array index {idx} out of bounds (length {len(arr)})")
+    raise ArrayError(f"array index {idx} out of bounds (length {len(arr)})")
+
+
+def _raise_div0():
+    raise DivisionByZero("integer division by zero")
+
+
+def _raise_mod0():
+    raise DivisionByZero("integer modulo by zero")
 
 
 def _raise_null_call(name):
@@ -1163,6 +1240,13 @@ def _compound_mul(current, r):
 
 def _compound_div(current, r):
     v = _jdiv(current, r)
+    if isinstance(current, int) and isinstance(v, float):
+        v = int(v)
+    return v
+
+
+def _compound_mod(current, r):
+    v = _jmod(current, r)
     if isinstance(current, int) and isinstance(v, float):
         v = int(v)
     return v
@@ -1235,17 +1319,19 @@ class CodegenCompiler:
         self.interp = interp
         self.spec = interp.spec
         self.sharing = interp.sharing
+        #: whether the bodies emitted here plant trace counts
+        self.traced = TRACER.enabled
         self.bodies_emitted = 0
         self.sites_inlined = 0
         self._fns: Dict[Tuple[int, Any], Any] = {}
-        self._allocs: Dict[Any, Any] = {}
+        self._plans: Dict[Any, _Lazy] = {}
         #: emitted text per label; values are :class:`EmittedSource`
         #: (str subclasses carrying the per-line jns source map)
         self.sources: Dict[str, EmittedSource] = {}
         #: the same bodies keyed by compiled ``co_filename`` — how a
         #: live frame resolves back to its jns line
         self.by_filename: Dict[str, EmittedSource] = {}
-        self._devirt: Dict[int, _Bodies] = {}
+        self._devirt: Dict[int, _Lazy] = {}
         self._miss_fns: Dict[str, Any] = {}
         self._resolve_fns: Dict[str, Any] = {}
         self._fill_plain: Dict[str, Any] = {}
@@ -1306,41 +1392,39 @@ class CodegenCompiler:
 
     # -- allocation ------------------------------------------------------
 
-    def allocate(self, rtc, path, args):
-        """Specialized allocation over emitted initializers: a
-        :class:`~repro.runtime.values.SlottedInstance` over the
-        precomputed layout, with the walker's ``Interp._new_instance``
-        trace counts, schedule order, and constructor diagnostics."""
-        plan = self._allocs.get(path)
-        if plan is None:
-            cspec = self.spec.class_spec(path)
-            steps = []
-            for idx, decl, default in cspec.init_plan:
-                if decl is not None:
-                    steps.append((idx, self.init_fn(decl, path), None))
-                else:
-                    steps.append((idx, None, default))
-            plan = self._allocs[path] = (cspec.layout, tuple(steps))
-        layout, steps = plan
-        if TRACER.enabled:
-            TRACER.count("alloc")
-        inst = SlottedInstance(path, layout)
-        ref = Ref(inst, View(path))
-        inst.view_refs[path] = ref
-        slots = inst.slots
-        for idx, fn, default in steps:
-            slots[idx] = fn(ref) if fn is not None else default
+    def new_plans(self, path):
+        """The :class:`_NewPlan` of each constructor arity of class
+        ``path``, built on first lookup, so that its errors (an abstract
+        class, a sharing state that does not resolve) surface when a
+        ``new`` first runs."""
+        plans = self._plans.get(path)
+        if plans is None:
+            plans = self._plans[path] = _Lazy(
+                lambda nargs: self._new_plan(path, nargs)
+            )
+        return plans
+
+    def _new_plan(self, path, nargs):
         interp = self.interp
-        found = interp.loader.find_ctor(rtc, len(args))
-        if found is None:
-            if args:
+        rtc = interp.loader.rtclass(path)
+        if rtc.is_abstract:
+            raise JnsRuntimeError(f"cannot instantiate abstract class {path_str(path)}")
+        cspec = self.spec.class_spec(path)
+        steps = tuple(
+            (idx, None if decl is None else self.init_fn(decl, path), default)
+            for idx, decl, default in cspec.init_plan
+        )
+        found = interp.loader.find_ctor(rtc, nargs)
+        if found is not None:
+            ctor = self.method_fn(found[1], path)
+        elif nargs:
+            def ctor(ref, args):
                 raise JnsRuntimeError(
-                    f"no {len(args)}-argument constructor for {path_str(path)}"
+                    f"no {nargs}-argument constructor for {path_str(path)}"
                 )
         else:
-            _, ctor = found
-            self.method_fn(ctor, path)(ref, args)
-        return ref
+            ctor = None
+        return _NewPlan(interp, path, cspec.layout, steps, ctor, self.traced)
 
     # -- per-name closures referenced from emitted code ------------------
 
@@ -1419,7 +1503,7 @@ class CodegenCompiler:
         is shared), for devirtualized call sites; a new path emits."""
         bodies = self._devirt.get(id(decl))
         if bodies is None:
-            bodies = self._devirt[id(decl)] = _Bodies(
+            bodies = self._devirt[id(decl)] = _Lazy(
                 lambda vp: self.method_fn(decl, vp, owner)
             )
         return bodies
@@ -1484,7 +1568,7 @@ class CodegenCompiler:
 
         def make(n):
             if not isinstance(n, int) or n < 0:
-                raise JnsRuntimeError(f"bad array length {n!r}")
+                raise ArrayError(f"bad array length {n!r}")
             return [default] * n
 
         return make
@@ -1573,15 +1657,34 @@ class CodegenCompiler:
         return dyn_view
 
 
-class _Bodies(dict):
-    """View path -> emitted body; ``__missing__`` emits for a new path."""
+class _Lazy(dict):
+    """A dict that builds a missing value on first lookup: emitted bodies
+    by view path, allocation plans by arity."""
 
-    __slots__ = ("emit",)
+    __slots__ = ("build",)
 
-    def __init__(self, emit) -> None:
+    def __init__(self, build) -> None:
         super().__init__()
-        self.emit = emit
+        self.build = build
 
-    def __missing__(self, vp):
-        fn = self[vp] = self.emit(vp)
-        return fn
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _NewPlan:
+    """What ``interp.allocate`` needs for ``new P(...)`` with one arity: the
+    layout, one shared no-mask view of ``P``, the initializer schedule
+    (slot, emitted initializer or ``None``, default) and the emitted
+    constructor (``None`` for none; a raiser if the arity has none)."""
+
+    __slots__ = ("interp", "path", "layout", "view", "steps", "ctor", "traced")
+
+    def __init__(self, interp, path, layout, steps, ctor, traced) -> None:
+        self.interp = interp
+        self.path = path
+        self.layout = layout
+        self.view = View(path)
+        self.steps = steps
+        self.ctor = ctor
+        self.traced = traced

@@ -39,11 +39,14 @@ from ..source import ast
 from .loader import Loader, RTClass
 from .values import (
     ABSENT,
+    ArrayError,
+    DivisionByZero,
     Instance,
     JnsFailure,
     JnsRuntimeError,
     NullDereference,
     Ref,
+    SlottedInstance,
     UninitializedFieldError,
     default_value,
 )
@@ -102,7 +105,7 @@ def _jdiv(a, b):
     """Java division: ints truncate toward zero."""
     if isinstance(a, int) and isinstance(b, int):
         if b == 0:
-            raise JnsRuntimeError("integer division by zero")
+            raise DivisionByZero("integer division by zero")
         q = abs(a) // abs(b)
         return q if (a >= 0) == (b >= 0) else -q
     if b == 0:
@@ -111,10 +114,14 @@ def _jdiv(a, b):
 
 
 def _jmod(a, b):
+    """Java remainder: the sign of the dividend; a double remainder by
+    zero or of an infinity is NaN (``math.fmod`` raises there)."""
     if isinstance(a, int) and isinstance(b, int):
         if b == 0:
-            raise JnsRuntimeError("integer modulo by zero")
+            raise DivisionByZero("integer modulo by zero")
         return a - _jdiv(a, b) * b
+    if b == 0 or a == math.inf or a == -math.inf:
+        return math.nan
     return math.fmod(a, b)
 
 
@@ -127,7 +134,11 @@ def to_jstring(v: Any) -> str:
     if v is False:
         return "false"
     if isinstance(v, float):
-        if v == int(v) and abs(v) < 1e15 and not math.isinf(v):
+        if v != v:
+            return "NaN"
+        if math.isinf(v):
+            return "Infinity" if v > 0 else "-Infinity"
+        if v == int(v) and abs(v) < 1e15:
             return f"{v:.1f}"
         return repr(v)
     if isinstance(v, Ref):
@@ -325,7 +336,8 @@ class Interp:
         """J&s stack labels, outermost first, of the frames a traceback
         ``tb`` unwound: ``P.C.m`` per walker ``_guarded_call`` or emitted
         method body (its ``EmittedSource.stack_label``, found by
-        ``co_filename``), ``new P`` per ``_guarded_new``."""
+        ``co_filename``), ``new P`` per walker ``_guarded_new`` or codegen
+        ``allocate``."""
         by_filename = self._cg.by_filename if self._cg is not None else {}
         labels = []
         while tb is not None:
@@ -340,6 +352,10 @@ class Interp:
                     labels.append("new " + path_str(loc["path"]))
                 else:
                     labels.append(f"{path_str(loc['owner'])}.{loc['name']}")
+            elif code is _ALLOCATE:
+                plan = f.f_locals["plan"]
+                if plan.interp is self:
+                    labels.append("new " + path_str(plan.path))
             elif f.f_globals.get("_I") is self:
                 src = by_filename.get(code.co_filename)
                 if src is not None and src.stack_label:
@@ -359,6 +375,13 @@ class Interp:
         )
 
     def new_instance(self, path: Path, args: Tuple) -> Ref:
+        if self.codegen:
+            # the allocator an emitted ``new`` site calls (its plan makes
+            # the abstract-class check when it is built)
+            plan = self._codegen().new_plans(path)[len(args)]
+            if self._depth == 0:
+                return self._at_boundary(allocate, args, plan)
+            return allocate(args, plan)
         rtc = self.loader.rtclass(path)
         if rtc.is_abstract:
             raise JnsRuntimeError(f"cannot instantiate abstract class {path_str(path)}")
@@ -372,8 +395,6 @@ class Interp:
             raise self._depth_error()
         self._depth = depth
         try:
-            if self.codegen:
-                return self._codegen().allocate(rtc, path, args)
             return self._new_instance(rtc, path, args)
         finally:
             self._depth = depth - 1
@@ -463,8 +484,11 @@ class Interp:
             self._depth = depth - 1
 
     def _codegen(self):
+        """The codegen compiler.  Its bodies count trace events only if
+        tracing was on when it was built, so a tracer toggle drops it
+        (as an edit does, see :meth:`_on_table_edit`)."""
         cg = self._cg
-        if cg is None:
+        if cg is None or cg.traced != TRACER.enabled:
             from .codegen import CodegenCompiler
 
             cg = self._cg = CodegenCompiler(self)
@@ -816,7 +840,7 @@ class Interp:
     def _eval_newarray(self, e: ast.NewArray, frame):
         length = self.eval(e.length, frame)
         if not isinstance(length, int) or length < 0:
-            raise JnsRuntimeError(f"bad array length {length!r}")
+            raise ArrayError(f"bad array length {length!r}")
         return [default_value(e.elem_type)] * length
 
     def _eval_index(self, e: ast.Index, frame):
@@ -829,7 +853,7 @@ class Interp:
                 raise IndexError
             return arr[idx]
         except IndexError:
-            raise JnsRuntimeError(
+            raise ArrayError(
                 f"array index {idx} out of bounds (length {len(arr)})"
             ) from None
 
@@ -1081,8 +1105,10 @@ class Interp:
                 value = current - rhs
             elif binop == "*":
                 value = current * rhs
-            else:
+            elif binop == "/":
                 value = _jdiv(current, rhs)
+            else:
+                value = _jmod(current, rhs)
             if isinstance(current, int) and isinstance(value, float):
                 value = int(value)
         target = e.target
@@ -1098,7 +1124,7 @@ class Interp:
             if arr is None:
                 raise NullDereference("null array")
             if not 0 <= idx < len(arr):
-                raise JnsRuntimeError(
+                raise ArrayError(
                     f"array index {idx} out of bounds (length {len(arr)})"
                 )
             arr[idx] = value
@@ -1163,6 +1189,37 @@ class Interp:
         }
 
 
-#: the walker guards' code objects, which ``Interp._jns_stack`` labels
+def allocate(args, plan):
+    """``new P(args)`` under codegen, over a ``codegen._NewPlan``, in the
+    walker's order: the depth guard, the ``alloc`` count, the layout,
+    the initializer schedule, the constructor.  One function for every
+    class, so ``Interp._jns_stack`` labels its frames ``new P`` by code
+    object and no class pays a ``compile()``.  ``args`` comes first so
+    that an emitted site builds it before it looks up the plan (walker
+    order: arguments, then the class)."""
+    interp = plan.interp
+    depth = interp._depth + 1
+    if depth > interp._max_depth:
+        raise interp._depth_error()
+    interp._depth = depth
+    try:
+        if plan.traced:
+            TRACER.count("alloc")
+        path = plan.path
+        inst = SlottedInstance(path, plan.layout)
+        ref = Ref(inst, plan.view)
+        inst.view_refs[path] = ref
+        slots = inst.slots
+        for idx, fn, default in plan.steps:
+            slots[idx] = default if fn is None else fn(ref)
+        if plan.ctor is not None:
+            plan.ctor(ref, args)
+        return ref
+    finally:
+        interp._depth = depth - 1
+
+
+#: the code objects of the frames ``Interp._jns_stack`` labels
 _GUARDED_CALL = Interp._guarded_call.__code__
 _GUARDED_NEW = Interp._guarded_new.__code__
+_ALLOCATE = allocate.__code__

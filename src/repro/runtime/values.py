@@ -53,6 +53,18 @@ class UninitializedFieldError(JnsRuntimeError):
     code = "JNS-RUN-002"
 
 
+class ArrayError(JnsRuntimeError):
+    """An array index out of bounds, or a bad array length."""
+
+    code = "JNS-RUN-006"
+
+
+class DivisionByZero(JnsRuntimeError):
+    """Integer division or modulo by zero."""
+
+    code = "JNS-RUN-007"
+
+
 class JnsFailure(JnsRuntimeError):
     """Raised by the Sys.fail native."""
 

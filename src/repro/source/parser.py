@@ -36,7 +36,7 @@ from .tokens import (
 
 PRIMITIVES = ("int", "double", "boolean", "String", "void")
 
-_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
+_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
 
 
 class ParseError(JnsError):

@@ -62,6 +62,7 @@ PUNCTUATION = (
     "-=",
     "*=",
     "/=",
+    "%=",
     "++",
     "--",
     "{",

@@ -95,6 +95,30 @@ class TestRun:
         assert "JNS-RES" in err
         assert sys.getrecursionlimit() == limit_before
 
+    @pytest.mark.parametrize("backend", ["walker", "codegen"])
+    def test_run_double_remainder_by_zero_is_nan(self, tmp_path, backend):
+        """``%`` on doubles gives Java's NaN where ``math.fmod`` raises:
+        a zero divisor or an infinite dividend."""
+        import os
+        import subprocess
+
+        path = tmp_path / "nan.jns"
+        path.write_text(
+            "class Main { double main() { double a = 1.5; double z = 0.0; "
+            "Sys.print(a % z); Sys.print((a / z) % 2.0); return a % z; } }"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(path), "--backend", backend],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["NaN", "NaN", "=> nan"]
+        assert "Traceback" not in proc.stderr
+
     def test_run_max_depth_bounds_recursion(self, tmp_path, capsys):
         path = tmp_path / "recurse.jns"
         path.write_text("class Main { int main() { return main(); } }")

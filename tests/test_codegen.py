@@ -550,3 +550,262 @@ def test_reference_equality_matches_walker():
             False, True, False, True,
         )
     ]
+
+
+# ---------------------------------------------------------------------------
+# trace counts fixed at emission
+# ---------------------------------------------------------------------------
+
+#: per jolden driver, small arguments (perfbench's cold-run sizes)
+SMALL_ARGS = {
+    "bh": (8, 1, 7), "bisort": (5, 12345), "em3d": (16, 2, 2, 777),
+    "health": (2, 4, 42), "mst": (16, 321), "perimeter": (8,),
+    "power": (2, 2, 2, 2), "treeadd": (6, 2), "tsp": (16, 99),
+    "voronoi": (12, 5),
+}
+TOGGLED = ("mask.check", "dispatch.codegen_hit", "alloc")
+
+
+def _traced_run(interp, main, args):
+    obs.enable()
+    interp.call_method(main, "run", list(args))
+    counts = {name: obs.TRACER.counters.get(name, 0) for name in TOGGLED}
+    obs.disable()
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ARGS))
+def test_trace_counts_survive_a_tracer_toggle(name):
+    """Bodies count trace events only if tracing was on when they were
+    emitted, so turning tracing on rebuilds the compiler: a warm,
+    untraced interpreter then counts what one traced from the start
+    counts."""
+    from repro.programs.jolden import BY_NAME
+
+    program = compile_program(BY_NAME[name].SOURCE)
+    args = SMALL_ARGS[name]
+    warm = program.interp(mode="jns", backend="codegen")
+    main = warm.new_instance(("Main",), ())
+    warm.call_method(main, "run", list(args))
+    untraced = "".join(warm._cg.sources.values())
+    assert "_TR." not in untraced and "enabled" not in untraced
+    toggled = _traced_run(warm, main, args)
+    assert "_TR.count(" in "".join(warm._cg.sources.values())
+
+    obs.enable()
+    traced = program.interp(mode="jns", backend="codegen")
+    traced_main = traced.new_instance(("Main",), ())
+    assert _traced_run(traced, traced_main, args) == toggled
+    assert toggled["mask.check"] > 0 and toggled["alloc"] > 0
+
+
+# ---------------------------------------------------------------------------
+# type-directed /, %, .length and the allocator, against the walker
+# ---------------------------------------------------------------------------
+
+
+def _both(src, entry="Main.main", **kw):
+    """(result or (code, message), output) per backend."""
+    program = compile_program(src)
+    seen = {}
+    for backend in ("walker", "codegen"):
+        interp = program.interp(mode="jns", backend=backend, **kw)
+        try:
+            result = interp.run(entry)
+        except JnsError as exc:
+            result = (exc.code, str(exc), getattr(exc, "jns_stack", None))
+        seen[backend] = (result, interp.output)
+    assert seen["codegen"] == seen["walker"]
+    return seen["walker"]
+
+
+def _java_div(a, b):
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+DIVIDENDS = (-7, -6, -1, 0, 1, 6, 7)
+DIVISORS = (-3, -2, -1, 1, 2, 3)
+
+
+def test_int_division_and_remainder_match_walker():
+    """Every sign combination, a zero dividend, variable and folded
+    divisors, and the compound forms."""
+    lines = []
+    for a in DIVIDENDS:
+        for b in DIVISORS:
+            lines.append(
+                f"a = {a}; b = {b}; Sys.print(a / b); Sys.print(a % b); "
+                f"Sys.print(a / {b}); Sys.print(a % ({b})); "
+                f"c = a; c /= b; Sys.print(c); c = a; c %= b; Sys.print(c);"
+            )
+    src = (
+        "class Main { int main() { int a = 0; int b = 0; int c = 0; "
+        + " ".join(lines) + " return 0; } }"
+    )
+    _, output = _both(src)
+    expected = []
+    for a in DIVIDENDS:
+        for b in DIVISORS:
+            q = _java_div(a, b)
+            expected += [q, a - q * b] * 3
+    assert output == [str(v) for v in expected]
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("a / z", "integer division by zero"),
+    ("a % z", "integer modulo by zero"),
+    ("a / 0", "integer division by zero"),
+    ("a % 0", "integer modulo by zero"),
+    ("0 / z", "integer division by zero"),
+])
+def test_int_zero_divisor_is_an_arithmetic_error(expr, message):
+    result, _ = _both(
+        f"class Main {{ int main() {{ int a = 7; int z = 0; return {expr}; }} }}"
+    )
+    assert result == ("JNS-RUN-007", message, None)
+
+
+@pytest.mark.parametrize("stmt,message", [
+    ("a /= z;", "integer division by zero"),
+    ("a %= z;", "integer modulo by zero"),
+])
+def test_compound_zero_divisor_is_an_arithmetic_error(stmt, message):
+    result, _ = _both(
+        f"class Main {{ int main() {{ int a = 7; int z = 0; {stmt} return a; }} }}"
+    )
+    assert result == ("JNS-RUN-007", message, None)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("int[] xs = new int[2]; return xs[2];", "array index 2 out of bounds (length 2)"),
+    ("int[] xs = new int[2]; return xs[-1];", "array index -1 out of bounds (length 2)"),
+    ("int[] xs = new int[2]; xs[5] = 1; return 0;", "array index 5 out of bounds (length 2)"),
+    ("int[] xs = new int[2]; xs[-1] += 1; return 0;", "array index -1 out of bounds (length 2)"),
+    ("int n = -1; int[] xs = new int[n]; return 0;", "bad array length -1"),
+])
+def test_array_errors_are_array_errors(body, message):
+    result, _ = _both(f"class Main {{ int main() {{ {body} }} }}")
+    assert result == ("JNS-RUN-006", message, None)
+
+
+def test_double_holding_an_int_divides_as_the_walker_does():
+    """``double x = 3`` keeps a Python int on both backends, so ``x / 2``
+    truncates; a real double divides."""
+    _, output = _both("""
+class Main {
+  int main() {
+    double x = 3; double y = 7.0; double z = 0.0; double n = -1.5;
+    Sys.print(x / 2); Sys.print(y / 2); Sys.print(x / y); Sys.print(y / x);
+    Sys.print(y / z); Sys.print(n / z); Sys.print(z / z); Sys.print(x % 2);
+    Sys.print(y % 2); Sys.print(n % 1.0); Sys.print(y % z); Sys.print((y / z) % 2.0);
+    Sys.print(7 / 2.0); Sys.print(y / 0.5);
+    return 0;
+  }
+}
+""")
+    assert output == [
+        "1", "3.5", "0.42857142857142855", "2.3333333333333335",
+        "Infinity", "-Infinity", "NaN", "1",
+        "1.0", "-0.5", "NaN", "NaN",
+        "3.5", "14.0",
+    ]
+
+
+def test_length_of_a_null_array_is_a_null_dereference():
+    for body in (
+        "int[] xs = null; return xs.length;",
+        "return this.ys.length;",
+        "Main m = this; return m.ys.length;",
+    ):
+        result, _ = _both(
+            f"class Main {{ int[] ys; int main() {{ {body} }} }}"
+        )
+        assert result == (
+            "JNS-RUN-001", "null dereference reading field 'length'", None
+        )
+    result, _ = _both(
+        "class Main { int[] ys = new int[3]; "
+        "int main() { int[] xs = new int[4]; Main m = this; "
+        "return xs.length * 10 + m.ys.length + this.ys.length; } }"
+    )
+    assert result == 46
+
+
+def test_array_length_compiles_to_len():
+    interp = _interp(
+        "class Main { int main() { int[] xs = new int[4]; return xs.length; } }"
+    )
+    assert interp.run("Main.main") == 4
+    src = str(interp._cg.sources["Main.main"])
+    assert "_len(u_xs) if u_xs is not None" in src and "_gf" in src
+
+
+ALLOCATIONS = """
+class P { int v = 3; }
+class C { int v; C(int n) { v = n; } C(int a, int b) { v = a * 10 + b; } }
+class R { R next; int n; R(int k) { n = k; if (k > 0) { next = new R(k - 1); } } }
+class L { L next = new L(); }
+class F0 {
+  class A { A next; int n; A(int k) { n = k; if (k > 0) { next = new A(k - 1); } } }
+  class B { A make(int k) { return new A(k); } }
+}
+class F1 extends F0 { class A shares F0.A { } class B shares F0.B { } }
+class Main {
+  int main() { return new P().v + new C(4).v + new C(1, 2).v + new R(3).n; }
+  int family() { F1!.A a = new F1.B().make(3); return a.n + a.next.n; }
+  int deep() { R r = new R(1000); return r.n; }
+  int loop() { L l = new L(); return 0; }
+  int familyDeep() { F1!.A a = new F1.B().make(1000); return a.n; }
+  int noCtor() { P p = new P(1); return 0; }
+}
+"""
+
+
+@pytest.mark.parametrize("entry,expected", [
+    ("Main.main", 3 + 4 + 12 + 3),
+    ("Main.family", 5),
+    ("Main.deep", ["Main.deep"] + ["new R"] * 7),
+    ("Main.loop", ["Main.loop"] + ["new L"] * 7),
+    ("Main.familyDeep", ["Main.familyDeep", "F0.B.make"] + ["new F1.A"] * 6),
+    ("Main.noCtor", "JNS-RUN-000"),
+])
+def test_new_matches_walker_at_max_depth_7(entry, expected):
+    """Classes with and without constructors, recursion through a
+    constructor, a field initializer and a dependent (family) ``new``:
+    same result, code and full J&s stack (``new P`` frames included) as
+    the walker."""
+    program = compile_program(ALLOCATIONS, check=False)
+    seen = {}
+    for backend in ("walker", "codegen"):
+        interp = program.interp(mode="jns", backend=backend, max_depth=7)
+        try:
+            seen[backend] = interp.run(entry)
+        except JnsError as exc:
+            seen[backend] = (exc.code, str(exc), getattr(exc, "jns_stack", None))
+    assert seen["codegen"] == seen["walker"]
+    if isinstance(expected, list):
+        assert seen["walker"][0] == "JNS-RES-002"
+        assert seen["walker"][2] == expected
+    elif isinstance(expected, str):
+        assert seen["walker"][0] == expected
+    else:
+        assert seen["walker"] == expected
+
+
+def test_abstract_new_fails_at_every_attempt():
+    program = compile_program(
+        "abstract class Q { } class Main { int main() { Q q = new Q(); return 0; } }",
+        check=False,
+    )
+    interp = program.interp(mode="jns", backend="codegen")
+    for _ in range(2):
+        with pytest.raises(JnsError, match="cannot instantiate abstract class Q"):
+            interp.run("Main.main")
+
+
+def test_allocation_shares_one_unmasked_view_per_class():
+    interp = _interp("class P { int v = 3; } class Main { int main() { return 0; } }")
+    a = interp.new_instance(("P",), ())
+    b = interp.new_instance(("P",), ())
+    assert a.inst is not b.inst and a.view is b.view and not a.view.masks

@@ -42,6 +42,13 @@ def probe_programs(draw):
     write_y = new_field and draw(st.booleans())  # unmask then read back
     call_tag = draw(st.booleans())     # tag() stays sealed: devirt target
     dig = draw(st.integers(0, 6))      # Main.deep's recursion depth
+    # an int / or % (signs and a zero divisor drawn; the divisor a local
+    # or a folded literal) and an array .length (possibly of null)
+    dividend = draw(st.integers(-9, 9))
+    divisor = draw(st.integers(-4, 4))
+    arith_op = draw(st.sampled_from(["/", "%", "/=", "%="]))
+    literal_divisor = draw(st.booleans())
+    arr_len = draw(st.integers(-1, 3))  # -1: a null array
 
     b_base = "class B extends A { int get() { return x + 100; } }" if use_b else ""
     b_derived = "class B shares F0.B { }" if share_b else ""
@@ -55,6 +62,12 @@ def probe_programs(draw):
         y_use = f"v.y = {y}; s = s + v.y;" if write_y else ""
         return f"F1!.A{mask} v = (view F1!.A{mask})a; s = s + v.get(); {y_use}"
     tag_block = "s = s + a.tag();" if call_tag else ""
+    den = f"({divisor})" if literal_divisor else "ds"
+    if arith_op in ("/", "%"):
+        arith = f"s = s + (dv {arith_op} {den});"
+    else:
+        arith = f"dv {arith_op} {den}; s = s + dv;"
+    arr = "null" if arr_len < 0 else f"new int[{arr_len}]"
 
     src = f"""
 class F0 {{
@@ -90,7 +103,12 @@ class Main {{
       {tag_block}
       {view_block("i")}
     }}
-    return s;
+    Sys.print(s);
+    int dv = {dividend};
+    int ds = {divisor};
+    {arith}
+    int[] arr = {arr};
+    return s + arr.length;
   }}
 }}
 """
