@@ -11,7 +11,8 @@ directly into the emitted text:
   as literal ``inst.slots[i]`` accesses;
 * sealed-family (and receiver-monomorphic) devirtualized targets become
   direct calls to the emitted callee, behind the usual view-path guard;
-* ``PLAN_NOOP`` view retargets are erased to a two-comparison guard and
+* ``PLAN_NOOP`` view retargets are erased to a two-comparison guard (at
+  ``this.f`` reads and at inline-cache read sites alike) and
   ``PLAN_ADAPT`` retargets are inlined as a single ``_adapt`` call;
 * constants are folded and J&s locals become real Python locals.
 
@@ -59,7 +60,7 @@ from ..lang.classtable import JnsError, ResolveError, path_str
 from ..lang.types import ClassType, View
 from ..obs import PROFILER, TRACER
 from ..source import ast
-from .interp import _jdiv, _jmod, allocate, to_jstring
+from .interp import _jdiv, _jint, _jmod, allocate, to_jstring
 from .values import (
     ABSENT,
     ArrayError,
@@ -148,6 +149,8 @@ def _jadd(a, b):
 
 _NUMERIC = (T.INT, T.DOUBLE)
 _PRIMITIVE = (T.INT, T.DOUBLE, T.BOOLEAN, T.STRING)
+#: an inline-cache read site's no-op paths when its plan is not PLAN_NOOP
+_NO_PATHS = frozenset()
 
 _TEMP_RE = re.compile(r"_t\d+$")
 
@@ -614,7 +617,9 @@ class _Emitter:
         if isinstance(t_pure, T.PrimType):
             inner = self.emit(e.expr)
             if t_pure == T.INT:
-                return f"{self.helper('_int', int)}({inner})"
+                if self._rt(e.expr) == T.INT:
+                    return f"{self.helper('_int', int)}({inner})"
+                return f"{self.helper('_jint', _jint)}({inner})"
             if t_pure == T.DOUBLE:
                 return f"{self.helper('_float', float)}({inner})"
             if t_pure == T.BOOLEAN:
@@ -680,9 +685,10 @@ class _Emitter:
         fill = self.const(self.cg.fill_shared_fn(name))
         plan = self.const(self.cg.plan_apply_fn(name))
         mblk = self.helper("_mblk", _raise_masked)
-        site = self.const([None, -1, None])
+        site = self.const([None, -1, None, None])
         self.cg.note_site()
         ab = self.helper("_ABSENT", ABSENT)
+        wv = self.temp()
         self.w(f"if {o}.__class__ is {ref}:")
         self.count("mask.check", "    ")
         if self.lp:
@@ -694,7 +700,13 @@ class _Emitter:
         self.w(f"    if {t} is {ab}:")
         self.w(f"        {t} = {gf}({o}, {name!r})")
         self.w(f"    elif {site}[2] is not None and {t}.__class__ is {ref}:")
-        self.w(f"        {t} = {plan}({site}[2], {t}, {o})")
+        # the site's no-op paths (PLAN_NOOP) skip the call, as in _this_read
+        self.w(f"        {wv} = {t}.view")
+        self.w(f"        if {wv}.path not in {site}[3] or {wv}.masks:")
+        self.w(f"            {t} = {plan}({site}[2], {t}, {o})")
+        if self.lp:
+            pfv = self.helper("_pfv", PROFILER.view_hit)
+            self.w(f"        else: {pfv}()")
         self.w(f"else:")
         self.w(f"    {t} = {gf}({o}, {name!r})")
         return t
@@ -782,7 +794,7 @@ class _Emitter:
             self.w(f"    {sf}({o}, {name!r}, {v})")
             return
         fill = self.const(self.cg.fill_shared_fn(name))
-        site = self.const([None, -1, None])
+        site = self.const([None, -1, None, None])
         unmask = self.helper("_unmask", _remove_mask)
         self.w(f"if {o}.__class__ is {ref}:")
         self.w(f"    if {site}[0] != {o}.view.path: {fill}({site}, {o})")
@@ -1463,7 +1475,12 @@ class CodegenCompiler:
                 i = cspec.slot_of.get(name)
                 if i is None:
                     raise JnsRuntimeError(f"no field {name!r} on {path_str(vp)}")
-                site[0], site[1], site[2] = vp, i, cspec.read_plan.get(name)
+                plan = cspec.read_plan.get(name)
+                if plan is not None and plan[0] == 0:  # PLAN_NOOP
+                    noops = plan[1]
+                else:
+                    noops = _NO_PATHS
+                site[0], site[1], site[2], site[3] = vp, i, plan, noops
 
             fn = self._fill_shared[name] = fill
         return fn
@@ -1478,12 +1495,7 @@ class CodegenCompiler:
 
             def apply_plan(plan, v, o):
                 tag = plan[0]
-                if tag == 0:  # PLAN_NOOP
-                    w = v.view
-                    if w.path in plan[1] and not w.masks:
-                        if PROFILER.enabled:
-                            PROFILER.view_hit()
-                        return v
+                if tag == 0:  # PLAN_NOOP: the site's no-op test failed
                     return adapt(v, plan[2])
                 if tag == 1:  # PLAN_ADAPT
                     return adapt(v, plan[1])

@@ -125,6 +125,19 @@ def _jmod(a, b):
     return math.fmod(a, b)
 
 
+def _jint(v):
+    """Java's ``(int)``: ``int()``, except that NaN gives 0 and an
+    infinity the int bound of its sign (``int()`` raises on both)."""
+    try:
+        return int(v)
+    except (ValueError, OverflowError):
+        if not isinstance(v, float):
+            raise
+        if v != v:
+            return 0
+        return 2147483647 if v > 0 else -2147483648
+
+
 def to_jstring(v: Any) -> str:
     """Java-flavored string conversion for Sys.print and ``+``."""
     if v is None:
@@ -220,6 +233,11 @@ class Interp:
         self._q_dispatch = q("dispatch")
         self._q_retarget = q("retarget")
         self._q_conforms = q("conforms")
+        # (target, (view path, masks)) -> the view a lazy view change
+        # moves to, or None for "unchanged".  Unbounded: its keys are the
+        # program's evaluated target types and the views that reach them,
+        # both finite, and LRU upkeep would cost a dict pop per hit.
+        self._q_view_change = q("view_change", maxsize=None)
         self._q_site = q("call_site")
         # Legacy aliases: the underlying dicts of the queries (cleared in
         # place, never replaced), kept for introspection/tests.
@@ -508,6 +526,7 @@ class Interp:
             self._q_dispatch.table.clear()
             self._retarget_cache.clear()
             self._conforms_cache.clear()
+            self._q_view_change.table.clear()
             self._q_site.table.clear()
             if self.spec is not None:
                 self.spec.invalidate_classes(notice.affected)
@@ -766,6 +785,8 @@ class Interp:
         except (ResolveError, JnsError):
             evaled = None
         if this_only and all(p == ("this",) for p in paths):
+            if evaled is not None:
+                evaled = T.intern_type(evaled)  # see Specializer._read_plans
             self._q_retarget.put(key, evaled)
         return evaled
 
@@ -961,7 +982,7 @@ class Interp:
         t_pure = t.pure()
         if isinstance(t_pure, T.PrimType):
             if t_pure == T.INT:
-                return int(v)
+                return _jint(v)
             if t_pure == T.DOUBLE:
                 return float(v)
             if t_pure == T.BOOLEAN:
@@ -1008,20 +1029,23 @@ class Interp:
 
     def _adapt(self, ref: Ref, target: Type) -> Ref:
         """The run-time ``view`` function with memoized reference objects
-        (Section 6.3)."""
+        (Section 6.3).
+
+        The view to move to comes from :meth:`_view_change` (once warm,
+        a lookup by target, then by the source view's path and masks);
+        the reference object comes from the instance's ``view_refs``
+        memo.  Every call counts one profiler view hit, and when traced
+        one ``conforms.check`` and one of ``view_change.noop``/
+        ``memo_hit``/``new_ref``."""
         if PROFILER.enabled:
             PROFILER.view_hit()
-        current = ref.view
-        t_pure = target.pure()
-        masks = target.masks
-        if self.conforms(current, t_pure):
-            if current.masks == masks:
-                if TRACER.enabled:
-                    TRACER.count("view_change.noop")
-                return ref
-            new_view = View(current.path, frozenset(masks))
-        else:
-            new_view = self.table.view_of(current, target)
+        if TRACER.enabled:
+            TRACER.count("conforms.check")
+        new_view = self._view_change(ref.view, target)
+        if new_view is None:
+            if TRACER.enabled:
+                TRACER.count("view_change.noop")
+            return ref
         inst = ref.inst
         if self.memoize_views:
             memo = inst.view_refs.get(new_view.path)
@@ -1035,6 +1059,36 @@ class Interp:
         if TRACER.enabled:
             TRACER.count("view_change.new_ref")
         return new_ref
+
+    def _view_change(self, current: View, target: Type) -> Optional[View]:
+        """The view a reference viewed as ``current`` takes when adapted to
+        ``target``, or ``None`` when it stays as it is: the ``view_change``
+        query.  Entries live in one table per target, keyed by the view's
+        ``(path, masks)``, so a hit hashes the target once and no View.
+        Raises, uncached, when no shared view exists."""
+        q = self._q_view_change
+        per_target = q.table.get(target)
+        key = (current.path, current.masks)
+        if per_target is not None:
+            found = per_target.get(key, MISS)
+            if found is not MISS:
+                q.hits += 1
+                return found
+        q.misses += 1
+        t_pure = target.pure()
+        if self._conforms(current.path, t_pure):
+            masks = target.masks
+            if current.masks == masks:
+                found = None
+            else:
+                found = View(current.path, frozenset(masks))
+        else:
+            found = self.table.view_of(current, target)
+        if per_target is None:
+            # a no-op put when caches are off: the entry is then dropped
+            per_target = q.put(target, {})
+        per_target[key] = found
+        return found
 
     def propagate_views(self, ref: Ref) -> int:
         """Eagerly move every object transitively reachable from ``ref``
@@ -1169,7 +1223,7 @@ class Interp:
             "atan2": math.atan2,
             "log": math.log,
             "exp": math.exp,
-            "intOf": lambda x: int(x),
+            "intOf": _jint,
             "doubleOf": lambda x: float(x),
             "str": to_jstring,
             "strLen": len,

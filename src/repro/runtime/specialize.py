@@ -209,8 +209,10 @@ class Specializer:
                 continue
             this_view = View(rtc.path)
             try:
-                evaled: Optional[Type] = self.table.eval_type(
-                    decl_type, lambda p: this_view
+                # interned, so equal targets of different classes are one
+                # key object in Interp's view_change query
+                evaled: Optional[Type] = T.intern_type(
+                    self.table.eval_type(decl_type, lambda p: this_view)
                 )
             except (ResolveError, JnsError):
                 evaled = None

@@ -30,7 +30,9 @@ def _caches_restored():
 def probe_programs(draw):
     """Two-family programs with randomized sharing structure, including a
     slice of *invalid* ones (unshared subclass + view change; bad mask)
-    so the diagnostic output is differentially covered too."""
+    so the diagnostic output is differentially covered too.  A drawn
+    link field ``A next`` (optionally ``A\\x next``) read through the
+    other family covers lazy implicit view changes."""
     x0 = draw(st.integers(0, 40))
     bonus = draw(st.integers(1, 9))
     loops = draw(st.integers(1, 3))
@@ -40,6 +42,8 @@ def probe_programs(draw):
     new_field = draw(st.booleans())    # derived A introduces y (needs mask)
     do_view = draw(st.booleans())      # Main performs a view change
     forget_mask = new_field and draw(st.booleans())  # inject a type error
+    link = draw(st.booleans())         # A has a view-dependent link `next`
+    mask_link = link and draw(st.booleans())  # the link's type masks x
 
     b_base = "class B extends A { int get() { return x + 100; } }" if use_b else ""
     b_derived = "class B shares F0.B { }" if share_b else ""
@@ -47,14 +51,37 @@ def probe_programs(draw):
     y_decl = "int y;" if new_field else ""
     mask = "" if (not new_field or forget_mask) else "\\y"
 
+    link_decl = ""
+    link_set = ""
+    link_read = ""
+    if link:
+        link_decl = "A\\x next;" if mask_link else "A next;"
+        link_set = "a.next = new F0.A();"
+        if mask_link:
+            # read through the other family: a lazy view change to the
+            # masked target, then the write that lifts the mask
+            link_read = (
+                "Sys.print(Sys.viewName(v.next)); "
+                "F1!.A\\x w = v.next; w.x = i + 5; s = s + w.get();"
+            )
+        else:
+            link_set += " s = s + a.next.get();"
+            link_read = (
+                "Sys.print(Sys.viewName(v.next)); "
+                "s = s + v.next.get() + v.next.get();"
+            )
+
     view_block = ""
     if do_view:
-        view_block = f"F1!.A{mask} v = (view F1!.A{mask})a; s = s + v.get();"
+        view_block = (
+            f"F1!.A{mask} v = (view F1!.A{mask})a; s = s + v.get(); {link_read}"
+        )
 
     src = f"""
 class F0 {{
   class A {{
     int x = {x0};
+    {link_decl}
     int get() {{ return x; }}
   }}
   {b_base}
@@ -71,6 +98,7 @@ class Main {{
     int s = 0;
     for (int i = 0; i < {loops}; i++) {{
       F0!.A a = new F0.A();
+      {link_set}
       s = s + a.get();
       {view_block}
     }}

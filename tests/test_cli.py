@@ -119,6 +119,33 @@ class TestRun:
         assert proc.stdout.splitlines() == ["NaN", "NaN", "=> nan"]
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("backend", ["walker", "codegen"])
+    def test_run_int_cast_of_nan_and_infinity(self, tmp_path, backend):
+        """``(int)`` of NaN or an infinity gives Java's value, not a
+        Python traceback."""
+        import os
+        import subprocess
+
+        path = tmp_path / "cast.jns"
+        path.write_text(
+            "class Main { int main() { double z = 0.0; "
+            "Sys.print((int)(0.0 / z)); Sys.print((int)(1.0 / z)); "
+            "Sys.print(Sys.intOf(-1.0 / z)); return (int)(-1.0 / z); } }"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(path), "--backend", backend],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "0", "2147483647", "-2147483648", "=> -2147483648"
+        ]
+        assert "Traceback" not in proc.stderr
+
     def test_run_max_depth_bounds_recursion(self, tmp_path, capsys):
         path = tmp_path / "recurse.jns"
         path.write_text("class Main { int main() { return main(); } }")

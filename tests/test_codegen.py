@@ -712,6 +712,39 @@ class Main {
     ]
 
 
+INT_CASTS = """
+class Main {
+  int main() {
+    double z = 0.0; double h = 2.9; int k = 7;
+    Sys.print((int)(0.0 / z)); Sys.print((int)(1.0 / z)); Sys.print((int)(-1.0 / z));
+    Sys.print(Sys.intOf(0.0 / z)); Sys.print(Sys.intOf(1.0 / z));
+    Sys.print(Sys.intOf(-1.0 / z));
+    Sys.print((int)h); Sys.print((int)(-h)); Sys.print((int)k); Sys.print((int)(1.0e12));
+    return (int)(0.0 / z);
+  }
+}
+"""
+
+
+def test_int_cast_of_nan_and_infinity_is_java_s():
+    """``(int)`` and ``Sys.intOf`` give Java's 0 for NaN and the int
+    bound of an infinity's sign, on both backends; a finite value
+    truncates as before, out of int range included."""
+    result, output = _both(INT_CASTS)
+    assert result == 0
+    assert output == [
+        "0", "2147483647", "-2147483648", "0", "2147483647", "-2147483648",
+        "2", "-2", "7", "1000000000000",
+    ]
+
+
+def test_int_cast_of_a_static_int_stays_a_plain_int_call():
+    interp = _interp(INT_CASTS)
+    interp.run("Main.main")
+    src = str(interp._cg.sources["Main.main"])
+    assert "_int(u_k)" in src and "_jint(u_h)" in src
+
+
 def test_length_of_a_null_array_is_a_null_dereference():
     for body in (
         "int[] xs = null; return xs.length;",

@@ -290,3 +290,67 @@ def test_subclass_rtclass_evicted_on_superclass_edit():
     assert not inc.check().has_errors
     obj2 = live.new_instance(("app", "B"), [])
     assert live.call_method(obj2, "twice", []) == 42
+
+
+LINKED = """\
+class F0 {
+  class A {
+    int v;
+    A next;
+    String tag() { return "F0." + v; }
+  }
+}
+class F1 extends F0 {
+  class A shares F0.A {
+    String tag() { return "F1." + v; }
+  }
+}
+class Main {
+  String main() sharing F0!.A = F1!.A {
+    F0!.A a = new F0.A();
+    F0!.A b = new F0.A();
+    a.v = 1;
+    b.v = 2;
+    a.next = b;
+    F1!.A x = (view F1!.A)a;
+    return x.tag() + " " + x.next.tag() + " " + Sys.viewName(x.next);
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["walker", "codegen"])
+@pytest.mark.parametrize("caches", ["warm", "cleared", "disabled"])
+def test_edit_invalidates_view_transitions(backend, caches):
+    """``x.next`` adapts ``b`` to the reader's family until an edit
+    declares the link ``F0.A``; an interpreter kept warm across the edit
+    (as ``repro serve`` keeps one) then answers like a fresh compile."""
+    from repro import clear_caches, compile_program, set_caches_enabled
+
+    edited = LINKED.replace("    A next;", "    F0.A next;")
+    set_caches_enabled(caches != "disabled")
+    try:
+        inc = IncrementalChecker(LINKED, file="t.jns")
+        assert not inc.check().has_errors
+        live = Interp(inc.table, backend=backend)
+        assert live.run("Main.main") == "F1.1 F1.2 F1.A"
+        assert len(live._q_view_change) == (caches != "disabled")
+        stats = inc.apply_edit(edited)
+        assert not inc.check().has_errors
+        if caches == "disabled":
+            # with no caches to reuse the edit rebuilds the table, and a
+            # new table gets a new interpreter, as repro serve does it
+            assert stats["strategy"] == "scratch"
+            live = Interp(inc.table, backend=backend)
+        else:
+            assert stats["strategy"] == "incremental"
+            assert live.table is inc.table
+        assert len(live._q_view_change) == 0
+        if caches == "cleared":
+            clear_caches()
+        fresh = compile_program(edited).interp(backend=backend).run("Main.main")
+        assert fresh == "F1.1 F0.2 F0.A"
+        assert live.run("Main.main") == fresh
+    finally:
+        set_caches_enabled(True)
+        clear_caches()

@@ -81,6 +81,20 @@ class TestViewChange:
         again = interp.call_method(main, "toA", [a])
         assert again.view.path == ("A", "C")
 
+    def test_view_transition_is_keyed_by_the_source_masks(self):
+        """Two views of one class that differ only in masks move to the
+        same unmasked target differently: one stays, one drops its mask
+        and lands on the memoized unmasked reference."""
+        from repro.lang.types import View
+        from repro.runtime.values import Ref
+
+        interp, main = setup(PAIR)
+        a = interp.call_method(main, "makeA", [])
+        target = a.view.as_type()
+        assert interp._adapt(a, target) is a
+        masked = Ref(a.inst, View(a.view.path, frozenset({"payload"})))
+        assert interp._adapt(masked, target) is a
+
     def test_created_in_derived_viewed_in_base(self):
         interp, main = setup(PAIR)
         b = interp.new_instance(("B", "C"), ())
@@ -281,6 +295,87 @@ class TestViewAblations:
         interp, harness, root = self._tree()
         xroot = interp.call_method(harness, "change", [root])
         assert interp.propagate_views(xroot) == 2 ** self.HEIGHT - 1
+
+
+class TestViewChangeCounts:
+    """The ``view_change`` query and codegen's inline no-op reads move no
+    count: the traced counts of a fixed CorONA evolution and the line
+    profiler's view column of a Table 2 run are pinned, per backend."""
+
+    #: measured before view transitions were memoized per (view, target)
+    #: and before inline-cache read sites skipped no-op reads
+    PINNED = {
+        "walker": {
+            "conforms.check": 2400,
+            "view_change.noop": 1769,
+            "view_change.memo_hit": 522,
+            "view_change.new_ref": 109,
+            "view_change.explicit": 65,
+        },
+        "codegen": {
+            "conforms.check": 640,
+            "view_change.noop": 9,
+            "view_change.memo_hit": 522,
+            "view_change.new_ref": 109,
+            "view_change.explicit": 65,
+        },
+    }
+
+    TREES_MAIN = """
+class Main {
+  int main() {
+    Harness h = new Harness();
+    tree!.Node root = h.create(4);
+    int s = h.traverse(root);
+    xtree!.Node x = h.change(root);
+    s = s + h.traverseExt(x) + h.traverseExt(x);
+    return s + h.traverseExt(h.translate(root));
+  }
+}
+"""
+    #: jns line -> view events; lines 37-38 read ``n.left``/``n.right``
+    #: through a local, an inline-cache site whose reads are no-ops
+    TREES_VIEW = {9: 14, 10: 14, 28: 42, 29: 42, 37: 14, 38: 14, 52: 1}
+
+    @pytest.fixture(autouse=True)
+    def _tracer_restored(self):
+        yield
+        obs.disable()
+        obs.TRACER.reset()
+
+    @pytest.mark.parametrize("backend", ["walker", "codegen"])
+    def test_corona_evolution_counts(self, backend):
+        from repro.programs.corona import CoronaSystem
+
+        obs.enable()
+        system = CoronaSystem(size=8, objects=16, backend=backend)
+        contents = []
+        for family in ("corona", "pccorona", "beecorona"):
+            if family != "corona":
+                system.evolve(family)
+            for start in range(4):
+                contents.append(
+                    [system.fetch(start, key, family) for key in range(0, 16, 3)]
+                )
+            system.publish(5, 2, "v2")
+        obs.disable()
+        counters = obs.TRACER.counters
+        pinned = self.PINNED[backend]
+        assert {name: counters.get(name, 0) for name in pinned} == pinned
+        assert system.interp.get_field(system.net, "totalHops") == 74
+        assert contents == [[f"feed-{key}" for key in range(0, 16, 3)]] * 12
+
+    @pytest.mark.parametrize("backend", ["walker", "codegen"])
+    def test_trees_profile_view_column(self, backend, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "trees.jns"
+        path.write_text(trees.SOURCE + self.TREES_MAIN)
+        assert main(["profile", str(path), "--det-backend", backend, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["lines"]
+        assert {r["line"]: r["view"] for r in rows if r["view"]} == self.TREES_VIEW
 
 
 class TestEvolution:
