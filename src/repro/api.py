@@ -18,7 +18,6 @@ front-end and semantic stage through one :class:`~repro.diagnostics.DiagnosticSi
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from .diagnostics import DiagnosticSink
@@ -34,6 +33,7 @@ from .lang.queries import (
 )
 from .lang.resolve import resolve_program
 from .lang.typecheck import CheckReport, check_program
+from .records import Record
 from .runtime.interp import Interp
 from .source.parser import parse_program
 
@@ -45,12 +45,21 @@ def cache_stats() -> CacheStats:
     return global_stats()
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A compiled J&s program: resolved AST + class table + check report."""
 
-    table: ClassTable
-    report: Optional[CheckReport]
+    __slots__ = ("table", "report")
+
+    def __init__(self, table: ClassTable, report: Optional[CheckReport]) -> None:
+        self.table = table
+        self.report = report
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.table == other.table and self.report == other.report
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
     def interp(
         self,

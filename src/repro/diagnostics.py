@@ -27,8 +27,11 @@ check``).  Add new codes at the end of a group — never renumber.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from .records import Frozen, Record
+
+_set = object.__setattr__
 
 #: Severities, most severe first.
 ERROR = "error"
@@ -95,16 +98,39 @@ CODES: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Frozen):
     """A source region.  Lines and columns are 1-based; ``end_*`` default
     to the start so a bare position renders as a single caret."""
 
-    line: int
-    col: int
-    end_line: Optional[int] = None
-    end_col: Optional[int] = None
-    file: Optional[str] = None
+    __slots__ = ("line", "col", "end_line", "end_col", "file")
+
+    def __init__(
+        self,
+        line: int,
+        col: int,
+        end_line: Optional[int] = None,
+        end_col: Optional[int] = None,
+        file: Optional[str] = None,
+    ) -> None:
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "end_line", end_line)
+        _set(self, "end_col", end_col)
+        _set(self, "file", file)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.line == other.line
+                and self.col == other.col
+                and self.end_line == other.end_line
+                and self.end_col == other.end_col
+                and self.file == other.file
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.col, self.end_line, self.end_col, self.file))
 
     @classmethod
     def from_pos(cls, pos: Optional[Tuple[int, int]], file: Optional[str] = None):
@@ -143,25 +169,52 @@ class Span:
         return f"{prefix}{self.line}:{self.col}"
 
 
-@dataclass
-class Diagnostic:
-    """One reportable condition with a stable code."""
+class Diagnostic(Record):
+    """One reportable condition with a stable code.
 
-    code: str
-    severity: str
-    message: str
-    span: Optional[Span] = None
-    where: Optional[str] = None  # semantic context, e.g. "Main.main"
-    notes: List[str] = field(default_factory=list)
-    #: Optional refutation tree (a serialized
-    #: :class:`repro.lang.provenance.Derivation`) explaining *why* the
-    #: judgment behind this diagnostic failed; populated by the type
-    #: checker under ``check --json --explain``.
-    explain: Optional[Dict[str, Any]] = None
+    ``where`` is the semantic context (e.g. ``"Main.main"``).  ``explain``
+    is an optional refutation tree (a serialized
+    :class:`repro.lang.provenance.Derivation`) explaining *why* the
+    judgment behind this diagnostic failed; the type checker fills it
+    under ``check --json --explain``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.severity not in SEVERITIES:
-            raise ValueError(f"unknown severity {self.severity!r}")
+    __slots__ = ("code", "severity", "message", "span", "where", "notes", "explain")
+
+    def __init__(
+        self,
+        code: str,
+        severity: str,
+        message: str,
+        span: Optional[Span] = None,
+        where: Optional[str] = None,
+        notes: Optional[List[str]] = None,
+        explain: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        if severity not in SEVERITIES:
+            raise ValueError(f"unknown severity {severity!r}")
+        self.code = code
+        self.severity = severity
+        self.message = message
+        self.span = span
+        self.where = where
+        self.notes = [] if notes is None else notes
+        self.explain = explain
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.code == other.code
+                and self.severity == other.severity
+                and self.message == other.message
+                and self.span == other.span
+                and self.where == other.where
+                and self.notes == other.notes
+                and self.explain == other.explain
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
         # Keep the historical "<where>: <message>" shape so existing

@@ -241,16 +241,6 @@ class ClassTable:
                 live.append(ref)
         self._edit_listeners[:] = live
 
-    def add_decl(self, path: Path, decl: ast.ClassDecl) -> None:
-        if path in self.explicit:
-            raise ResolveError(
-                f"duplicate class {path_str(path)}", code="JNS-RESOLVE-005"
-            )
-        self.explicit[path] = ClassInfo(path, decl)
-
-    def remove_decl(self, path: Path) -> None:
-        del self.explicit[path]
-
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
@@ -1026,14 +1016,6 @@ class ClassTable:
         )
         return self.fclass(target, fname)
 
-    def types_fully_shared(self, t1: ClassType, t2: ClassType) -> bool:
-        """Whether every subclass of t1 (in its locally closed world) has a
-        shared counterpart under t2 and vice versa — the bidirectional
-        version of SH-CLS used for auto-masking decisions."""
-        return self.directional_sharing_holds(t1, t2) and self.directional_sharing_holds(
-            t2, t1
-        )
-
     def subclasses_of(self, bound: ClassType) -> Tuple[Path, ...]:
         """All classes P with P! <= bound, enumerated in the locally closed
         world (bound should have an exact prefix for this to be modular,
@@ -1057,20 +1039,6 @@ class ClassTable:
             # bound itself exact: p must be exactly bound
             return p == bound.path
         return p[:m] == bound.path[:m]
-
-    def directional_sharing_holds(self, src: ClassType, dst: ClassType) -> bool:
-        """SH-CLS premise: every subclass of ``src`` has a unique shared
-        subclass of ``dst``."""
-        self._build_sharing()
-        for p1 in self.subclasses_of(src):
-            matches = [
-                p2
-                for p2 in self.subclasses_of(dst)
-                if self.shared_with(p1, p2)
-            ]
-            if len(matches) != 1:
-                return False
-        return True
 
     def view_of(self, current: View, target: Type) -> View:
         """The run-time ``view`` function (Section 4.15): retarget a

@@ -46,7 +46,6 @@ module only decides *which* input keys an edit bumps.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
@@ -54,6 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..diagnostics import Diagnostic, DiagnosticSink
 from ..errors import JnsError
 from ..obs import TRACER
+from ..records import Record
 from ..source import ast
 from ..source.lexer import tokenize
 from ..source.parser import parse_decls, parse_program
@@ -86,13 +86,26 @@ _INDENT_RE = re.compile(r"^([ \t]+)(?:abstract[ \t]+)?class\b", re.MULTILINE)
 _CLOSE_RE = re.compile(r"^\}", re.MULTILINE)
 
 
-@dataclasses.dataclass
-class Sig:
+class Sig(Record):
     """The three change-granularity signatures of one class declaration."""
 
-    struct: Any
-    api: Any
-    body: Any
+    __slots__ = ("struct", "api", "body")
+
+    def __init__(self, struct: Any, api: Any, body: Any) -> None:
+        self.struct = struct
+        self.api = api
+        self.body = body
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.struct == other.struct
+                and self.api == other.api
+                and self.body == other.body
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 #: Chunk kinds.  ``top`` and ``nested`` chunks parse standalone

@@ -44,8 +44,11 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+
+from ..records import Frozen
+
+_set = object.__setattr__
 
 __all__ = [
     "DEFAULT_MAXSIZE",
@@ -206,9 +209,6 @@ class Query:
         "hits",
         "misses",
         "revalidations",
-        "retired_hits",
-        "retired_misses",
-        "retired_revalidations",
         "maxsize",
         "_enabled",
         "_versions",
@@ -228,12 +228,6 @@ class Query:
         # stale but all inputs unchanged) — the "revalidate" slice of the
         # red/green discipline, surfaced per query in labeled metrics.
         self.revalidations = 0
-        # Counters folded in from a retired/cleared incarnation of this
-        # query so ``--stats`` never under-reports across an invalidation
-        # (see CacheStats; live hits/misses keep accumulating on top).
-        self.retired_hits = 0
-        self.retired_misses = 0
-        self.retired_revalidations = 0
         self.maxsize = DEFAULT_MAXSIZE if maxsize is _DEFAULT else maxsize
         self._enabled = _ENABLED
         self._versions = versions
@@ -371,17 +365,45 @@ class Query:
         return len(self.table)
 
 
-@dataclass(frozen=True)
-class QueryStat:
-    """Counters for one query at snapshot time."""
+class QueryStat(Frozen):
+    """Counters for one query at snapshot time.  ``revalidations`` counts
+    the hits that first green-revalidated a stale entry (a subset of
+    ``hits``)."""
 
-    engine: str
-    name: str
-    hits: int
-    misses: int
-    size: int
-    #: hits that first green-revalidated a stale entry (subset of hits)
-    revalidations: int = 0
+    __slots__ = ("engine", "name", "hits", "misses", "size", "revalidations")
+
+    def __init__(
+        self,
+        engine: str,
+        name: str,
+        hits: int,
+        misses: int,
+        size: int,
+        revalidations: int = 0,
+    ) -> None:
+        _set(self, "engine", engine)
+        _set(self, "name", name)
+        _set(self, "hits", hits)
+        _set(self, "misses", misses)
+        _set(self, "size", size)
+        _set(self, "revalidations", revalidations)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.engine == other.engine
+                and self.name == other.name
+                and self.hits == other.hits
+                and self.misses == other.misses
+                and self.size == other.size
+                and self.revalidations == other.revalidations
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.engine, self.name, self.hits, self.misses, self.size, self.revalidations)
+        )
 
     @property
     def lookups(self) -> int:
@@ -404,11 +426,21 @@ class QueryStat:
         }
 
 
-@dataclass(frozen=True)
-class CacheStats:
+class CacheStats(Frozen):
     """Immutable snapshot of cache counters across one or more engines."""
 
-    stats: Tuple[QueryStat, ...]
+    __slots__ = ("stats",)
+
+    def __init__(self, stats: Tuple[QueryStat, ...]) -> None:
+        _set(self, "stats", stats)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.stats == other.stats
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.stats,))
 
     @property
     def hits(self) -> int:
@@ -508,36 +540,14 @@ class QueryEngine:
                 QueryStat(
                     self.name,
                     q.name,
-                    q.hits + q.retired_hits,
-                    q.misses + q.retired_misses,
+                    q.hits,
+                    q.misses,
                     len(q.table),
-                    q.revalidations + q.retired_revalidations,
+                    q.revalidations,
                 )
                 for q in self.queries.values()
             )
         )
-
-    def reset_counters(self) -> None:
-        for q in self.queries.values():
-            q.hits = 0
-            q.misses = 0
-            q.revalidations = 0
-            q.retired_hits = 0
-            q.retired_misses = 0
-            q.retired_revalidations = 0
-
-    def absorb_counters(self, other: "QueryEngine") -> None:
-        """Fold ``other``'s counters into this engine's retired totals.
-
-        Used when an engine is about to be discarded mid-run (e.g. a
-        per-check ``SharingChecker`` replaced across an edit) so
-        ``--stats`` snapshots stay monotone instead of silently dropping
-        the retired engine's work."""
-        for name, q in other.queries.items():
-            mine = self.query(name, maxsize=q.maxsize)
-            mine.retired_hits += q.hits + q.retired_hits
-            mine.retired_misses += q.misses + q.retired_misses
-            mine.retired_revalidations += q.revalidations + q.retired_revalidations
 
 
 def caches_enabled() -> bool:
@@ -575,14 +585,6 @@ def clear_caches() -> None:
     _types._INTERN.clear()
 
 
-def reset_counters() -> None:
-    """Zero the hit/miss counters of every live engine without touching
-    the memo tables.  Benchmarks call this after warm-up so reported hit
-    rates describe the steady state, not the warming traffic."""
-    for engine in list(_ENGINES):
-        engine.reset_counters()
-
-
 def collect_stats(engines: Iterable[Optional[QueryEngine]]) -> CacheStats:
     """Aggregate a CacheStats snapshot across several engines."""
     stats: List[QueryStat] = []
@@ -595,25 +597,3 @@ def collect_stats(engines: Iterable[Optional[QueryEngine]]) -> CacheStats:
 def global_stats() -> CacheStats:
     """Snapshot every live engine in the process."""
     return collect_stats(list(_ENGINES))
-
-
-def memoized(query: Query) -> Callable:
-    """Decorator form for module-level single-argument-tuple functions.
-
-    The wrapped function must accept hashable positional arguments; the
-    key is the argument tuple.  Used for helpers where threading a table
-    through call sites would obscure the logic.
-    """
-
-    def wrap(fn: Callable) -> Callable:
-        def wrapper(*args: Any) -> Any:
-            value = query.get(args)
-            if value is not MISS:
-                return value
-            return query.put(args, fn(*args))
-
-        wrapper.__name__ = getattr(fn, "__name__", "memoized")
-        wrapper.__doc__ = fn.__doc__
-        return wrapper
-
-    return wrap

@@ -21,11 +21,11 @@ Implements the practical analogue of the paper's static semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..diagnostics import Diagnostic, Span
 from ..obs import TRACER
+from ..records import Record
 from ..source import ast
 from . import types as T
 from .classtable import ClassTable, JnsError, ResolveError, TypeError_, path_str
@@ -78,13 +78,33 @@ _SYS_SIGS: Dict[str, Tuple[Tuple[str, ...], object]] = {
 }
 
 
-@dataclass
-class CheckReport:
-    errors: List[Diagnostic] = field(default_factory=list)
-    warnings: List[Diagnostic] = field(default_factory=list)
-    #: snapshot of the table/sharing query caches after checking
-    #: (populated by :func:`check_program`; None for hand-built reports)
-    cache_stats: Optional[CacheStats] = None
+class CheckReport(Record):
+    """The diagnostics of one check.  ``cache_stats`` is the snapshot of
+    the table/sharing query caches after checking (filled in by
+    :func:`check_program`; None for hand-built reports)."""
+
+    __slots__ = ("errors", "warnings", "cache_stats")
+
+    def __init__(
+        self,
+        errors: Optional[List[Diagnostic]] = None,
+        warnings: Optional[List[Diagnostic]] = None,
+        cache_stats: Optional[CacheStats] = None,
+    ) -> None:
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
+        self.cache_stats = cache_stats
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.errors == other.errors
+                and self.warnings == other.warnings
+                and self.cache_stats == other.cache_stats
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def ok(self) -> bool:

@@ -19,14 +19,27 @@ keep their structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
+
+from ..records import Frozen
 
 Path = Tuple[str, ...]
 
+#: Sets a field of a frozen value in ``__init__``.
+_set = object.__setattr__
 
-class Type:
-    """Base class of resolved J&s types."""
+
+class Type(Frozen):
+    """Base class of resolved J&s types.
+
+    Every subclass is an immutable value compared and hashed over its
+    fields, with ``__eq__`` returning ``NotImplemented`` across classes
+    (types are query keys, so these methods are written out per class).
+    A field holding a type is compared by identity first: children are
+    usually interned, and ``==`` alone would recurse into them.
+    """
+
+    __slots__ = ()
 
     def with_masks(self, masks: FrozenSet[str]) -> "Type":
         if not masks:
@@ -44,11 +57,21 @@ class Type:
         return self
 
 
-@dataclass(frozen=True)
 class PrimType(Type):
     """int, double, boolean, String, void, or the internal null type."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return self.name
@@ -62,15 +85,24 @@ VOID = PrimType("void")
 NULL = PrimType("null")
 
 
-@dataclass(frozen=True)
 class ArrayType(Type):
-    elem: Type
+    __slots__ = ("elem",)
+
+    def __init__(self, elem: Type) -> None:
+        _set(self, "elem", elem)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elem is other.elem or self.elem == other.elem
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.elem,))
 
     def __repr__(self) -> str:
         return f"{self.elem!r}[]"
 
 
-@dataclass(frozen=True)
 class ClassType(Type):
     """A pure non-dependent path type with exactness positions.
 
@@ -79,8 +111,19 @@ class ClassType(Type):
     The root namespace ``o`` is ``ClassType(())``.
     """
 
-    path: Path
-    exact: FrozenSet[int] = frozenset()
+    __slots__ = ("path", "exact")
+
+    def __init__(self, path: Path, exact: FrozenSet[int] = frozenset()) -> None:
+        _set(self, "path", path)
+        _set(self, "exact", exact)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.path == other.path and self.exact == other.exact
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.exact))
 
     def __repr__(self) -> str:
         if not self.path:
@@ -116,24 +159,46 @@ def exact_class(path: Path) -> ClassType:
     return ClassType(tuple(path), frozenset({len(path)}))
 
 
-@dataclass(frozen=True)
 class DepType(Type):
     """A dependent class ``p.class``; ``path`` is ("this",) or
     ("x", "f", ...).  Dependent classes are exact."""
 
-    path: Path
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path) -> None:
+        _set(self, "path", path)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.path == other.path
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path,))
 
     def __repr__(self) -> str:
         return ".".join(self.path) + ".class"
 
 
-@dataclass(frozen=True)
 class PrefixType(Type):
     """A prefix type ``P[T]``: the enclosing family of ``T`` at the level
     of class ``P`` (``family`` is P's absolute path)."""
 
-    family: Path
-    index: Type
+    __slots__ = ("family", "index")
+
+    def __init__(self, family: Path, index: Type) -> None:
+        _set(self, "family", family)
+        _set(self, "index", index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.family == other.family and (
+                self.index is other.index or self.index == other.index
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.index))
 
     def __repr__(self) -> str:
         return ".".join(self.family) + f"[{self.index!r}]"
@@ -142,49 +207,89 @@ class PrefixType(Type):
         return NestedType(self, name)
 
 
-@dataclass(frozen=True)
 class NestedType(Type):
     """Member access ``T.C`` on a non-path type (prefix, dependent,
     intersection, or exact-of-those)."""
 
-    outer: Type
-    name: str
+    __slots__ = ("outer", "name")
+
+    def __init__(self, outer: Type, name: str) -> None:
+        _set(self, "outer", outer)
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.outer is other.outer or self.outer == other.outer
+            ) and self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.outer, self.name))
 
     def __repr__(self) -> str:
         return f"{self.outer!r}.{self.name}"
 
 
-@dataclass(frozen=True)
 class ExactType(Type):
     """``T!`` where T is not path-shaped (path-shaped exactness is folded
     into :class:`ClassType`)."""
 
-    inner: Type
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Type) -> None:
+        _set(self, "inner", inner)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.inner is other.inner or self.inner == other.inner
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.inner,))
 
     def __repr__(self) -> str:
         return f"{self.inner!r}!"
 
 
-@dataclass(frozen=True)
 class IsectType(Type):
     """Intersection ``T1 & T2``."""
 
-    parts: Tuple[Type, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Tuple[Type, ...]) -> None:
+        _set(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def __repr__(self) -> str:
         return " & ".join(repr(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
 class MaskedType(Type):
     """``T\\f``: T without read access to the masked fields."""
 
-    base: Type
-    _masks: FrozenSet[str] = field(default_factory=frozenset)
+    __slots__ = ("base", "_masks")
 
     def __init__(self, base: Type, masks: FrozenSet[str]) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_masks", frozenset(masks))
+        _set(self, "base", base)
+        _set(self, "_masks", frozenset(masks))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.base is other.base or self.base == other.base
+            ) and self._masks == other._masks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self._masks))
 
     @property
     def masks(self) -> FrozenSet[str]:
@@ -307,8 +412,8 @@ def depends_on_this_only(t: Type) -> bool:
     return all(p and p[0] == "this" for p in paths_in(t))
 
 
-#: Hash-consing table: structural type -> canonical instance.  All frozen
-#: dataclasses above hash/compare structurally, so one dict keyed on the
+#: Hash-consing table: structural type -> canonical instance.  All the
+#: types above hash/compare structurally, so one dict keyed on the
 #: type itself suffices; rebuilding a node with interned children does not
 #: change its equality class.  Cleared by ``queries.clear_caches()`` —
 #: safe, because interning is self-repopulating.
@@ -348,16 +453,26 @@ for _prim in (INT, DOUBLE, BOOLEAN, STRING, VOID, NULL):
 del _prim
 
 
-@dataclass(frozen=True)
-class View:
+class View(Frozen):
     """A run-time view: a non-dependent exact class (a path) plus masks.
 
     Object references in J&s are pairs of a heap location and a view
     (Section 2.3); the view determines behavior.
     """
 
-    path: Path
-    masks: FrozenSet[str] = frozenset()
+    __slots__ = ("path", "masks")
+
+    def __init__(self, path: Path, masks: FrozenSet[str] = frozenset()) -> None:
+        _set(self, "path", path)
+        _set(self, "masks", masks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.path == other.path and self.masks == other.masks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.masks))
 
     def __repr__(self) -> str:
         base = ".".join(self.path) + "!"

@@ -69,10 +69,13 @@ import threading
 import time
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
+
+from .records import Frozen
+
+_set = object.__setattr__
 
 __all__ = [
     "Tracer",
@@ -229,26 +232,73 @@ class Histogram:
         }
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """A finished span, as stored in the event ring."""
+class SpanRecord(Frozen):
+    """A finished span, as stored in the event ring.  ``path`` holds the
+    ancestor span names, self last; ``start_ns`` is relative to the
+    tracer's enable() epoch; ``tid`` is a small per-thread id (first-use
+    order), for Chrome tracks."""
 
-    name: str
-    path: Tuple[str, ...]  #: ancestor span names, self last
-    start_ns: int  #: relative to the tracer's enable() epoch
-    dur_ns: int
-    args: Tuple[Tuple[str, Any], ...]
-    tid: int = 1  #: small per-thread id (first-use order), for Chrome tracks
+    __slots__ = ("name", "path", "start_ns", "dur_ns", "args", "tid")
+
+    def __init__(
+        self,
+        name: str,
+        path: Tuple[str, ...],
+        start_ns: int,
+        dur_ns: int,
+        args: Tuple[Tuple[str, Any], ...],
+        tid: int = 1,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "path", path)
+        _set(self, "start_ns", start_ns)
+        _set(self, "dur_ns", dur_ns)
+        _set(self, "args", args)
+        _set(self, "tid", tid)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.name == other.name
+                and self.path == other.path
+                and self.start_ns == other.start_ns
+                and self.dur_ns == other.dur_ns
+                and self.args == other.args
+                and self.tid == other.tid
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.name, self.path, self.start_ns, self.dur_ns, self.args, self.tid)
+        )
 
 
-@dataclass(frozen=True)
-class InstantRecord:
+class InstantRecord(Frozen):
     """A point-in-time semantic event, as stored in the event ring."""
 
-    name: str
-    ts_ns: int
-    args: Tuple[Tuple[str, Any], ...]
-    tid: int = 1
+    __slots__ = ("name", "ts_ns", "args", "tid")
+
+    def __init__(
+        self, name: str, ts_ns: int, args: Tuple[Tuple[str, Any], ...], tid: int = 1
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "ts_ns", ts_ns)
+        _set(self, "args", args)
+        _set(self, "tid", tid)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.name == other.name
+                and self.ts_ns == other.ts_ns
+                and self.args == other.args
+                and self.tid == other.tid
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.ts_ns, self.args, self.tid))
 
 
 class _NullSpan:

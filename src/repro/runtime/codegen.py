@@ -66,6 +66,7 @@ from .values import (
     ArrayError,
     DivisionByZero,
     JnsRuntimeError,
+    NoSuchMethod,
     NullDereference,
     Ref,
     UninitializedFieldError,
@@ -1536,7 +1537,7 @@ class CodegenCompiler:
                 vp = receiver.view.path
                 found = lookup(vp, name)
                 if found is None:
-                    raise JnsRuntimeError(f"no method {name!r} on {path_str(vp)}")
+                    raise NoSuchMethod(f"no method {name!r} on {path_str(vp)}")
                 owner, decl = found
                 interp._check_call(owner, decl, name, nargs)
                 return self.method_fn(decl, vp, owner)

@@ -39,11 +39,14 @@ from ..source import ast
 from .loader import Loader, RTClass
 from .values import (
     ABSENT,
+    ArityError,
     ArrayError,
+    CastError,
     DivisionByZero,
     Instance,
     JnsFailure,
     JnsRuntimeError,
+    NoSuchMethod,
     NullDereference,
     Ref,
     SlottedInstance,
@@ -452,9 +455,7 @@ class Interp:
     def call_method(self, ref: Ref, name: str, args: List[Any]) -> Any:
         found = self._lookup_method(ref.view.path, name)
         if found is None:
-            raise JnsRuntimeError(
-                f"no method {name!r} on {path_str(ref.view.path)}"
-            )
+            raise NoSuchMethod(f"no method {name!r} on {path_str(ref.view.path)}")
         owner, decl = found
         return self._invoke(owner, decl, ref, name, args)
 
@@ -480,7 +481,7 @@ class Interp:
                 f"abstract method {path_str(owner)}.{name} called"
             )
         if len(decl.params) != nargs:
-            raise JnsRuntimeError(
+            raise ArityError(
                 f"{name!r} expects {len(decl.params)} arguments, got {nargs}"
             )
 
@@ -993,14 +994,14 @@ class Interp:
         if isinstance(v, list):
             if isinstance(t_pure, T.ArrayType):
                 return v
-            raise JnsRuntimeError(f"cannot cast array to {t!r}")
+            raise CastError(f"cannot cast array to {t!r}")
         if not isinstance(v, Ref):
             if isinstance(v, str) and t_pure == T.STRING:
                 return v
-            raise JnsRuntimeError(f"cannot cast {v!r} to {t!r}")
+            raise CastError(f"cannot cast {v!r} to {t!r}")
         evaled = self._eval_type(t, frame)
         if not self.conforms(v.view, evaled):
-            raise JnsRuntimeError(
+            raise CastError(
                 f"ClassCastException: {path_str(v.view.path)} is not a {evaled!r}"
             )
         return v

@@ -53,6 +53,27 @@ class UninitializedFieldError(JnsRuntimeError):
     code = "JNS-RUN-002"
 
 
+class NoSuchMethod(JnsRuntimeError):
+    """A call names a method the receiver's view has not got.  The
+    checker rejects such calls; unchecked programs and direct
+    ``Interp.call_method`` calls can still make them."""
+
+    code = "JNS-RUN-003"
+
+
+class ArityError(JnsRuntimeError):
+    """A method called with the wrong number of arguments (rejected by
+    the checker, like :class:`NoSuchMethod`)."""
+
+    code = "JNS-RUN-004"
+
+
+class CastError(JnsRuntimeError):
+    """A cast whose value does not conform to the target type."""
+
+    code = "JNS-RUN-005"
+
+
 class ArrayError(JnsRuntimeError):
     """An array index out of bounds, or a bad array length."""
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from typing import Dict, List, Optional, Tuple
 
 from ..diagnostics import DiagnosticSink, Span
 from ..errors import JnsError
@@ -39,6 +40,18 @@ class LexError(JnsError):
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "'": "'", "0": "\0"}
 
+#: Punctuation by first character, longest first (greedy matching).
+_PUNCT_BY_FIRST: Dict[str, Tuple[str, ...]] = {}
+for _punct in PUNCTUATION:
+    _PUNCT_BY_FIRST[_punct[0]] = _PUNCT_BY_FIRST.get(_punct[0], ()) + (_punct,)
+del _punct
+
+_SPACE = re.compile(r"[ \t\r\n]+")
+#: The rest of an identifier: ``\w`` is exactly ``str.isalnum()`` or ``_``.
+_WORD = re.compile(r"\w*")
+#: A run of string-literal characters that need no special handling.
+_STRING_RUN = re.compile(r'[^"\\\n]*')
+
 
 def tokenize(source: str, sink: Optional[DiagnosticSink] = None) -> List[Token]:
     """Convert ``source`` into a token list ending with an EOF token.
@@ -60,47 +73,38 @@ def tokenize(source: str, sink: Optional[DiagnosticSink] = None) -> List[Token]:
 
 def _tokenize(source: str, sink: Optional[DiagnosticSink]) -> List[Token]:
     tokens: List[Token] = []
+    append = tokens.append
 
     def fail(message: str, line: int, col: int, code: str) -> None:
         if sink is None:
             raise LexError(message, line, col, code=code)
         sink.error(code, f"{message} at {line}:{col}", span=Span(line, col))
+
+    # Positions are tracked per token, not per character: ``bol`` is the
+    # index where ``line`` begins, so the column of index ``i`` is
+    # ``i - bol + 1``.  Only whitespace, block comments and string
+    # literals can contain newlines; they end at the bottom of the loop,
+    # which moves ``line``/``bol`` past the newlines they consumed.
     i = 0
     line = 1
-    col = 1
+    bol = 0
     n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
     while i < n:
         ch = source[i]
         if ch in " \t\r\n":
-            advance(1)
+            j = _SPACE.match(source, i).end()
+        elif ch == "/" and source.startswith("//", i):
+            j = source.find("\n", i)
+            i = n if j < 0 else j
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                fail("unterminated block comment", start_line, start_col, "JNS-LEX-003")
-                continue
-            advance(2)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start_line, start_col = line, col
+        elif ch == "/" and source.startswith("/*", i):
+            j = source.find("*/", i + 2)
+            if j < 0:
+                fail("unterminated block comment", line, i - bol + 1, "JNS-LEX-003")
+                j = n
+            else:
+                j += 2
+        elif ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
             j = i
             is_double = False
             while j < n and source[j].isdigit():
@@ -119,57 +123,65 @@ def _tokenize(source: str, sink: Optional[DiagnosticSink]) -> List[Token]:
                     j = k
                     while j < n and source[j].isdigit():
                         j += 1
-            text = source[i:j]
-            advance(j - i)
             kind = DOUBLE_LIT if is_double else INT_LIT
-            tokens.append(Token(kind, text, start_line, start_col))
+            append(Token(kind, source[i:j], line, i - bol + 1))
+            i = j
             continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
+        elif ch.isalpha() or ch == "_":
+            j = _WORD.match(source, i + 1).end()
             text = source[i:j]
-            advance(j - i)
-            kind = KEYWORD if text in KEYWORDS else IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
+            append(Token(KEYWORD if text in KEYWORDS else IDENT, text, line, i - bol + 1))
+            i = j
             continue
-        if ch == '"':
-            start_line, start_col = line, col
-            advance(1)
+        elif ch == '"':
+            col = i - bol + 1
             chars: List[str] = []
-            while i < n and source[i] != '"':
-                if source[i] == "\\":
-                    advance(1)
-                    if i >= n:
+            j = i + 1
+            while True:
+                k = _STRING_RUN.match(source, j).end()
+                chars.append(source[j:k])
+                j = k
+                if j >= n:
+                    fail("unterminated string literal", line, col, "JNS-LEX-002")
+                    break
+                c = source[j]
+                if c == '"':
+                    j += 1
+                    break
+                if c == "\\":
+                    if j + 1 >= n:
+                        j = n
+                        fail("unterminated string literal", line, col, "JNS-LEX-002")
                         break
-                    esc = source[i]
+                    esc = source[j + 1]
                     chars.append(_ESCAPES.get(esc, esc))
-                    advance(1)
+                    j += 2
+                    continue
+                # A raw newline (an escaped one is part of the literal).
+                last = source.rfind("\n", i, j)
+                if last < 0:
+                    fail("newline in string literal", line, j - bol + 1, "JNS-LEX-004")
                 else:
-                    if source[i] == "\n":
-                        fail("newline in string literal", line, col, "JNS-LEX-004")
-                        break
-                    chars.append(source[i])
-                    advance(1)
-            if i >= n:
-                fail(
-                    "unterminated string literal", start_line, start_col, "JNS-LEX-002"
-                )
-            else:
-                advance(1)  # closing quote (or the newline, under recovery)
-            tokens.append(Token(STRING_LIT, "".join(chars), start_line, start_col))
-            continue
-        matched = False
-        for punct in PUNCTUATION:
-            if source.startswith(punct, i):
-                tokens.append(Token(PUNCT, punct, line, col))
-                advance(len(punct))
-                matched = True
+                    at_line = line + source.count("\n", i, j)
+                    fail("newline in string literal", at_line, j - last, "JNS-LEX-004")
+                j += 1  # recovery: the newline ends the literal
                 break
-        if not matched:
-            fail(f"unexpected character {ch!r}", line, col, "JNS-LEX-001")
-            advance(1)  # recovery: skip the offending character
+            append(Token(STRING_LIT, "".join(chars), line, col))
+        else:
+            for punct in _PUNCT_BY_FIRST.get(ch, ()):
+                if source.startswith(punct, i):
+                    append(Token(PUNCT, punct, line, i - bol + 1))
+                    i += len(punct)
+                    break
+            else:
+                fail(f"unexpected character {ch!r}", line, i - bol + 1, "JNS-LEX-001")
+                i += 1  # recovery: skip the offending character
+            continue
+        newlines = source.count("\n", i, j)
+        if newlines:
+            line += newlines
+            bol = source.rfind("\n", i, j) + 1
+        i = j
 
-    tokens.append(Token(EOF, "", line, col))
+    append(Token(EOF, "", line, n - bol + 1))
     return tokens

@@ -7,7 +7,7 @@ arrays, ``double`` arithmetic, and a small ``Sys`` native library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..records import Frozen
 
 # Token kinds.
 IDENT = "IDENT"
@@ -91,14 +91,32 @@ PUNCTUATION = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+_set = object.__setattr__
+
+
+class Token(Frozen):
     """A single lexical token with its source position (1-based)."""
 
-    kind: str
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
+        _set(self, "kind", kind)
+        _set(self, "value", value)
+        _set(self, "line", line)
+        _set(self, "col", col)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.kind == other.kind
+                and self.value == other.value
+                and self.line == other.line
+                and self.col == other.col
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.value, self.line, self.col))
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"

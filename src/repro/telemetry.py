@@ -41,10 +41,12 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .obs import DEFAULT_BUCKETS, Histogram
+from .records import Frozen
+
+_set = object.__setattr__
 
 __all__ = [
     "TraceContext",
@@ -64,8 +66,7 @@ _SPAN_MASK = (1 << 64) - 1
 _TRACEPARENT_RE = re.compile(r"00-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}")
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(Frozen):
     """A request's trace identity: 128-bit trace id, 64-bit span id, and
     the parent span id when this context was derived via :meth:`child`.
 
@@ -73,9 +74,24 @@ class TraceContext:
     (``00-<32 hex>-<16 hex>-01``) so the ids paste straight into any
     OTLP-speaking tool."""
 
-    trace_id: int
-    span_id: int
-    parent_id: Optional[int] = None
+    __slots__ = ("trace_id", "span_id", "parent_id")
+
+    def __init__(self, trace_id: int, span_id: int, parent_id: Optional[int] = None) -> None:
+        _set(self, "trace_id", trace_id)
+        _set(self, "span_id", span_id)
+        _set(self, "parent_id", parent_id)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.trace_id == other.trace_id
+                and self.span_id == other.span_id
+                and self.parent_id == other.parent_id
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.trace_id, self.span_id, self.parent_id))
 
     @classmethod
     def from_rng(cls, rng: Any) -> "TraceContext":

@@ -1,8 +1,9 @@
 """What a fresh ``python -m repro run`` process loads and leaves behind.
 
 A one-shot ``repro run`` pays for every module it imports, so the run
-path must not import modules only other commands use; ``repro serve``
-likewise loads no HTTP stack.  The process
+path must not import modules only other commands use, nor
+``dataclasses`` and the ``inspect`` machinery it drags in; ``repro
+serve`` likewise loads no HTTP stack.  The process
 also skips the interpreter's exit-time GC sweep (see ``__main__.py``);
 the last test checks that every output a run writes is still complete.
 """
@@ -30,6 +31,11 @@ NOT_ON_RUN_PATH = (
     "repro.telemetry",
     "repro.serve",
 )
+
+#: Standard-library modules no run-path module may pull in:
+#: ``dataclasses`` imports ``inspect`` (and with it ``dis``, ``ast`` and
+#: ``tokenize``) and runs ``exec`` per decorated class.
+NOT_IMPORTED_STDLIB = ("dataclasses", "inspect", "dis")
 
 DEPTH, ITERS = 6, 2
 DRIVER = treeadd.SOURCE + (
@@ -65,6 +71,7 @@ def test_import_cli_footprint(tmp_path):
     loaded = imported(proc.stderr)
     assert "repro.cli" in loaded
     assert sorted(loaded.intersection(NOT_ON_RUN_PATH)) == []
+    assert sorted(loaded.intersection(NOT_IMPORTED_STDLIB)) == []
 
 
 def test_run_footprint(driver, tmp_path):
@@ -75,6 +82,7 @@ def test_run_footprint(driver, tmp_path):
     loaded = imported(proc.stderr)
     assert "repro.runtime.codegen" in loaded
     assert sorted(loaded.intersection(NOT_ON_RUN_PATH)) == []
+    assert sorted(loaded.intersection(NOT_IMPORTED_STDLIB)) == []
 
 
 def test_import_serve_footprint(tmp_path):

@@ -1,5 +1,8 @@
 """Unit tests for resolved type representations (repro.lang.types)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -163,6 +166,104 @@ class TestView:
     def test_view_hashable_equal(self):
         assert View(("A",)) == View(("A",))
         assert hash(View(("A",))) == hash(View(("A",)))
+
+
+# -- the value contract of every type class and View ---------------------------
+
+A = ClassType(("A",))
+
+
+def _values():
+    """Per class: a builder (called twice for two equal, distinct
+    objects), its fields as the structural key, a same-class value that
+    differs in one field, and the repr."""
+    return [
+        (lambda: T.PrimType("int"), ("int",), T.PrimType("double"), "int"),
+        (lambda: T.ArrayType(ClassType(("A",))), (A,), T.ArrayType(T.INT), "A[]"),
+        (lambda: ClassType(("A", "B"), frozenset({1})), (("A", "B"), frozenset({1})),
+         ClassType(("A", "B")), "A!.B"),
+        (lambda: T.DepType(("this", "f")), (("this", "f"),), T.DepType(("this",)),
+         "this.f.class"),
+        (lambda: T.PrefixType(("A",), T.DepType(("x",))), (("A",), T.DepType(("x",))),
+         T.PrefixType(("B",), T.DepType(("x",))), "A[x.class]"),
+        (lambda: T.NestedType(T.DepType(("x",)), "C"), (T.DepType(("x",)), "C"),
+         T.NestedType(T.DepType(("x",)), "D"), "x.class.C"),
+        (lambda: T.ExactType(T.PrefixType(("A",), A)), (T.PrefixType(("A",), A),),
+         T.ExactType(T.PrefixType(("B",), A)), "A[A]!"),
+        (lambda: T.IsectType((A, ClassType(("B",)))), ((A, ClassType(("B",))),),
+         T.IsectType((ClassType(("B",)), A)), "A & B"),
+        (lambda: T.MaskedType(A, {"g", "f"}), (A, frozenset({"f", "g"})),
+         T.MaskedType(A, frozenset({"f"})), "A\\f\\g"),
+        # last: views are not interned
+        (lambda: View(("A", "B"), frozenset({"f"})), (("A", "B"), frozenset({"f"})),
+         View(("A", "B")), "A.B!\\f"),
+    ]
+
+
+VALUES = _values()
+IDS = [type(build()).__name__ for build, *_ in VALUES]
+
+
+@pytest.mark.parametrize("build,fields,other,text", VALUES, ids=IDS)
+class TestValueContract:
+    def test_structural_equality_and_hash(self, build, fields, other, text):
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and not (a != b)
+        assert hash(a) == hash(b)
+        # the hash of the field tuple, as before the classes were
+        # hand-written: iteration orders of sets of types stay the same
+        assert hash(a) == hash(fields)
+
+    def test_a_differing_field_is_unequal(self, build, fields, other, text):
+        a = build()
+        assert type(other) is type(a)
+        assert a != other and not (a == other)
+
+    def test_unequal_across_classes(self, build, fields, other, text):
+        a = build()
+        stranger = T.DepType(("A",)) if not isinstance(a, T.DepType) else ClassType(("this", "f"))
+        assert a.__eq__(stranger) is NotImplemented
+        assert a != stranger and stranger != a
+        assert a.__eq__(fields) is NotImplemented and a != fields
+
+    def test_repr(self, build, fields, other, text):
+        assert repr(build()) == text
+
+    def test_fields_cannot_be_assigned(self, build, fields, other, text):
+        a = build()
+        for name in type(a).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == build()
+
+    def test_copy_and_pickle_rebuild_an_equal_value(self, build, fields, other, text):
+        a = build()
+        for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert clone == a and hash(clone) == hash(a) and repr(clone) == text
+
+
+@pytest.mark.parametrize("build", [b for b, *_ in VALUES[:-1]], ids=IDS[:-1])
+def test_intern_identity(build):
+    a = build()
+    assert T.intern_type(a) is T.intern_type(build())
+    assert T.intern_type(a) == a
+
+
+def test_masked_type_constructor_takes_base_and_masks():
+    t = T.MaskedType(A, ["f", "f"])
+    assert (t.base, t.masks, t.pure()) == (A, frozenset({"f"}), A)
+    with pytest.raises(TypeError):
+        T.MaskedType(A)
+
+
+def test_defaults():
+    assert ClassType(("A",)).exact == frozenset()
+    assert View(("A",)).masks == frozenset()
 
 
 # -- property-based tests ----------------------------------------------------
