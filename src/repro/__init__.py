@@ -28,7 +28,7 @@ from .api import (
     run_program,
     set_caches_enabled,
 )
-from .diagnostics import Diagnostic, DiagnosticSink, Span
+from .diagnostics import Diagnostic, Span
 from .lang.queries import CacheStats, QueryEngine
 from .errors import JnsResourceError
 from .lang.classtable import ClassTable, JnsError, ResolveError, TypeError_
@@ -72,3 +72,12 @@ __all__ = [
     "UninitializedFieldError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # DiagnosticSink loads with repro.sink, on first use
+    if name == "DiagnosticSink":
+        from .sink import DiagnosticSink
+
+        return DiagnosticSink
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

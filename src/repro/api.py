@@ -18,9 +18,8 @@ front-end and semantic stage through one :class:`~repro.diagnostics.DiagnosticSi
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from .diagnostics import DiagnosticSink
 from .errors import JnsError
 from .lang.classtable import ClassTable, ResolveError, TypeError_
 from .lang.queries import (
@@ -36,6 +35,9 @@ from .lang.typecheck import CheckReport, check_program
 from .records import Record
 from .runtime.interp import Interp
 from .source.parser import parse_program
+
+if TYPE_CHECKING:
+    from .sink import DiagnosticSink
 
 
 def cache_stats() -> CacheStats:
@@ -144,6 +146,8 @@ def check_source(
     check and attaches refutation trees to failing sharing diagnostics
     (see :mod:`repro.lang.provenance`)."""
     if sink is None:
+        from .sink import DiagnosticSink
+
         sink = DiagnosticSink(file=file)
     try:
         unit = parse_program(source, file=file, sink=sink)

@@ -12,6 +12,9 @@ same vocabulary:
 * :func:`render` — a human renderer that prints the offending source
   line with a caret under the span.
 
+The last two live in :mod:`repro.sink`, which loads on first use (a
+clean ``repro run`` never needs them); both stay importable from here.
+
 The module is dependency-free (even :mod:`repro.errors` imports from
 here) so that the front end, the semantic layers, and the runtime can
 all share it without cycles.
@@ -26,8 +29,7 @@ check``).  Add new codes at the end of a group — never renumber.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .records import Frozen, Record
 
@@ -244,127 +246,11 @@ class Diagnostic(Record):
         return payload
 
 
-class DiagnosticSink:
-    """Accumulates diagnostics across pipeline stages.
+def __getattr__(name: str):
+    # The sink and the renderer (repro/sink.py) load on first use: only
+    # a check or a failing run needs them.
+    if name in ("DiagnosticSink", "render"):
+        from . import sink
 
-    A sink optionally carries a default ``file`` that is stamped onto
-    spans that do not name one, so layers below the CLI never need to
-    know which file they are compiling.
-    """
-
-    def __init__(self, file: Optional[str] = None) -> None:
-        self.file = file
-        self.diagnostics: List[Diagnostic] = []
-
-    # -- recording ------------------------------------------------------
-
-    def add(self, diag: Diagnostic) -> Diagnostic:
-        if diag.span is not None:
-            diag.span = diag.span.with_file(self.file)
-        self.diagnostics.append(diag)
-        return diag
-
-    def emit(
-        self,
-        code: str,
-        severity: str,
-        message: str,
-        span: Optional[Span] = None,
-        where: Optional[str] = None,
-        notes: Iterable[str] = (),
-    ) -> Diagnostic:
-        return self.add(
-            Diagnostic(code, severity, message, span=span, where=where, notes=list(notes))
-        )
-
-    def error(self, code: str, message: str, **kw) -> Diagnostic:
-        return self.emit(code, ERROR, message, **kw)
-
-    def warning(self, code: str, message: str, **kw) -> Diagnostic:
-        return self.emit(code, WARNING, message, **kw)
-
-    def add_exc(self, exc: BaseException, where: Optional[str] = None) -> Diagnostic:
-        """Record a :class:`repro.errors.JnsError` (or anything carrying
-        ``code``/``span``/``notes`` attributes) as a diagnostic."""
-        return self.add(
-            Diagnostic(
-                code=getattr(exc, "code", "JNS-GEN-000"),
-                severity=getattr(exc, "severity", ERROR),
-                message=str(exc),
-                span=getattr(exc, "span", None),
-                where=where,
-                notes=list(getattr(exc, "notes", ()) or ()),
-            )
-        )
-
-    def extend(self, diags: Iterable[Diagnostic]) -> None:
-        for d in diags:
-            self.add(d)
-
-    # -- inspection -----------------------------------------------------
-
-    @property
-    def errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == ERROR]
-
-    @property
-    def warnings(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == WARNING]
-
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity == ERROR for d in self.diagnostics)
-
-    def __len__(self) -> int:
-        return len(self.diagnostics)
-
-    def __iter__(self):
-        return iter(self.diagnostics)
-
-    # -- output ---------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ok": not self.has_errors,
-                "diagnostics": [d.to_dict() for d in self.diagnostics],
-            },
-            indent=2,
-        )
-
-    def render(self, source: Optional[str] = None) -> str:
-        return "\n".join(render(d, source) for d in self.diagnostics)
-
-
-def render(diag: Diagnostic, source: Optional[str] = None) -> str:
-    """Render one diagnostic, caret-pointing into ``source`` when the
-    diagnostic has a span and the source text is available::
-
-        demo.jns:3:11: error: expected ';' [JNS-PARSE-001]
-            int x = 1
-                     ^
-          note: ...
-    """
-    lines: List[str] = []
-    location = f"{diag.span}: " if diag.span is not None else ""
-    context = f" (in {diag.where})" if diag.where and diag.span is not None else ""
-    head = f"{location}{diag.severity}: {diag.message}{context} [{diag.code}]"
-    if diag.span is None and diag.where:
-        head = f"{diag.where}: {diag.severity}: {diag.message} [{diag.code}]"
-    lines.append(head)
-    if diag.span is not None and source is not None:
-        src_lines = source.splitlines()
-        if 1 <= diag.span.line <= len(src_lines):
-            text = src_lines[diag.span.line - 1]
-            lines.append(f"    {text}")
-            start = max(diag.span.col, 1)
-            end = diag.span.end_col if (
-                diag.span.end_col is not None
-                and (diag.span.end_line is None or diag.span.end_line == diag.span.line)
-                and diag.span.end_col >= start
-            ) else start
-            end = min(end, max(len(text), start))
-            lines.append("    " + " " * (start - 1) + "^" * (end - start + 1))
-    for note in diag.notes:
-        lines.append(f"  note: {note}")
-    return "\n".join(lines)
+        return getattr(sink, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -45,6 +45,15 @@ class TypeError_(JnsError):
     code = "JNS-TYPE-001"
 
 
+def sharing_engine(versions: VersionStore) -> QueryEngine:
+    """A new query engine for a :class:`~repro.lang.sharing.SharingChecker`,
+    with its memo tables made in report order."""
+    engine = QueryEngine("sharing", versions=versions)
+    for name in ("required_masks", "type_shares", "noop_views"):
+        engine.query(name)
+    return engine
+
+
 def path_str(path: Path) -> str:
     return ".".join(path) if path else "o"
 
@@ -152,8 +161,11 @@ class ClassTable:
         self._group_find: Dict[Path, Path] = {}
 
         # Persistent sharing checker (lazy): shared across check runs so
-        # its caches — and their hit/miss counters — survive edits.
+        # its caches — and their hit/miss counters — survive edits.  Its
+        # query engine comes first: a check report lists the engine's
+        # (empty) tables even when no judgment needed the checker.
         self._sharing_checker = None
+        self._sharing_queries: Optional[QueryEngine] = None
 
         # Runtime artifacts (loaders, interpreters, specializers) keyed
         # off this table register here to evict per-class products when
@@ -199,8 +211,15 @@ class ClassTable:
         if self._sharing_checker is None:
             from .sharing import SharingChecker  # local import to avoid cycle
 
-            self._sharing_checker = SharingChecker(self)
+            self._sharing_checker = SharingChecker(self, self.sharing_queries())
         return self._sharing_checker
+
+    def sharing_queries(self) -> QueryEngine:
+        """The query engine of the persistent sharing checker, made
+        without loading :mod:`repro.lang.sharing`."""
+        if self._sharing_queries is None:
+            self._sharing_queries = sharing_engine(self.versions)
+        return self._sharing_queries
 
     # ------------------------------------------------------------------
     # incremental edits (see lang/incremental.py)
@@ -815,12 +834,14 @@ class ClassTable:
                 base = evaled.path
                 info.adapts_path = base
                 self._apply_adapts(path, base, union, adapts_pairs)
-        # phase 2: automatic masks to fixpoint
-        changed = True
+        # phase 2: automatic masks to fixpoint (only adapts needs them)
+        changed = bool(adapts_pairs)
+        if changed:
+            from .sharing import auto_masks
         while changed:
             changed = False
             for derived, base in adapts_pairs:
-                masks = self._auto_masks(derived, base)
+                masks = auto_masks(self, derived, base)
                 if masks - self._share_masks.get(derived, frozenset()):
                     self._share_masks[derived] = (
                         self._share_masks.get(derived, frozenset()) | masks
@@ -852,45 +873,6 @@ class ClassTable:
                     walk(child)
 
         walk(())
-
-    def _auto_masks(self, derived: Path, base: Path) -> FrozenSet[str]:
-        """Fields of the shared base class whose types are not shared
-        between the two families must be masked/duplicated (Section 3.1).
-        Used by ``adapts`` where the programmer writes no explicit masks.
-        Evaluated against the current mask state (called to fixpoint)."""
-        from .sharing import SharingChecker
-
-        checker = SharingChecker(self)
-        masks: Set[str] = set()
-        for owner, decl in self.all_fields(base):
-            ftype = decl.type
-            if isinstance(ftype, T.Type) and self._field_type_unshared(
-                ftype, derived, base, checker
-            ):
-                masks.add(decl.name)
-        return frozenset(masks)
-
-    def _field_type_unshared(
-        self, ftype: Type, derived: Path, base: Path, checker
-    ) -> bool:
-        """Whether a field's declared type interprets to unshared types in
-        the two families (the criterion for auto-masking under adapts)."""
-        if not T.paths_in(ftype):
-            return False  # non-dependent type: same in both families
-        try:
-            t_derived = self.eval_type_static(ftype, this=derived).pure()
-            t_base = self.eval_type_static(ftype, this=base).pure()
-        except (ResolveError, JnsError):
-            return True
-        if t_derived == t_base:
-            return False
-        if not isinstance(t_derived, ClassType) or not isinstance(t_base, ClassType):
-            return True  # e.g. arrays of family types: never shared
-        empty: FrozenSet[str] = frozenset()
-        return not (
-            checker.type_shares(t_derived, t_base, empty, lenient=True)
-            and checker.type_shares(t_base, t_derived, empty, lenient=True)
-        )
 
     def _find(self, path: Path) -> Path:
         root = path

@@ -27,13 +27,16 @@ tracer is also enabled, recording bumps ``provenance.recorded`` /
 ``provenance.spliced`` counters (aggregate and per judgment) and feeds a
 ``provenance.premises.<judgment>`` histogram, so provenance cost is
 itself observable.
+
+Only the recorder object and its switch live here.  The proof-tree
+nodes and the recording protocol are in :mod:`repro.lang.derivation`,
+which loads when a recorder is first enabled, so a run that never
+records never compiles them; ``Derivation`` stays importable from here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
-
-from ..obs import TRACER
+from typing import Any, Dict, List
 
 __all__ = [
     "Derivation",
@@ -44,186 +47,26 @@ __all__ = [
     "enabled",
 ]
 
-#: Completed root derivations kept per recording session (old roots fall
-#: off the front; splice storage is unaffected).
-MAX_ROOTS = 64
 
+class _NoCapture:
+    """What :meth:`Provenance.capture` hands out while recording is off:
+    a context manager that captures nothing."""
 
-def _elem_text(x: Any) -> str:
-    """Render one element of a set/tuple result; class paths (tuples of
-    names) print dotted."""
-    if isinstance(x, tuple) and all(isinstance(s, str) for s in x):
-        return ".".join(x) or "<top>"
-    return str(x)
+    __slots__ = ()
+    derivations = ()
+    derivation = None
 
-
-def _result_text(result: Any) -> str:
-    """Render a judgment result for one proof-tree line."""
-    if result is True:
-        return "holds"
-    if result is False:
-        return "fails"
-    if isinstance(result, frozenset):
-        return "{" + ", ".join(sorted(_elem_text(x) for x in result)) + "}"
-    if isinstance(result, tuple):
-        if result and all(isinstance(s, str) for s in result):
-            return ".".join(result)  # a class path
-        return "{" + ", ".join(_elem_text(x) for x in result) + "}"
-    return repr(result)
-
-
-def _result_json(result: Any) -> Any:
-    if isinstance(result, frozenset):
-        return sorted(_elem_text(x) for x in result)
-    if isinstance(result, tuple):
-        if result and all(isinstance(s, str) for s in result):
-            return ".".join(result)  # a class path
-        return [_elem_text(x) for x in result]
-    if isinstance(result, (bool, int, float, str)) or result is None:
-        return result
-    return repr(result)
-
-
-class Derivation:
-    """One node of a proof tree: a judgment instance, the rule that
-    decided it, its result, and the sub-judgments it rests on."""
-
-    __slots__ = ("judgment", "subject", "rule", "result", "premises", "cached", "loc")
-
-    def __init__(
-        self,
-        judgment: str,
-        subject: str,
-        rule: Optional[str],
-        result: Any,
-        premises: Tuple["Derivation", ...] = (),
-        cached: bool = False,
-        loc: Optional[str] = None,
-    ) -> None:
-        self.judgment = judgment
-        self.subject = subject
-        self.rule = rule
-        self.result = result
-        self.premises = premises
-        self.cached = cached
-        self.loc = loc
-
-    @property
-    def failed(self) -> bool:
-        return self.result is False
-
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
-
-    def line(self) -> str:
-        """The one-line rendering of this node (no premises)."""
-        text = f"{self.judgment} {self.subject} => {_result_text(self.result)}"
-        if self.rule:
-            text += f"  [{self.rule}]"
-        if self.cached:
-            text += "  (cached)"
-        if self.loc:
-            text += f"  @ {self.loc}"
-        return text
-
-    def format(self, indent: str = "", max_depth: int = 24) -> str:
-        """Indented proof tree, premises nested two spaces per level."""
-        lines: List[str] = []
-        self._format_into(lines, indent, max_depth)
-        return "\n".join(lines)
-
-    def _format_into(self, lines: List[str], indent: str, depth: int) -> None:
-        lines.append(indent + self.line())
-        if depth <= 0 and self.premises:
-            lines.append(indent + "  ... (" + str(self.size() - 1) + " premises elided)")
-            return
-        for p in self.premises:
-            p._format_into(lines, indent + "  ", depth - 1)
-
-    def refutation(self) -> Optional["Derivation"]:
-        """For a failed judgment, the pruned tree explaining the failure:
-        this node with only its failing premises, each refuted
-        recursively.  A failing node with no failing premises is a leaf
-        refutation (the rule's side condition itself failed).  Returns
-        None when the judgment did not fail."""
-        if self.result is not False:
-            return None
-        pruned = tuple(
-            p.refutation() or p for p in self.premises if p.result is False
-        )
-        return Derivation(
-            self.judgment, self.subject, self.rule, False, pruned, self.cached, self.loc
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "judgment": self.judgment,
-            "subject": self.subject,
-            "result": _result_json(self.result),
-        }
-        if self.rule:
-            payload["rule"] = self.rule
-        if self.cached:
-            payload["cached"] = True
-        if self.loc:
-            payload["loc"] = self.loc
-        if self.premises:
-            payload["premises"] = [p.to_dict() for p in self.premises]
-        return payload
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Derivation {self.line()} premises={len(self.premises)}>"
-
-
-class _Frame:
-    """An in-progress judgment on the recorder stack."""
-
-    __slots__ = ("judgment", "subject", "rule", "children", "loc")
-
-    def __init__(self, judgment: str, subject: str, loc: Optional[str]) -> None:
-        self.judgment = judgment
-        self.subject = subject
-        self.rule: Optional[str] = None
-        self.children: List[Derivation] = []
-        self.loc = loc
-
-
-class _Capture:
-    """Context manager that collects the derivations produced directly
-    inside its body (a no-op when recording is disabled), so callers —
-    the type checker, the CLI — can grab a proof tree without knowing
-    whether provenance is on."""
-
-    __slots__ = ("_prov", "_frame", "derivations")
-
-    def __init__(self, prov: "Provenance") -> None:
-        self._prov = prov
-        self._frame: Optional[_Frame] = None
-        self.derivations: Tuple[Derivation, ...] = ()
-
-    def __enter__(self) -> "_Capture":
-        if self._prov.enabled:
-            self._frame = self._prov.begin("<capture>", "")
+    def __enter__(self) -> "_NoCapture":
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        if self._frame is not None:
-            self._prov._pop(self._frame)
-            self.derivations = tuple(self._frame.children)
-            self._frame = None
         return False
 
-    @property
-    def derivation(self) -> Optional[Derivation]:
-        """The first captured derivation (the judgment the body ran)."""
-        return self.derivations[0] if self.derivations else None
-
-    def failed(self) -> Optional[Derivation]:
-        """The first captured derivation that failed, if any."""
-        for d in self.derivations:
-            if d.result is False:
-                return d
+    def failed(self) -> None:
         return None
+
+
+_NO_CAPTURE = _NoCapture()
 
 
 class Provenance:
@@ -232,7 +75,9 @@ class Provenance:
     whose ``enabled`` flag is the single branch every judgment site pays
     while recording is off.
 
-    Protocol at an instrumented site::
+    Protocol at an instrumented site (the methods are those of
+    :class:`repro.lang.derivation.Recording`, which join this class when
+    a recorder is first enabled; sites call them only while enabled)::
 
         frame = PROVENANCE.begin("subtype", f"{t1!r} <= {t2!r}")
         try:
@@ -265,6 +110,7 @@ class Provenance:
     # ------------------------------------------------------------------
 
     def enable(self, reset: bool = True) -> None:
+        _derivation()
         if reset:
             self.clear()
         self.enabled = True
@@ -296,125 +142,13 @@ class Provenance:
             "spliced": dict(sorted(self.spliced.items())),
         }
 
-    # ------------------------------------------------------------------
-    # recording protocol
-    # ------------------------------------------------------------------
-
-    def begin(self, judgment: str, subject: str, loc: Optional[str] = None) -> _Frame:
-        frame = _Frame(judgment, subject, loc)
-        self._stack.append(frame)
-        return frame
-
-    def _pop(self, frame: _Frame) -> None:
-        # Reentrancy-safe unwind, mirroring obs._Span.__exit__.
-        stack = self._stack
-        while stack and stack[-1] is not frame:
-            stack.pop()
-        if stack:
-            stack.pop()
-
-    def _attach(self, d: Derivation) -> None:
-        if self._stack:
-            self._stack[-1].children.append(d)
-        else:
-            self.roots.append(d)
-            if len(self.roots) > MAX_ROOTS:
-                del self.roots[0]
-
-    def end(
-        self,
-        frame: _Frame,
-        result: Any,
-        rule: Optional[str] = None,
-        key: Any = None,
-    ) -> Any:
-        """Finish a computed (non-hit) judgment; returns ``result`` so
-        sites can ``return PROVENANCE.end(...)``."""
-        self._pop(frame)
-        d = Derivation(
-            frame.judgment,
-            frame.subject,
-            rule or frame.rule,
-            result,
-            tuple(frame.children),
-            False,
-            frame.loc,
-        )
-        self._attach(d)
-        if key is not None:
-            self._store[key] = d
-        self.recorded[frame.judgment] = self.recorded.get(frame.judgment, 0) + 1
-        tracer = TRACER
-        if tracer.enabled:
-            tracer.count("provenance.recorded")
-            tracer.count("provenance.recorded." + frame.judgment)
-            tracer.observe("provenance.premises." + frame.judgment, len(d.premises))
-        return result
-
-    def end_hit(
-        self,
-        frame: _Frame,
-        key: Any,
-        result: Any,
-        rule: Optional[str] = None,
-    ) -> Any:
-        """Finish a judgment answered from a memo table, splicing the
-        derivation stored when the entry was computed (a bare ``(cached)``
-        leaf citing the memo when the entry predates recording)."""
-        self._pop(frame)
-        stored = self._store.get(key)
-        if stored is not None:
-            d = Derivation(
-                stored.judgment,
-                stored.subject,
-                stored.rule,
-                result,
-                stored.premises,
-                True,
-                stored.loc,
-            )
-        else:
-            d = Derivation(
-                frame.judgment,
-                frame.subject,
-                rule or "memo (computed before recording)",
-                result,
-                (),
-                True,
-                frame.loc,
-            )
-        self._attach(d)
-        self.spliced[frame.judgment] = self.spliced.get(frame.judgment, 0) + 1
-        tracer = TRACER
-        if tracer.enabled:
-            tracer.count("provenance.spliced")
-            tracer.count("provenance.spliced." + frame.judgment)
-        return result
-
-    def abort(self, frame: _Frame) -> None:
-        """Unwind a frame whose judgment raised; nothing is recorded."""
-        self._pop(frame)
-
-    def rule(self, name: str) -> None:
-        """Name the paper rule deciding the innermost open judgment."""
-        if self._stack:
-            self._stack[-1].rule = name
-
-    def note(
-        self,
-        judgment: str,
-        subject: str,
-        result: Any = True,
-        rule: Optional[str] = None,
-    ) -> None:
-        """Attach a leaf premise (a side condition with no sub-proof) to
-        the innermost open judgment."""
-        d = Derivation(judgment, subject, rule, result)
-        self._attach(d)
-
-    def capture(self) -> _Capture:
-        return _Capture(self)
-
+    def capture(self):
+        """A context manager collecting the derivations produced directly
+        inside its body, so callers (the type checker, the CLI) can grab
+        a proof tree without knowing whether provenance is on."""
+        if not self.enabled:
+            return _NO_CAPTURE
+        return _derivation().Capture(self)
 
 #: The process-wide recorder.  Judgment sites import this and guard with
 #: ``if PROVENANCE.enabled:`` — one attribute load and branch when off.
@@ -433,3 +167,27 @@ def enable(reset: bool = True) -> None:
 
 def disable() -> None:
     PROVENANCE.disable()
+
+
+_DERIVATION = None
+
+
+def _derivation():
+    """:mod:`repro.lang.derivation`, loaded when the first recorder is
+    enabled; loading adds the recording protocol (the methods of
+    ``derivation.Recording``) to :class:`Provenance`."""
+    global _DERIVATION
+    if _DERIVATION is None:
+        from . import derivation
+
+        for name, fn in vars(derivation.Recording).items():
+            if not name.startswith("__"):
+                setattr(Provenance, name, fn)
+        _DERIVATION = derivation
+    return _DERIVATION
+
+
+def __getattr__(name: str) -> Any:
+    if name in ("Derivation", "MAX_ROOTS"):
+        return getattr(_derivation(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,15 +12,18 @@ implicit-receiver calls, and the ``Sys`` native library.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from ..diagnostics import DiagnosticSink, Span
+from ..diagnostics import Span
 from ..errors import JnsError
 from ..obs import TRACER
 from ..source import ast
 from . import types as T
 from .classtable import ClassTable, ResolveError, path_str
 from .types import ClassType, Path, Type
+
+if TYPE_CHECKING:
+    from ..sink import DiagnosticSink
 
 #: Names of native functions/constants available via ``Sys``.
 SYS_FUNCTIONS = frozenset(

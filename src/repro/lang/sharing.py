@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from . import types as T
-from .classtable import ClassTable, JnsError, ResolveError, path_str
+from .classtable import ClassTable, JnsError, ResolveError, path_str, sharing_engine
 from .provenance import PROVENANCE as _PROV
 from .queries import MISS, QueryEngine
 from .subtype import Env, subtype
@@ -50,14 +50,15 @@ class SharingChecker:
     ``_in_progress`` set is the cycle guard and works with caching
     disabled."""
 
-    def __init__(self, table: ClassTable) -> None:
+    def __init__(self, table: ClassTable, queries: Optional[QueryEngine] = None) -> None:
         self.table = table
         # Attached to the table's version store: sharing judgments
         # revalidate per-class across incremental edits instead of being
         # discarded wholesale (the table-persistent checker relies on
-        # this; the auto-mask fixpoint's throwaway checkers are unharmed
-        # because their entries die with the instance).
-        self.queries = QueryEngine("sharing", versions=table.versions)
+        # this, and brings the engine the table made for it; the
+        # auto-mask fixpoint's throwaway checkers are unharmed because
+        # their entries die with the instance).
+        self.queries = sharing_engine(table.versions) if queries is None else queries
         self._q_req_masks = self.queries.query("required_masks")
         self._q_type_shares = self.queries.query("type_shares")
         self._q_noop_views = self.queries.query("noop_views")
@@ -418,3 +419,42 @@ class SharingChecker:
         preserves family-level exactness of ``P[this.class]`` prefixes,
         which the closed-world enumeration relies on."""
         return self.table.eval_type_static(t, this=env.ctx)
+
+
+def auto_masks(table: ClassTable, derived: Path, base: Path) -> FrozenSet[str]:
+    """Fields of the shared base class whose types are not shared
+    between the two families must be masked/duplicated (Section 3.1).
+    Used by ``adapts`` where the programmer writes no explicit masks.
+    Evaluated against the current mask state (called to fixpoint)."""
+    checker = SharingChecker(table)
+    masks: Set[str] = set()
+    for owner, decl in table.all_fields(base):
+        ftype = decl.type
+        if isinstance(ftype, T.Type) and _field_type_unshared(
+            table, ftype, derived, base, checker
+        ):
+            masks.add(decl.name)
+    return frozenset(masks)
+
+
+def _field_type_unshared(
+    table: ClassTable, ftype: Type, derived: Path, base: Path, checker: SharingChecker
+) -> bool:
+    """Whether a field's declared type interprets to unshared types in
+    the two families (the criterion for auto-masking under adapts)."""
+    if not T.paths_in(ftype):
+        return False  # non-dependent type: same in both families
+    try:
+        t_derived = table.eval_type_static(ftype, this=derived).pure()
+        t_base = table.eval_type_static(ftype, this=base).pure()
+    except (ResolveError, JnsError):
+        return True
+    if t_derived == t_base:
+        return False
+    if not isinstance(t_derived, ClassType) or not isinstance(t_base, ClassType):
+        return True  # e.g. arrays of family types: never shared
+    empty: FrozenSet[str] = frozenset()
+    return not (
+        checker.type_shares(t_derived, t_base, empty, lenient=True)
+        and checker.type_shares(t_base, t_derived, empty, lenient=True)
+    )

@@ -31,7 +31,6 @@ from . import types as T
 from .classtable import ClassTable, JnsError, ResolveError, TypeError_, path_str
 from .provenance import PROVENANCE as _PROV
 from .queries import MISS, CacheStats, collect_stats, read_input, reset_tracker
-from .sharing import SharingChecker
 from .subtype import Env, substitute_this, subtype
 from .types import ClassType, Path, Type
 
@@ -133,9 +132,6 @@ class TypeChecker:
         explain: bool = False,
     ) -> None:
         self.table = table
-        # The table-persistent checker: sharing caches (and their stats)
-        # survive across checks and revalidate per-class after edits.
-        self.sharing = table.sharing_checker()
         self.strict_sharing = strict_sharing
         self.skip = frozenset(skip)
         #: When true (``check --explain``), failing sharing judgments are
@@ -143,6 +139,14 @@ class TypeChecker:
         #: trees attached to the resulting diagnostics.
         self.explain = explain
         self.report = CheckReport()
+
+    @property
+    def sharing(self):
+        """The table-persistent sharing checker: its caches (and their
+        stats) survive across checks and revalidate per class after
+        edits.  Made on the first sharing judgment, so checking a
+        share-free program never loads :mod:`repro.lang.sharing`."""
+        return self.table.sharing_checker()
 
     # ------------------------------------------------------------------
 
@@ -1098,5 +1102,5 @@ def check_program(
     finally:
         if explain and not was_recording:
             _PROV.disable()
-    report.cache_stats = collect_stats([table.queries, checker.sharing.queries])
+    report.cache_stats = collect_stats([table.queries, table.sharing_queries()])
     return report

@@ -63,10 +63,13 @@ from ..source import ast
 from .interp import _jdiv, _jint, _jmod, allocate, to_jstring
 from .values import (
     ABSENT,
+    ArityError,
     ArrayError,
+    CastError,
     DivisionByZero,
     JnsRuntimeError,
     NoSuchMethod,
+    NoSuchName,
     NullDereference,
     Ref,
     UninitializedFieldError,
@@ -1432,7 +1435,7 @@ class CodegenCompiler:
             ctor = self.method_fn(found[1], path)
         elif nargs:
             def ctor(ref, args):
-                raise JnsRuntimeError(
+                raise ArityError(
                     f"no {nargs}-argument constructor for {path_str(path)}"
                 )
         else:
@@ -1446,7 +1449,7 @@ class CodegenCompiler:
         if fn is None:
 
             def raise_unbound():
-                raise JnsRuntimeError(f"unbound variable {name!r}")
+                raise NoSuchName(f"unbound variable {name!r}")
 
             fn = self._unbound[name] = raise_unbound
         return fn
@@ -1475,7 +1478,7 @@ class CodegenCompiler:
                 cspec = spec.class_spec(vp)
                 i = cspec.slot_of.get(name)
                 if i is None:
-                    raise JnsRuntimeError(f"no field {name!r} on {path_str(vp)}")
+                    raise NoSuchName(f"no field {name!r} on {path_str(vp)}")
                 plan = cspec.read_plan.get(name)
                 if plan is not None and plan[0] == 0:  # PLAN_NOOP
                     noops = plan[1]
@@ -1623,7 +1626,7 @@ class CodegenCompiler:
                     if v is None:
                         return None
                     if v.__class__ is not Ref:
-                        raise JnsRuntimeError(
+                        raise CastError(
                             f"view change applied to non-object {v!r}"
                         )
                     if TRACER.enabled:
@@ -1654,7 +1657,7 @@ class CodegenCompiler:
             if v is None:
                 return None
             if not isinstance(v, Ref):
-                raise JnsRuntimeError(f"view change applied to non-object {v!r}")
+                raise CastError(f"view change applied to non-object {v!r}")
             target_t = eval_type(target, fv)
             if TRACER.enabled:
                 TRACER.event(

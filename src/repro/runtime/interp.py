@@ -30,28 +30,25 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import JnsResourceError
 from ..lang import types as T
-from ..obs import TRACER
-from ..obs import PROFILER
+from ..obs import PROFILER, TRACER
 from ..lang.classtable import ClassTable, JnsError, ResolveError, path_str
 from ..lang.queries import MISS, CacheStats, QueryEngine, collect_stats
-from ..lang.types import ClassType, Path, Type, View
-from ..source import ast
+from ..lang.types import Path, Type, View
 from .loader import Loader, RTClass
 from .values import (
     ABSENT,
     ArityError,
-    ArrayError,
     CastError,
     DivisionByZero,
     Instance,
     JnsFailure,
     JnsRuntimeError,
     NoSuchMethod,
+    NoSuchName,
     NullDereference,
     Ref,
     SlottedInstance,
     UninitializedFieldError,
-    default_value,
 )
 
 MODES = ("java", "jx", "jx_cl", "jns")
@@ -87,21 +84,6 @@ _FRAMES_PER_CALL = 12
 #: constructor and inline-cache-miss recursion all still end in
 #: JNS-RES-004 at twice this cap in an 8 MB stack, on both backends.
 _MAX_PY_RECURSION = 100000
-
-
-class _Return(Exception):
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
 
 
 def _jdiv(a, b):
@@ -252,34 +234,8 @@ class Interp:
         self._max_depth = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
         self._steps = 0
         self._depth = 0
-        self._eval_dispatch: Dict[type, Callable] = {
-            ast.Lit: self._eval_lit,
-            ast.This: self._eval_this,
-            ast.Var: self._eval_var,
-            ast.FieldGet: self._eval_fieldget,
-            ast.Call: self._eval_call,
-            ast.SysCall: self._eval_sys,
-            ast.NewObj: self._eval_new,
-            ast.NewArray: self._eval_newarray,
-            ast.Index: self._eval_index,
-            ast.Unary: self._eval_unary,
-            ast.Binary: self._eval_binary,
-            ast.Cond: self._eval_cond,
-            ast.Cast: self._eval_cast,
-            ast.ViewChange: self._eval_view,
-            ast.InstanceOf: self._eval_instanceof,
-            ast.Assign: self._eval_assign,
-        }
-        if max_steps is not None:
-            # Shadow the unlimited fast path with the counting evaluator
-            # only when a budget is set, so fuel tracking costs nothing
-            # on ordinary runs.
-            self.eval = self._eval_counting  # type: ignore[method-assign]
-        if self.line_profile:
-            # Same zero-overhead trick for the walker tier's line
-            # profiler: recursion goes through the bound attribute, so
-            # every executed statement takes one hit.
-            self.exec_stmt = self._exec_stmt_profiled  # type: ignore[method-assign]
+        if not self.codegen:
+            _walker().attach(self)
 
     # ------------------------------------------------------------------
     # entry points
@@ -410,48 +366,6 @@ class Interp:
             return self._at_boundary(self._guarded_new, rtc, path, args)
         return self._guarded_new(rtc, path, args)
 
-    def _guarded_new(self, rtc: RTClass, path: Path, args: Tuple) -> Ref:
-        depth = self._depth + 1
-        if depth > self._max_depth:
-            raise self._depth_error()
-        self._depth = depth
-        try:
-            return self._new_instance(rtc, path, args)
-        finally:
-            self._depth = depth - 1
-
-    def _new_instance(self, rtc: RTClass, path: Path, args: Tuple) -> Ref:
-        if TRACER.enabled:
-            TRACER.count("alloc")
-        inst = Instance(path)
-        view = View(path)
-        ref = Ref(inst, view)
-        inst.view_refs[path] = ref
-        frame = {"this": ref}
-        for owner, decl in rtc.init_schedule:
-            slot = rtc.field_slot[decl.name] if self.sharing else None
-            key = (slot, decl.name) if self.sharing else decl.name
-            if decl.init is not None:
-                inst.fields[key] = self.eval(decl.init, frame)
-            else:
-                inst.fields[key] = default_value(decl.type)
-        found = self.loader.find_ctor(rtc, len(args))
-        if found is None:
-            if args:
-                raise JnsRuntimeError(
-                    f"no {len(args)}-argument constructor for {path_str(path)}"
-                )
-        else:
-            _, ctor = found
-            frame = {"this": ref}
-            for param, arg in zip(ctor.params, args):
-                frame[param.name] = arg
-            try:
-                self.exec_stmt(ctor.body, frame)
-            except _Return:
-                pass
-        return ref
-
     def call_method(self, ref: Ref, name: str, args: List[Any]) -> Any:
         found = self._lookup_method(ref.view.path, name)
         if found is None:
@@ -484,23 +398,6 @@ class Interp:
             raise ArityError(
                 f"{name!r} expects {len(decl.params)} arguments, got {nargs}"
             )
-
-    def _guarded_call(self, owner, decl, ref: Ref, name: str, args: List[Any]) -> Any:
-        depth = self._depth + 1
-        if depth > self._max_depth:
-            raise self._depth_error()
-        self._depth = depth
-        try:
-            frame = {"this": ref}
-            for param, arg in zip(decl.params, args):
-                frame[param.name] = arg
-            try:
-                self.exec_stmt(decl.body, frame)
-            except _Return as r:
-                return r.value
-            return None
-        finally:
-            self._depth = depth - 1
 
     def _codegen(self):
         """The codegen compiler.  Its bodies count trace events only if
@@ -568,84 +465,8 @@ class Interp:
         return collect_stats(engines)
 
     # ------------------------------------------------------------------
-    # statements
+    # what the walker and emitted code both call
     # ------------------------------------------------------------------
-
-    def exec_stmt(self, s: ast.Stmt, frame: Dict[str, Any]) -> None:
-        cls = type(s)
-        if cls is ast.Block:
-            for inner in s.stmts:
-                self.exec_stmt(inner, frame)
-            return
-        if cls is ast.LocalDecl:
-            frame[s.name] = (
-                self.eval(s.init, frame) if s.init is not None else default_value(s.type)
-            )
-            return
-        if cls is ast.ExprStmt:
-            self.eval(s.expr, frame)
-            return
-        if cls is ast.If:
-            if self.eval(s.cond, frame):
-                self.exec_stmt(s.then, frame)
-            elif s.els is not None:
-                self.exec_stmt(s.els, frame)
-            return
-        if cls is ast.While:
-            while self.eval(s.cond, frame):
-                try:
-                    self.exec_stmt(s.body, frame)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-            return
-        if cls is ast.For:
-            if s.init is not None:
-                self.exec_stmt(s.init, frame)
-            while s.cond is None or self.eval(s.cond, frame):
-                try:
-                    self.exec_stmt(s.body, frame)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-                if s.update is not None:
-                    self.eval(s.update, frame)
-            return
-        if cls is ast.Return:
-            raise _Return(self.eval(s.value, frame) if s.value is not None else None)
-        if cls is ast.Break:
-            raise _Break()
-        if cls is ast.Continue:
-            raise _Continue()
-        if cls is ast.Empty:
-            return
-        raise JnsRuntimeError(f"unknown statement {s!r}")
-
-    def _exec_stmt_profiled(self, s: ast.Stmt, frame: Dict[str, Any]) -> None:
-        """Installed over ``exec_stmt`` when ``line_profile`` is set:
-        counts one statement entry per executed non-block statement,
-        which also anchors anonymous profiler events to this line."""
-        cls = type(s)
-        if cls is not ast.Block and cls is not ast.Empty and s.pos[0]:
-            PROFILER.stmt_hit(s.pos[0])
-        Interp.exec_stmt(self, s, frame)
-
-    # ------------------------------------------------------------------
-    # expressions
-    # ------------------------------------------------------------------
-
-    def eval(self, e: ast.Expr, frame: Dict[str, Any]) -> Any:
-        return self._eval_dispatch[type(e)](e, frame)
-
-    def _eval_counting(self, e: ast.Expr, frame: Dict[str, Any]) -> Any:
-        """Fuel-metered evaluation: installed as ``self.eval`` when a step
-        budget is configured."""
-        self._steps += 1
-        if self._steps > self._max_steps:
-            raise self._fuel_error()
-        return self._eval_dispatch[type(e)](e, frame)
 
     def _tick(self) -> None:
         """Charge one step of fuel from emitted codegen bodies, which do
@@ -656,23 +477,7 @@ class Interp:
         if self._steps > self._max_steps:
             raise self._fuel_error()
 
-    def _eval_lit(self, e: ast.Lit, frame):
-        return e.value
-
-    def _eval_this(self, e: ast.This, frame):
-        return frame["this"]
-
-    def _eval_var(self, e: ast.Var, frame):
-        try:
-            return frame[e.name]
-        except KeyError:
-            raise JnsRuntimeError(f"unbound variable {e.name!r}") from None
-
     # -- fields ---------------------------------------------------------
-
-    def _eval_fieldget(self, e: ast.FieldGet, frame):
-        obj = self.eval(e.obj, frame)
-        return self.get_field(obj, e.name)
 
     def get_field(self, obj: Any, name: str) -> Any:
         if obj is None:
@@ -680,7 +485,7 @@ class Interp:
         if isinstance(obj, list):
             if name == "length":
                 return len(obj)
-            raise JnsRuntimeError(f"arrays have no field {name!r}")
+            raise NoSuchName(f"arrays have no field {name!r}")
         if not isinstance(obj, Ref):
             if isinstance(obj, str) and name == "length":
                 return len(obj)
@@ -691,7 +496,7 @@ class Interp:
             if self.mode != "java":
                 rtc = self.loader.rtclass(view.path)
                 if name not in rtc.field_decl:
-                    raise JnsRuntimeError(
+                    raise NoSuchName(
                         f"no field {name!r} on {path_str(view.path)}"
                     )
             # both representations answer load(); the dict fast path keeps
@@ -701,7 +506,7 @@ class Interp:
             else:
                 v = inst.load(name)
             if v is _MISSING:
-                raise JnsRuntimeError(
+                raise NoSuchName(
                     f"no field {name!r} on {path_str(view.path)}"
                 )
             return v
@@ -721,7 +526,7 @@ class Interp:
         rtc = self.loader.rtclass(view.path)
         slot = rtc.field_slot.get(name)
         if slot is None:
-            raise JnsRuntimeError(f"no field {name!r} on {path_str(view.path)}")
+            raise NoSuchName(f"no field {name!r} on {path_str(view.path)}")
         if type(inst) is Instance:
             v = inst.fields.get((slot, name), _MISSING)
         else:
@@ -818,7 +623,7 @@ class Interp:
         rtc = self.loader.rtclass(view.path)
         slot = rtc.field_slot.get(name)
         if slot is None:
-            raise JnsRuntimeError(f"no field {name!r} on {path_str(view.path)}")
+            raise NoSuchName(f"no field {name!r} on {path_str(view.path)}")
         if type(inst) is Instance:
             inst.fields[(slot, name)] = value
         else:
@@ -832,97 +637,6 @@ class Interp:
                 )
             obj.view = View(view.path, view.masks - {name})
 
-    # -- calls ------------------------------------------------------------
-
-    def _eval_call(self, e: ast.Call, frame):
-        obj = self.eval(e.obj, frame)
-        if obj is None:
-            raise NullDereference(f"null dereference calling {e.name!r}")
-        if not isinstance(obj, Ref):
-            raise JnsRuntimeError(f"cannot call {e.name!r} on {obj!r}")
-        args = [self.eval(a, frame) for a in e.args]
-        return self.call_method(obj, e.name, args)
-
-    # -- allocation --------------------------------------------------------
-
-    def _eval_new(self, e: ast.NewObj, frame):
-        t = e.type
-        if type(t) is ClassType:
-            path = t.path
-        else:
-            evaled = self._eval_type(t, frame).pure()
-            if isinstance(evaled, T.IsectType):
-                evaled = evaled.parts[0]
-            if not isinstance(evaled, ClassType):
-                raise JnsRuntimeError(f"cannot instantiate {t!r}")
-            path = evaled.path
-        args = [self.eval(a, frame) for a in e.args]
-        return self.new_instance(path, tuple(args))
-
-    def _eval_newarray(self, e: ast.NewArray, frame):
-        length = self.eval(e.length, frame)
-        if not isinstance(length, int) or length < 0:
-            raise ArrayError(f"bad array length {length!r}")
-        return [default_value(e.elem_type)] * length
-
-    def _eval_index(self, e: ast.Index, frame):
-        arr = self.eval(e.arr, frame)
-        idx = self.eval(e.idx, frame)
-        if arr is None:
-            raise NullDereference("null array")
-        try:
-            if idx < 0:
-                raise IndexError
-            return arr[idx]
-        except IndexError:
-            raise ArrayError(
-                f"array index {idx} out of bounds (length {len(arr)})"
-            ) from None
-
-    # -- operators ----------------------------------------------------------
-
-    def _eval_unary(self, e: ast.Unary, frame):
-        v = self.eval(e.operand, frame)
-        if e.op == "!":
-            return not v
-        return -v
-
-    def _eval_binary(self, e: ast.Binary, frame):
-        op = e.op
-        if op == "&&":
-            return bool(self.eval(e.left, frame)) and bool(self.eval(e.right, frame))
-        if op == "||":
-            return bool(self.eval(e.left, frame)) or bool(self.eval(e.right, frame))
-        a = self.eval(e.left, frame)
-        b = self.eval(e.right, frame)
-        if op == "+":
-            if isinstance(a, str) or isinstance(b, str):
-                return to_jstring(a) + to_jstring(b) if not (
-                    isinstance(a, str) and isinstance(b, str)
-                ) else a + b
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return _jdiv(a, b)
-        if op == "%":
-            return _jmod(a, b)
-        if op == "==":
-            return self._equals(a, b)
-        if op == "!=":
-            return not self._equals(a, b)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise JnsRuntimeError(f"unknown operator {op!r}")
-
     @staticmethod
     def _equals(a, b) -> bool:
         if isinstance(a, Ref) and isinstance(b, Ref):
@@ -932,13 +646,6 @@ class Interp:
         if isinstance(a, list) or isinstance(b, list):
             return a is b
         return a == b
-
-    def _eval_cond(self, e: ast.Cond, frame):
-        return (
-            self.eval(e.then, frame)
-            if self.eval(e.cond, frame)
-            else self.eval(e.els, frame)
-        )
 
     # -- casts, views, instanceof -------------------------------------------
 
@@ -975,10 +682,6 @@ class Interp:
         # conformance-set queries use the same judgment).
         return self.table.runtime_conforms(path, t)
 
-    def _eval_cast(self, e: ast.Cast, frame):
-        v = self.eval(e.expr, frame)
-        return self.cast_value(v, e.type, frame)
-
     def cast_value(self, v, t, frame):
         t_pure = t.pure()
         if isinstance(t_pure, T.PrimType):
@@ -1005,28 +708,6 @@ class Interp:
                 f"ClassCastException: {path_str(v.view.path)} is not a {evaled!r}"
             )
         return v
-
-    def _eval_view(self, e: ast.ViewChange, frame):
-        if not self.sharing:
-            raise JnsRuntimeError(
-                f"view changes require the jns mode (running in {self.mode!r})"
-            )
-        v = self.eval(e.expr, frame)
-        if v is None:
-            return None
-        if not isinstance(v, Ref):
-            raise JnsRuntimeError(f"view change applied to non-object {v!r}")
-        target = self._eval_type(e.type, frame)
-        if TRACER.enabled:
-            TRACER.event(
-                "view_change.explicit",
-                source=path_str(v.view.path),
-                target=str(target),
-            )
-        adapted = self._adapt(v, target)
-        if self.eager_views:
-            self.propagate_views(adapted)
-        return adapted
 
     def _adapt(self, ref: Ref, target: Type) -> Ref:
         """The run-time ``view`` function with memoized reference objects
@@ -1115,10 +796,6 @@ class Interp:
                     stack.append(value)
         return visited
 
-    def _eval_instanceof(self, e: ast.InstanceOf, frame):
-        v = self.eval(e.expr, frame)
-        return self.instanceof_value(v, e.type, frame)
-
     def instanceof_value(self, v, t, frame):
         if v is None:
             return False
@@ -1140,59 +817,7 @@ class Interp:
             return isinstance(t_pure, T.ArrayType)
         return False
 
-    # -- assignment -----------------------------------------------------------
-
-    def _eval_assign(self, e: ast.Assign, frame):
-        if e.op == "=":
-            value = self.eval(e.value, frame)
-        else:
-            current = self.eval(e.target, frame)
-            rhs = self.eval(e.value, frame)
-            binop = e.op[0]
-            if binop == "+":
-                if isinstance(current, str) or isinstance(rhs, str):
-                    value = to_jstring(current) + to_jstring(rhs) if not (
-                        isinstance(current, str) and isinstance(rhs, str)
-                    ) else current + rhs
-                else:
-                    value = current + rhs
-            elif binop == "-":
-                value = current - rhs
-            elif binop == "*":
-                value = current * rhs
-            elif binop == "/":
-                value = _jdiv(current, rhs)
-            else:
-                value = _jmod(current, rhs)
-            if isinstance(current, int) and isinstance(value, float):
-                value = int(value)
-        target = e.target
-        cls = type(target)
-        if cls is ast.Var:
-            frame[target.name] = value
-        elif cls is ast.FieldGet:
-            obj = self.eval(target.obj, frame)
-            self.set_field(obj, target.name, value)
-        elif cls is ast.Index:
-            arr = self.eval(target.arr, frame)
-            idx = self.eval(target.idx, frame)
-            if arr is None:
-                raise NullDereference("null array")
-            if not 0 <= idx < len(arr):
-                raise ArrayError(
-                    f"array index {idx} out of bounds (length {len(arr)})"
-                )
-            arr[idx] = value
-        else:
-            raise JnsRuntimeError("invalid assignment target")
-        return value
-
     # -- natives ----------------------------------------------------------------
-
-    def _eval_sys(self, e: ast.SysCall, frame):
-        fn = self._sys[e.name]
-        args = [self.eval(a, frame) for a in e.args]
-        return fn(*args)
 
     def _build_sys(self) -> Dict[str, Callable]:
         def _print(v):
@@ -1274,7 +899,26 @@ def allocate(args, plan):
         interp._depth = depth - 1
 
 
-#: the code objects of the frames ``Interp._jns_stack`` labels
-_GUARDED_CALL = Interp._guarded_call.__code__
-_GUARDED_NEW = Interp._guarded_new.__code__
+#: the code objects of the frames ``Interp._jns_stack`` labels (the
+#: walker's two stay ``None`` until the walker is loaded)
+_GUARDED_CALL = _GUARDED_NEW = None
 _ALLOCATE = allocate.__code__
+
+_WALKER = None
+
+
+def _walker():
+    """The tree walker, ``runtime/walker.py``.  The first walker
+    interpreter loads it, which adds the methods of ``walker.Walker`` to
+    :class:`Interp` (a codegen-only process never compiles them)."""
+    global _WALKER, _GUARDED_CALL, _GUARDED_NEW
+    if _WALKER is None:
+        from . import walker
+
+        for name, fn in vars(walker.Walker).items():
+            if not name.startswith("__"):
+                setattr(Interp, name, fn)
+        _GUARDED_CALL = Interp._guarded_call.__code__
+        _GUARDED_NEW = Interp._guarded_new.__code__
+        _WALKER = walker
+    return _WALKER

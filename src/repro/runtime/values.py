@@ -53,23 +53,28 @@ class UninitializedFieldError(JnsRuntimeError):
     code = "JNS-RUN-002"
 
 
-class NoSuchMethod(JnsRuntimeError):
-    """A call names a method the receiver's view has not got.  The
-    checker rejects such calls; unchecked programs and direct
-    ``Interp.call_method`` calls can still make them."""
+class NoSuchName(JnsRuntimeError):
+    """A field, method or local variable the program names does not
+    exist at run time.  The checker rejects such programs; unchecked
+    programs and direct ``Interp`` calls can still get here."""
 
     code = "JNS-RUN-003"
 
 
+class NoSuchMethod(NoSuchName):
+    """A call names a method the receiver's view has not got."""
+
+
 class ArityError(JnsRuntimeError):
-    """A method called with the wrong number of arguments (rejected by
-    the checker, like :class:`NoSuchMethod`)."""
+    """A method called, or a class instantiated, with the wrong number
+    of arguments (rejected by the checker, like :class:`NoSuchName`)."""
 
     code = "JNS-RUN-004"
 
 
 class CastError(JnsRuntimeError):
-    """A cast whose value does not conform to the target type."""
+    """A cast whose value does not conform to the target type, or a view
+    change of a value that is not an object."""
 
     code = "JNS-RUN-005"
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..diagnostics import DiagnosticSink, Span
+from ..diagnostics import Span
 from ..errors import JnsError
 from ..obs import TRACER
 from .tokens import (
@@ -20,6 +20,9 @@ from .tokens import (
     STRING_LIT,
     Token,
 )
+
+if TYPE_CHECKING:
+    from ..sink import DiagnosticSink
 
 
 class LexError(JnsError):

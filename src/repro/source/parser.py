@@ -16,9 +16,9 @@ what the evaluation programs need:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..diagnostics import DiagnosticSink, Span
+from ..diagnostics import Span
 from ..errors import JnsError
 from ..obs import TRACER
 from . import ast
@@ -33,6 +33,9 @@ from .tokens import (
     STRING_LIT,
     Token,
 )
+
+if TYPE_CHECKING:
+    from ..sink import DiagnosticSink
 
 PRIMITIVES = ("int", "double", "boolean", "String", "void")
 

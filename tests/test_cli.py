@@ -2,6 +2,7 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +316,37 @@ class TestRemovedCommands:
             main(["top", "--port", "1"])
         assert exc.value.code == 2
         assert "invalid choice: 'top'" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+
+#: golden name -> (command line, exit code).  The texts were captured
+#: before ``repro run`` started building only its own subparser; a run
+#: command line must still print what the full parser printed.
+HELP_CASES = {
+    "repro": (["--help"], 0),
+    **{cmd: ([cmd, "--help"], 0) for cmd in (
+        "run", "profile", "check", "explain", "fmt", "report", "corona",
+        "graph", "repl", "serve",
+    )},
+    "unknown": (["frobnicate", "x"], 2),
+    "none": ([], 2),
+    "run-bad-flag": (["run", "x.jns", "--bogus"], 2),
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="goldens hold CPython 3.11's argparse layout",
+)
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_and_usage_errors_match_golden(name, monkeypatch, capsys):
+    """``repro --help``, every ``repro CMD --help``, and the usage errors
+    of an unknown command, of no command, and of a bad ``run`` flag."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, code = HELP_CASES[name]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert captured.out + captured.err == (GOLDEN / f"{name}.txt").read_text()

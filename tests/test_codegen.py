@@ -801,7 +801,7 @@ class Main {
     ("Main.deep", ["Main.deep"] + ["new R"] * 7),
     ("Main.loop", ["Main.loop"] + ["new L"] * 7),
     ("Main.familyDeep", ["Main.familyDeep", "F0.B.make"] + ["new F1.A"] * 6),
-    ("Main.noCtor", "JNS-RUN-000"),
+    ("Main.noCtor", "JNS-RUN-004"),
 ])
 def test_new_matches_walker_at_max_depth_7(entry, expected):
     """Classes with and without constructors, recursion through a
@@ -842,3 +842,124 @@ def test_allocation_shares_one_unmasked_view_per_class():
     a = interp.new_instance(("P",), ())
     b = interp.new_instance(("P",), ())
     assert a.inst is not b.inst and a.view is b.view and not a.view.masks
+
+
+# ---------------------------------------------------------------------------
+# emission branches the jolden drivers never reach, against the walker
+# ---------------------------------------------------------------------------
+
+CONDITIONALS = """
+class Main {
+  int n;
+  int bump(int k) { n = n + k; Sys.print("bump " + k); return n; }
+  int pick(int a) { return a > 5 ? bump(2) : (a > 1 ? bump(3) : bump(4)); }
+  int main() {
+    int a = 3;
+    int x = a > 2 ? bump(1) : bump(100);
+    int y = pick(a) + pick(0) + pick(9);
+    int z = (a < 0 ? 1 : 2) + (a > 0 ? bump(5) : 0);
+    String s = a == 3 ? "three" : "other";
+    double d = a > 0 ? 1.5 : 2.5;
+    boolean b = x > y ? true : a > 1;
+    int c = bump(1) > 0 ? bump(10) : bump(20);
+    int zero = 0;
+    int safe = a < 0 ? 10 / zero : 1;
+    int i = 0;
+    int acc = 0;
+    while (i < 4) { acc = acc + (i % 2 == 0 ? bump(i) : -i); i = i + 1; }
+    Sys.print(x); Sys.print(y); Sys.print(z); Sys.print(s); Sys.print(d);
+    Sys.print(b); Sys.print(c); Sys.print(safe); Sys.print(acc); Sys.print(n);
+    return x * 100 + y * 10 + z;
+  }
+  int fails() { int zero = 0; int a = 1; return a > 0 ? bump(1) + 10 / zero : 1; }
+}
+"""
+
+
+def test_conditional_expressions_match_walker():
+    """``?:`` with effects in a branch, in the condition and in nested
+    conditionals: only the taken branch runs, in walker order; an
+    untaken branch that would fail does not."""
+    assert _both(CONDITIONALS) == (337, [
+        "bump 1", "bump 3", "bump 4", "bump 2", "bump 5", "bump 1", "bump 10",
+        "bump 0", "bump 2", "1", "22", "17", "three", "1.5", "true", "26",
+        "1", "50", "28",
+    ])
+    assert _both(CONDITIONALS, "Main.fails") == (
+        ("JNS-RUN-007", "integer division by zero", None), ["bump 1"]
+    )
+    interp = _interp(CONDITIONALS)
+    interp.run("Main.main")
+    src = str(interp._cg.sources["Main.main"])
+    assert "else:" in src  # an effectful branch is a statement
+    assert " if " in src and " else " in src  # a pure one an expression
+
+
+COMPOUND_DOUBLES = """
+class Main {
+  double f = 2.0;
+  int main() {
+    double d = 7.5;
+    d -= 2.25; Sys.print(d);
+    d *= 3.0; Sys.print(d);
+    d /= 2.0; Sys.print(d);
+    d %= 2.5; Sys.print(d);
+    double e = 1.0; e /= 0.0; Sys.print(e);
+    e %= 2.0; Sys.print(e);
+    double g = -5.5; g %= 2.0; Sys.print(g);
+    f *= 2.5; f -= 0.5; f /= 3.0; f %= 1.5; Sys.print(f);
+    double[] xs = new double[2];
+    xs[0] -= 1.5; xs[1] *= 4.0; xs[0] /= 2.0; xs[1] %= 3.0;
+    Sys.print(xs[0]); Sys.print(xs[1]);
+    return 0;
+  }
+  int fails() { double d = 1.5; int zero = 0; d -= 1 / zero; return 0; }
+}
+"""
+
+
+def test_compound_assignment_on_doubles_matches_walker():
+    """``-=``, ``*=``, ``/=`` and ``%=`` on double locals, fields and
+    array elements, with a zero divisor and a negative dividend."""
+    assert _both(COMPOUND_DOUBLES) == (0, [
+        "5.25", "15.75", "7.875", "0.375", "Infinity", "NaN", "-1.5", "0.0",
+        "-0.75", "0.0",
+    ])
+    assert _both(COMPOUND_DOUBLES, "Main.fails") == (
+        ("JNS-RUN-007", "integer division by zero", None), []
+    )
+    interp = _interp(COMPOUND_DOUBLES)
+    interp.run("Main.main")
+    src = str(interp._cg.sources["Main.main"])
+    for helper in ("_csub(", "_cmul(", "_cdiv(", "_cmod("):
+        assert helper in src
+
+
+PRIMITIVE_CASTS = """
+class Main {
+  int main() {
+    int i = 7; double z = 0.0; boolean t = i > 3;
+    Sys.print((double) i); Sys.print((double) i / 2); Sys.print((double) (i / 2));
+    Sys.print((double) 2.5); Sys.print((double) (0.0 / z)); Sys.print((double) (0 - 3));
+    Sys.print((boolean) t); Sys.print((boolean) (i < 3)); Sys.print(!(boolean) t);
+    double d = (double) i; boolean b = (boolean) (d > 6.5);
+    Sys.print(d); Sys.print(b);
+    return (int) ((double) i * 1.5);
+  }
+  int fails() { int zero = 0; double d = (double) (1 / zero); return 0; }
+}
+"""
+
+
+def test_casts_to_double_and_boolean_match_walker():
+    assert _both(PRIMITIVE_CASTS) == (10, [
+        "7.0", "3.5", "3.0", "2.5", "NaN", "-3.0", "true", "false", "false",
+        "7.0", "true",
+    ])
+    assert _both(PRIMITIVE_CASTS, "Main.fails") == (
+        ("JNS-RUN-007", "integer division by zero", None), []
+    )
+    interp = _interp(PRIMITIVE_CASTS)
+    interp.run("Main.main")
+    src = str(interp._cg.sources["Main.main"])
+    assert "_float(" in src and "_bool(" in src

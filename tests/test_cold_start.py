@@ -1,7 +1,8 @@
 """What a fresh ``python -m repro run`` process loads and leaves behind.
 
-A one-shot ``repro run`` pays for every module it imports, so the run
-path must not import modules only other commands use, nor
+A one-shot ``repro run`` pays for every module it imports (without a
+bytecode cache it compiles each from source), so the run path must not
+import modules only other commands, flags or programs use, nor
 ``dataclasses`` and the ``inspect`` machinery it drags in; ``repro
 serve`` likewise loads no HTTP stack.  The process
 also skips the interpreter's exit-time GC sweep (see ``__main__.py``);
@@ -23,13 +24,22 @@ from repro.programs.jolden import treeadd
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: Modules only other commands (or flags) need.
+#: Modules only other commands, flags or programs need: the tree walker,
+#: the tracer's records and exporters, the derivation recorder, the
+#: diagnostic sink and renderer, the non-run commands, and the sharing
+#: judgments (the treeadd driver shares no class).
 NOT_ON_RUN_PATH = (
     "repro.profiler",
     "repro.lang.infer",
     "repro.source.unparse",
     "repro.telemetry",
     "repro.serve",
+    "repro.runtime.walker",
+    "repro.obs_export",
+    "repro.lang.derivation",
+    "repro.sink",
+    "repro.commands",
+    "repro.lang.sharing",
 )
 
 #: Standard-library modules no run-path module may pull in:

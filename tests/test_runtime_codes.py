@@ -1,9 +1,12 @@
-"""JNS-RUN-003/004/005: a missing method, a wrong argument count and a
-failed cast raise their catalogued codes, not the catch-all JNS-RUN-000.
+"""JNS-RUN-003/004/005: a missing method, field or variable, a wrong
+argument count (of a call or a ``new``), and a failed cast or view
+change raise their catalogued codes, not the catch-all JNS-RUN-000.
 
 Each case runs on both backends, once through ``Interp.call_method`` and
-once through ``repro run``.  The checker rejects the first two programs,
-so they run with ``--no-check``/``check=False``.
+once through ``repro run``.  The checker rejects most of these programs,
+so they run with ``--no-check``/``check=False``.  An unbound variable
+cannot come from source (the resolver rejects the name), so that case
+runs through ``Interp`` on an edited method body only.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ import pytest
 from repro.api import compile_program
 from repro.cli import main
 from repro.errors import JnsError
-from repro.runtime.values import ArityError, CastError, JnsRuntimeError, NoSuchMethod
+from repro.runtime.values import (
+    ArityError,
+    CastError,
+    JnsRuntimeError,
+    NoSuchMethod,
+    NoSuchName,
+)
+from repro.source import ast
 
 SOURCE = """
 class A { int f() { return 1; } }
@@ -24,6 +34,11 @@ class Main {
   int downcast() { A a = new A(); B b = (B) a; return 0; }
   int castString() { A a = (A) "text"; return 0; }
   int castArray() { A a = (A) new int[2]; return 0; }
+  int noField() { A a = new A(); return a.h; }
+  int setNoField() { A a = new A(); a.h = 2; return 0; }
+  int arrayField() { int[] xs = new int[2]; return xs.size; }
+  int newArity() { A a = new A(1); return 0; }
+  int viewPrimitive() { A a = (view A) 3; return 0; }
 }
 """
 
@@ -33,15 +48,21 @@ CASES = [
     ("downcast", CastError, "JNS-RUN-005", "ClassCastException: A is not a B"),
     ("castString", CastError, "JNS-RUN-005", "cannot cast 'text' to A"),
     ("castArray", CastError, "JNS-RUN-005", "cannot cast array to A"),
+    ("noField", NoSuchName, "JNS-RUN-003", "no field 'h' on A"),
+    ("setNoField", NoSuchName, "JNS-RUN-003", "no field 'h' on A"),
+    ("arrayField", NoSuchName, "JNS-RUN-003", "arrays have no field 'size'"),
+    ("newArity", ArityError, "JNS-RUN-004", "no 1-argument constructor for A"),
+    ("viewPrimitive", CastError, "JNS-RUN-005", "view change applied to non-object 3"),
 ]
 
 BACKENDS = ("walker", "codegen")
 
 
 def test_codes_are_catalogued_runtime_errors():
-    for cls, code in ((NoSuchMethod, "JNS-RUN-003"), (ArityError, "JNS-RUN-004"),
-                      (CastError, "JNS-RUN-005")):
+    for cls, code in ((NoSuchName, "JNS-RUN-003"), (NoSuchMethod, "JNS-RUN-003"),
+                      (ArityError, "JNS-RUN-004"), (CastError, "JNS-RUN-005")):
         assert issubclass(cls, JnsRuntimeError) and cls.code == code
+    assert issubclass(NoSuchMethod, NoSuchName)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -92,3 +113,30 @@ def test_checked_downcast_fails_at_run_time_with_the_code():
         with pytest.raises(JnsError) as info:
             program.interp(backend=backend).run("Main.main")
         assert info.value.code == "JNS-RUN-005"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", ["java", "jx_cl"])
+def test_no_field_outside_jns_mode(backend, mode):
+    """The field reads of the modes without views raise the same code."""
+    interp = compile_program(SOURCE, check=False).interp(mode=mode, backend=backend)
+    ref = interp.new_instance(("Main",), ())
+    for method, message in (("noField", "no field 'h' on A"),
+                            ("arrayField", "arrays have no field 'size'")):
+        with pytest.raises(NoSuchName) as info:
+            interp.call_method(ref, method, [])
+        assert (info.value.code, str(info.value)) == ("JNS-RUN-003", message)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_unbound_variable(backend):
+    program = compile_program(
+        "class Main { int main() { return 0; } }", check=False
+    )
+    (method,) = program.table.explicit[("Main",)].decl.methods
+    ret = method.body.stmts[0]
+    ret.value = ast.Var("y", pos=ret.value.pos)
+    interp = program.interp(backend=backend)
+    with pytest.raises(NoSuchName) as info:
+        interp.run("Main.main")
+    assert (info.value.code, str(info.value)) == ("JNS-RUN-003", "unbound variable 'y'")
