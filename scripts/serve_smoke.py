@@ -4,6 +4,10 @@ three concurrent editing sessions through the JSONL protocol — checks
 plus ``run`` executions under the codegen backend — and assert a clean
 shutdown.
 
+Each session alternates body edits of ``A.get`` with body edits of
+``Main.main`` and checks every run's result, so a graft in one class
+must leave the other class's kept emitted bodies both warm and correct.
+
 Exits non-zero (with a diagnostic on stderr) on any protocol error,
 non-incremental edit, stale codegen result after an edit, cross-session
 leak, or unclean server exit.
@@ -44,7 +48,7 @@ class Main {
 }
 """
 
-EDITS_PER_SESSION = 4
+EDITS_PER_SESSION = 6
 
 
 def drive(host: str, port: int, name: str, marker: int, errors: list) -> None:
@@ -52,6 +56,11 @@ def drive(host: str, port: int, name: str, marker: int, errors: list) -> None:
     try:
         src = SRC.replace("class app {", f"class app{marker} {{") + \
             MAIN.replace("app.", f"app{marker}.")
+
+        def edited(bonus: int, x: int) -> str:
+            return src.replace("return x;", f"return x + {bonus};").replace(
+                "b.x = 20;", f"b.x = {x};")
+
         resp = client.request("open", session=name, source=src,
                               file=f"{name}.jns")
         assert resp["ok"], resp
@@ -62,21 +71,27 @@ def drive(host: str, port: int, name: str, marker: int, errors: list) -> None:
         resp = client.request("run", session=name)
         assert resp["ok"] and resp["backend"] == "codegen", resp
         assert resp["result"] == 40, resp
+        bonus, x = 0, 20
         for i in range(1, EDITS_PER_SESSION + 1):
-            edited = src.replace("return x;", f"return x + {i};")
-            resp = client.request("edit", session=name, source=edited)
+            # odd edits graft A.get, even ones Main.main
+            if i % 2:
+                bonus, dirty = i, f"app{marker}.A"
+            else:
+                x, dirty = 20 + i, "Main"
+            resp = client.request("edit", session=name, source=edited(bonus, x))
             assert resp["ok"], resp
             assert resp["stats"]["strategy"] == "incremental", resp
-            assert resp["stats"]["dirty"] == [f"app{marker}.A"], resp
+            assert resp["stats"]["dirty"] == [dirty], resp
             resp = client.request("check", session=name)
             assert resp["ok"], resp
             acct = resp["stats"]["check"]
             assert acct["recomputed"] >= 1, resp
-            # the edit must evict the cached emitted closures: the same
-            # warm interpreter now computes 2 * (20 + i), never stale 40
+            # the edit must evict the grafted class's emitted bodies and
+            # keep the other class's: the same warm interpreter computes
+            # 2 * (x + bonus), never a stale result
             resp = client.request("run", session=name)
             assert resp["ok"] and resp["backend"] == "codegen", resp
-            assert resp["result"] == 40 + 2 * i, resp
+            assert resp["result"] == 2 * (x + bonus), resp
         # a broken edit stays inside this session
         resp = client.request(
             "edit", session=name,

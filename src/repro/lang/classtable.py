@@ -81,14 +81,19 @@ class EditNotice:
     """What an incremental edit changed, for runtime-product eviction.
 
     ``dirty`` — class paths whose inputs were bumped; ``affected`` —
-    ``dirty`` plus every class inheriting from one (their synthesized
-    runtime classes embed inherited members); ``retired_ids`` — ``id()``
-    of every member declaration object that was spliced out (body/init
-    compilation caches key on member identity, and a stale entry under a
-    recycled id must never survive); ``structural`` — True when the
-    program was rebuilt wholesale."""
+    ``dirty`` plus every class, explicit or implicit, inheriting from one
+    (their synthesized runtime classes embed inherited members);
+    ``retired_ids`` — ``id()`` of every member declaration object that
+    was spliced out (body/init compilation caches key on member
+    identity, and a stale entry under a recycled id must never
+    survive); ``structural`` — True when the program was rebuilt
+    wholesale; ``bodies_only`` — True when every
+    splice was a graft: the member declarations survive with new method
+    and constructor bodies, so the interface (layouts, dispatch, sharing)
+    is unchanged and only products compiled from the retired bodies are
+    stale."""
 
-    __slots__ = ("dirty", "affected", "retired_ids", "structural")
+    __slots__ = ("dirty", "affected", "retired_ids", "structural", "bodies_only")
 
     def __init__(
         self,
@@ -96,11 +101,13 @@ class EditNotice:
         affected: Set[Path],
         retired_ids: Set[int],
         structural: bool = False,
+        bodies_only: bool = False,
     ) -> None:
         self.dirty = tuple(dirty)
         self.affected = affected
         self.retired_ids = retired_ids
         self.structural = structural
+        self.bodies_only = bodies_only
 
 
 class ClassTable:

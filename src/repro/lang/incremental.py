@@ -678,13 +678,18 @@ class IncrementalChecker:
         self._chunks = new_chunks
         if splices:
             affected = set(dirty)
-            for p in table.explicit:
+            # implicit classes too: a derived family's copy of an edited
+            # class inherits its members without a declaration of its own
+            for p in table.all_class_paths():
                 if p not in affected and any(
                     table.inherits(p, d) for d in dirty
                 ):
                     affected.add(p)
             table.notify_edit(
-                EditNotice(dirty, affected, retired, structural=False)
+                EditNotice(
+                    dirty, affected, retired, structural=False,
+                    bodies_only=all(mode == "graft" for _, _, mode in splices),
+                )
             )
 
     # ------------------------------------------------------------------

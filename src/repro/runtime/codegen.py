@@ -36,13 +36,16 @@ code as keyword-only defaults (``def f(u_this, *, _k0=_k0): ...``),
 which CPython binds at function-definition time and reads at LOAD_FAST
 speed.
 
-Eviction is all-or-nothing: emitted bodies capture lazily-resolved
-callee cells from their compiler, so an incremental edit
-(:class:`~repro.lang.incremental.EditNotice`) drops the whole
-:class:`CodegenCompiler` (``Interp._on_table_edit``) rather than trying
-to invalidate closures piecemeal.  So does turning tracing on or off:
-a compiler plants trace counts in its bodies only if tracing was on
-when it was built (``Interp._codegen``).
+Eviction follows the edit (``Interp._on_table_edit``).  A body-only
+edit (an :class:`~repro.lang.classtable.EditNotice` with
+``bodies_only``: every splice a graft) keeps the compiler and evicts
+only the bodies compiled from the retired declarations
+(:meth:`CodegenCompiler.evict`); every other body stays warm, because
+the interface it baked in (slots, read plans, sealed and monomorphic
+targets) is unchanged.  An interface edit drops the whole
+:class:`CodegenCompiler`, and so does turning tracing on or off: a
+compiler plants trace counts in its bodies only if tracing was on when
+it was built (``Interp._codegen``).
 
 Selected with ``repro run --backend codegen`` (the default); the
 differential in ``tests/test_specialize_differential.py`` locks the
@@ -178,14 +181,16 @@ class _FrameView:
 
 class _Emitter:
     """Emits the Python source of one method/constructor/initializer
-    body, specialized for one receiver view path."""
+    body, specialized for one receiver view path: the body of compiler
+    key ``(id(declaration), view path)``."""
 
-    def __init__(self, cg: "CodegenCompiler", path, label: str, node) -> None:
+    def __init__(self, cg: "CodegenCompiler", key, label: str, node) -> None:
         self.cg = cg
         self.interp = cg.interp
         self.spec = cg.spec
         self.sharing = cg.sharing
-        self.path = path
+        self.key = key
+        self.path = path = key[1]
         self.label = label
         self.lines: List[str] = []
         #: jns ``(line, col)`` per emitted line — the source map, kept
@@ -206,6 +211,9 @@ class _Emitter:
         self.bound: set = set()
         self._atoms: set = set()
         self._loop_stack: List[str] = []  # "while" | "for"
+        #: the monomorphic inline-cache sites ``[view path, body]`` of
+        #: this body (``CodegenCompiler.evict`` resets the stale ones)
+        self.ic_sites: List[list] = []
         names: set = set()
         _collect_names(node, names)
         #: every J&s variable the body can mention, as its Python local
@@ -861,7 +869,9 @@ class _Emitter:
             self.w(f"    {t} = {gen}({o}, {len(args)})({o}{argstr})")
             return t
         # monomorphic inline cache over emitted bodies (a miss refills it)
-        site = self.const([None, None])
+        ic: list = [None, None]
+        self.ic_sites.append(ic)
+        site = self.const(ic)
         miss = self.const(self.cg.call_miss_fn(name))
         args = self.emit_seq(e.args)
         argstr = "".join(", " + a for a in args)
@@ -1100,13 +1110,14 @@ class _Emitter:
         self, params, body_emit, entry_pos=None, stack_label=None, ctor=False,
     ) -> Any:
         """Assemble, ``compile()``, ``exec`` and register the function
-        (``sources``/``by_filename``, the body counter).  ``params``
-        are the J&s parameter declarations (``this`` is always register
-        0 — here, always the first positional argument); ``body_emit``
-        is a thunk that runs the emitter over the body.  ``entry_pos``
-        (the declaration's span) attributes the scaffolding the function
-        spends its entry in — the header and the depth/fuel/ABSENT
-        prologue — so frames stopped there still resolve to a jns span.
+        (``sources``/``by_filename``, its inline-cache sites, the body
+        counter).  ``params`` are the J&s parameter declarations
+        (``this`` is always register 0 — here, always the first
+        positional argument); ``body_emit`` is a thunk that runs the
+        emitter over the body.  ``entry_pos`` (the declaration's span)
+        attributes the scaffolding the function spends its entry in —
+        the header and the depth/fuel/ABSENT prologue — so frames
+        stopped there still resolve to a jns span.
         A ``stack_label`` marks a method body (depth prologue).  A
         ``ctor`` body takes its arguments as one tuple, sparing
         ``allocate`` a ``*args`` call (one C-level recursion each)."""
@@ -1176,6 +1187,7 @@ class _Emitter:
         cg = self.cg
         cg.sources[self.label] = src
         cg.by_filename[filename] = src
+        cg._emitted[self.key] = (src, self.ic_sites)
         cg._note_body()
         return g["_cg_fn"]
 
@@ -1326,10 +1338,10 @@ class CodegenCompiler:
     while tracing is on.  ``sources`` retains the emitted text per key
     for tests, docs, and debugging.
 
-    Eviction: ``Interp._on_table_edit`` drops the whole compiler on any
-    affecting edit — emitted bodies hold lazily-resolved callee cells
-    into these caches, so partial invalidation would leave live closures
-    pointing at retired declarations."""
+    Eviction: on a body-only edit ``Interp._on_table_edit`` calls
+    :meth:`evict` with the retired declarations, and the bodies compiled
+    from them are emitted again on their next call; on any other edit it
+    drops the whole compiler."""
 
     def __init__(self, interp) -> None:
         self.interp = interp
@@ -1340,6 +1352,9 @@ class CodegenCompiler:
         self.bodies_emitted = 0
         self.sites_inlined = 0
         self._fns: Dict[Tuple[int, Any], Any] = {}
+        #: per key of ``_fns``: the body's :class:`EmittedSource` and its
+        #: inline-cache sites, dropped with the body
+        self._emitted: Dict[Tuple[int, Any], Tuple[EmittedSource, List[list]]] = {}
         self._plans: Dict[Any, _Lazy] = {}
         #: emitted text per label; values are :class:`EmittedSource`
         #: (str subclasses carrying the per-line jns source map)
@@ -1383,7 +1398,7 @@ class CodegenCompiler:
         fn = self._fns.get(key)
         if fn is None:
             label = f"{path_str(path)}.{decl.name}"
-            em = _Emitter(self, path, label, decl.body)
+            em = _Emitter(self, key, label, decl.body)
             with TRACER.span("codegen", unit=label):
                 fn = self._fns[key] = em.finish(
                     decl.params, lambda: em.stmt(decl.body), decl.pos,
@@ -1400,11 +1415,44 @@ class CodegenCompiler:
         key = (id(decl), path)
         fn = self._fns.get(key)
         if fn is None:
-            em = _Emitter(self, path, f"{path_str(path)}.{decl.name}=<init>", decl.init)
+            em = _Emitter(self, key, f"{path_str(path)}.{decl.name}=<init>", decl.init)
             fn = self._fns[key] = em.finish(
                 (), lambda: em.w(f"return {em.emit(decl.init)}"), decl.pos
             )
         return fn
+
+    def evict(self, retired_ids) -> None:
+        """Forget the bodies compiled from the member declarations whose
+        ids are ``retired_ids`` (a body-only edit); they are emitted again
+        on their next call.  A graft keeps the declaration objects, so no
+        id is recycled, and every other body stays valid: the interface
+        it baked in is unchanged.  Kept bodies reach a retired one only
+        through containers they hold as constants, so those are emptied
+        in place: the retired declarations' devirtualized-body tables, the
+        allocation plans whose constructor is retired (field initializers
+        are interface, never grafted) and the inline-cache sites bound to
+        a retired body."""
+        gone = set()
+        for key in [k for k in self._fns if k[0] in retired_ids]:
+            gone.add(self._fns.pop(key))
+            src, _ = self._emitted.pop(key)
+            if self.sources.get(src.label) is src:
+                del self.sources[src.label]
+            if self.by_filename.get(src.filename) is src:
+                del self.by_filename[src.filename]
+        for i in retired_ids:
+            bodies = self._devirt.get(i)
+            if bodies is not None:
+                bodies.clear()
+        if not gone:
+            return
+        for plans in self._plans.values():
+            if any(plan.ctor in gone for plan in plans.values()):
+                plans.clear()
+        for _, sites in self._emitted.values():
+            for site in sites:
+                if site[1] in gone:
+                    site[0] = site[1] = None
 
     # -- allocation ------------------------------------------------------
 

@@ -402,7 +402,7 @@ class Interp:
     def _codegen(self):
         """The codegen compiler.  Its bodies count trace events only if
         tracing was on when it was built, so a tracer toggle drops it
-        (as an edit does, see :meth:`_on_table_edit`)."""
+        (as an interface edit does, see :meth:`_on_table_edit`)."""
         cg = self._cg
         if cg is None or cg.traced != TRACER.enabled:
             from .codegen import CodegenCompiler
@@ -411,21 +411,25 @@ class Interp:
         return cg
 
     def _on_table_edit(self, notice) -> None:
-        """Eviction on an incremental splice.  The coarse-grained caches
-        (dispatch, retargets, conformance, inline call sites) embed types
-        and vtable entries from the edited classes transitively; they are
-        cheap warm-up state, so they clear in place (counters survive)."""
-        if notice.retired_ids or notice.affected:
-            # Emitted codegen bodies capture lazily-resolved callee cells
-            # from their compiler, so even a body-only graft drops the
-            # whole unit (see runtime/codegen.py's eviction note).
-            self._cg = None
+        """Eviction on an incremental splice.  A body-only edit evicts just
+        the codegen bodies compiled from the retired declarations; any
+        other edit drops the whole compiler, whose bodies bake in the old
+        interface (slots, read plans, dispatch targets).  The
+        coarse-grained caches (dispatch, retargets, conformance, view
+        changes) embed types and vtable entries from the edited classes
+        transitively; they are cheap warm-up state, so they clear in place
+        (counters survive).  Codegen's inline-cache sites live in its
+        emitted bodies and go with them."""
+        if self._cg is not None:
+            if notice.bodies_only:
+                self._cg.evict(notice.retired_ids)
+            elif notice.retired_ids or notice.affected:
+                self._cg = None
         if notice.affected:
             self._q_dispatch.table.clear()
             self._retarget_cache.clear()
             self._conforms_cache.clear()
             self._q_view_change.table.clear()
-            self._q_site.table.clear()
             if self.spec is not None:
                 self.spec.invalidate_classes(notice.affected)
 
@@ -613,13 +617,20 @@ class Interp:
         if not isinstance(obj, Ref):
             raise JnsRuntimeError(f"cannot write field {name!r} of {obj!r}")
         inst = obj.inst
+        view = obj.view
         if not self.sharing:
+            # a field that holds a value is declared, so only the first
+            # write of a walker field pays the lookup (emitted code comes
+            # here only for a name its layout lacks)
             if type(inst) is Instance:
-                inst.fields[name] = value
+                fields = inst.fields
+                if name not in fields:
+                    self._check_declared(view.path, name)
+                fields[name] = value
             else:
+                self._check_declared(view.path, name)
                 inst.store(name, value)
             return
-        view = obj.view
         rtc = self.loader.rtclass(view.path)
         slot = rtc.field_slot.get(name)
         if slot is None:
@@ -636,6 +647,12 @@ class Interp:
                     "mask.removed", field=name, view=path_str(view.path)
                 )
             obj.view = View(view.path, view.masks - {name})
+
+    def _check_declared(self, path: Path, name: str) -> None:
+        """Raise JNS-RUN-003 unless class ``path`` declares field ``name``
+        (the modes without views, whose heap keys are bare names)."""
+        if name not in self.loader.rtclass(path).field_decl:
+            raise NoSuchName(f"no field {name!r} on {path_str(path)}")
 
     @staticmethod
     def _equals(a, b) -> bool:

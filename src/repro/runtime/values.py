@@ -121,8 +121,9 @@ class SlottedInstance:
     """Specialized object storage: a flat slot list over a fixed layout.
 
     ``slots[i]`` holds the value of the heap key ``layout.keys[i]``; keys
-    outside the layout (possible only in the non-sharing modes, where
-    writes are unchecked) spill into the lazily-created ``extra`` dict.
+    outside the layout spill into the lazily-created ``extra`` dict (a
+    safety net: ``Interp.set_field`` checks every key it writes against
+    the fields of the view's class).
     The ``__repr__`` matches :class:`Instance` so diagnostics are
     identical across backends (up to the object address)."""
 

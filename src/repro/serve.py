@@ -104,8 +104,9 @@ class _Session:
         self.lock = threading.Lock()
         self.last_used = time.monotonic()
         #: per-backend interpreters for the ``run`` op, kept warm across
-        #: edits — they subscribe to the session table's EditNotices, so
-        #: an edit evicts their specialization/codegen caches in place
+        #: edits — they subscribe to the session table's EditNotices: a
+        #: body-only edit evicts just the codegen bodies of the grafted
+        #: classes, an interface edit the whole codegen compiler
         self.interps: Dict[str, Any] = {}
 
 

@@ -38,6 +38,8 @@ if TYPE_CHECKING:
     from ..sink import DiagnosticSink
 
 PRIMITIVES = ("int", "double", "boolean", "String", "void")
+#: the types Java calls primitive: ``(T) -x`` is a cast only for these
+_SIGNED_CASTS = ("int", "double", "boolean")
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
 
@@ -622,7 +624,9 @@ class Parser:
             return ast.ViewChange(cast_type, self.parse_unary(), pos)
         # Heuristic: (T)e is a cast only if what follows can start an
         # expression, and T is not a bare name followed by an operator
-        # (e.g. ``(a) + b`` must stay a parenthesized expression).
+        # (e.g. ``(a) + b`` must stay a parenthesized expression).  As in
+        # Java, a sign starts the operand only after a primitive type:
+        # ``(int) -x`` is a cast, ``(A) -x`` a subtraction.
         tok = self.peek()
         starts_expr = (
             tok.kind in (IDENT, INT_LIT, DOUBLE_LIT, STRING_LIT)
@@ -633,6 +637,11 @@ class Parser:
             or tok.is_keyword("true")
             or tok.is_keyword("false")
             or tok.is_punct("!")
+            or (
+                (tok.is_punct("-") or tok.is_punct("+"))
+                and isinstance(cast_type, ast.TPrim)
+                and cast_type.name in _SIGNED_CASTS
+            )
         )
         if isinstance(cast_type, ast.TName) and len(cast_type.parts) == 1:
             # A single identifier could be a variable; only treat as a cast

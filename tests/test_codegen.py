@@ -126,23 +126,33 @@ class TestResourceParity:
 
 class TestEviction:
     def test_body_graft_evicts_emitted_closures(self):
-        """A body-only edit through the incremental checker must drop the
-        codegen compiler wholesale — the re-run sees the new body, never
-        a stale emitted closure."""
+        """A body-only edit through the incremental checker evicts the
+        emitted body of the grafted declaration only: the compiler and
+        the bodies of other classes survive, and the re-run sees the new
+        body, never a stale emitted closure."""
         from repro.lang.incremental import IncrementalChecker
         from repro.runtime.interp import Interp
 
-        v1 = "class A { int m() { return 1; } }"
-        v2 = "class A { int m() { return 2; } }"
+        v1 = "class A { int m() { return 1; } }\nclass B { int k() { return 7; } }"
+        v2 = "class A { int m() { return 2; } }\nclass B { int k() { return 7; } }"
         inc = IncrementalChecker(v1)
         assert not inc.check().has_errors
         interp = Interp(inc.table, mode="jns", backend="codegen")
         ref = interp.new_instance(("A",), ())
+        other = interp.new_instance(("B",), ())
         assert interp.call_method(ref, "m", []) == 1
-        assert interp._cg is not None and interp._cg.bodies_emitted >= 1
+        assert interp.call_method(other, "k", []) == 7
+        cg = interp._cg
+        m_decl = inc.table.explicit[("A",)].decl.methods[0]
+        k_decl = inc.table.explicit[("B",)].decl.methods[0]
+        kept = cg._fns[(id(k_decl), ("B",))]
+        assert (id(m_decl), ("A",)) in cg._fns and "A.m" in cg.sources
         stats = inc.apply_edit(v2)
-        assert stats["strategy"] != "scratch"  # a graft, not a rebuild
-        assert interp._cg is None  # closures evicted with the compiler
+        assert stats["strategy"] == "incremental"  # a graft, not a rebuild
+        assert interp._cg is cg  # the compiler survives
+        assert (id(m_decl), ("A",)) not in cg._fns
+        assert "A.m" not in cg.sources
+        assert cg._fns[(id(k_decl), ("B",))] is kept
         assert interp.call_method(ref, "m", []) == 2
 
     def test_rerun_after_edit_reemits(self):
@@ -963,3 +973,23 @@ def test_casts_to_double_and_boolean_match_walker():
     interp.run("Main.main")
     src = str(interp._cg.sources["Main.main"])
     assert "_float(" in src and "_bool(" in src
+
+
+SIGNED_CASTS = """
+class Main {
+  int main() {
+    int x = 5; double d = 2.5;
+    Sys.print((double) -3); Sys.print((double) -x); Sys.print((int) -d);
+    Sys.print((int) +x); Sys.print((double) -(x * 2)); Sys.print((int) -d + x);
+    int a = 9;
+    Sys.print((a) - x); Sys.print((a) + x);
+    return (int) -x;
+  }
+}
+"""
+
+
+def test_casts_of_a_signed_operand_match_walker():
+    assert _both(SIGNED_CASTS) == (-5, [
+        "-3.0", "-5.0", "-2", "5", "-10.0", "3", "4", "14",
+    ])

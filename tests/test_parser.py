@@ -278,6 +278,26 @@ class TestExpressions:
         e = expr("(a) + b")
         assert isinstance(e, ast.Binary) and e.op == "+"
 
+    @pytest.mark.parametrize("text", ["(double) -3", "(int) -x", "(boolean) -x"])
+    def test_primitive_cast_of_negation(self, text):
+        e = expr(text)
+        assert isinstance(e, ast.Cast) and isinstance(e.type, ast.TPrim)
+        assert isinstance(e.expr, ast.Unary) and e.expr.op == "-"
+
+    def test_primitive_cast_of_unary_plus(self):
+        e = expr("(int) +x")
+        assert isinstance(e, ast.Cast) and isinstance(e.expr, ast.Var)
+
+    def test_primitive_cast_binds_tighter_than_the_sum(self):
+        e = expr("(int) -d + i")
+        assert isinstance(e, ast.Binary) and e.op == "+"
+        assert isinstance(e.left, ast.Cast)
+
+    @pytest.mark.parametrize("text", ["(a) - b", "(A) -x", "(A.B) -x"])
+    def test_sign_after_a_non_primitive_is_arithmetic(self, text):
+        e = expr(text)
+        assert isinstance(e, ast.Binary) and e.op == "-"
+
     def test_view_change(self):
         e = expr("(view A!.B)c")
         assert isinstance(e, ast.ViewChange)

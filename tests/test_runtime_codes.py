@@ -129,6 +129,21 @@ def test_no_field_outside_jns_mode(backend, mode):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", ["java", "jx", "jx_cl"])
+def test_field_write_outside_jns_mode(tmp_path, capsys, backend, mode):
+    """A write to an undeclared field raises the read's code in the modes
+    without views too, instead of storing the value."""
+    path = tmp_path / "codes.jns"
+    path.write_text(SOURCE)
+    argv = ["run", str(path), "--entry", "Main.setNoField", "--mode", mode,
+            "--backend", backend, "--no-check"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "runtime error: no field 'h' on A" in err
+    assert "[JNS-RUN-003]" in err
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_unbound_variable(backend):
     program = compile_program(
         "class Main { int main() { return 0; } }", check=False
