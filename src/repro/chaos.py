@@ -1,8 +1,8 @@
-"""Deterministic fault injection for the CorONA chaos driver (ISSUE 6).
+"""Deterministic fault injection for the CorONA live-evolution harness.
 
-This module supplies the three ingredients the sharded workload driver
-(:mod:`repro.programs.corona.driver`) needs to run *reproducible* chaos
-experiments:
+This module supplies what the harness
+(:mod:`repro.programs.corona.driver`) needs to run *reproducible*
+experiments on one running heap:
 
 * :class:`SimLoop` — a deterministic virtual-time scheduler for
   ``async def`` coroutines.  Tasks await :meth:`SimLoop.sleep` (virtual
@@ -10,28 +10,20 @@ experiments:
   the ready queue FIFO and advances the clock only when every task is
   parked on a timer.  No wall clock, no threads, no real I/O — two runs
   with the same seed execute the same interleaving instruction for
-  instruction, which is what makes chaos runs replay byte-for-byte.
+  instruction, which is what makes the runs replay byte-for-byte.
   (A real asyncio event loop orders timer callbacks by wall-clock
   deadlines measured in real time, so it cannot give that guarantee;
   the coroutines themselves are ordinary ``async``/``await`` code.)
 * :class:`Rng` — a splitmix64 generator with labeled :meth:`Rng.fork`
-  streams.  Every consumer (workload shape, per-request fault rolls,
-  retry jitter) forks its own stream keyed by a stable label, so the
-  decisions taken for request *i* do not depend on how requests happen
-  to interleave.
-* :class:`FaultPlan` — a seeded, declarative description of the faults
-  to inject: shard crash/restart windows (:class:`CrashFault`), dropped
-  and delayed inter-shard messages (:class:`DropFault`,
-  :class:`DelayFault`), and fuel exhaustion — a forced
-  :class:`~repro.errors.JnsResourceError` ``JNS-RES-001`` inside a
-  shard's interpreter — at chosen request indices (:class:`FuelFault`).
-  Plans parse from a compact spec string or a JSON file
-  (:meth:`FaultPlan.parse`) and round-trip through
-  :meth:`FaultPlan.to_dict`, so a CI job can pin one byte-for-byte.
-
-:class:`RetryPolicy` is the client-side half: capped exponential backoff
-with jitter drawn from the *seeded* RNG, so even the retry schedule of a
-chaos run replays exactly.
+  streams.  Every consumer (workload shape, per-request choices, trace
+  ids) forks its own stream keyed by a stable label, so the decisions
+  taken for request *i* do not depend on how requests happen to
+  interleave.
+* :class:`FaultPlan` — a declarative description of the faults to
+  inject: fuel exhaustion — a forced
+  :class:`~repro.errors.JnsResourceError` ``JNS-RES-001`` inside the
+  interpreter — at chosen request indices.  Plans parse from a compact
+  spec string (:meth:`FaultPlan.parse`).
 
 When the process-wide tracer (:mod:`repro.obs`) is enabled, the driver
 mirrors every injection into ``chaos.injected`` / ``chaos.injected.<kind>``
@@ -43,10 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
-import os
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -65,12 +54,7 @@ __all__ = [
     "SimEvent",
     "SimTask",
     "SimLoop",
-    "CrashFault",
-    "DropFault",
-    "DelayFault",
-    "FuelFault",
     "FaultPlan",
-    "RetryPolicy",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -190,8 +174,8 @@ class SimFuture:
 
 
 class SimEvent:
-    """An async event on the virtual loop (used as the shard pause gate:
-    cleared while an evolution transition holds the shard, set to admit
+    """An async event on the virtual loop (used as the pause gate:
+    cleared while an evolution transition holds the heap, set to admit
     traffic).  Waiters wake in FIFO order — deterministically."""
 
     __slots__ = ("_set", "_waiters")
@@ -220,22 +204,16 @@ class SimEvent:
         await fut
 
 
-class SimTask:
-    """One coroutine driven by the loop; itself awaitable (join)."""
+class SimTask(SimFuture):
+    """One coroutine driven by the loop; resolved with its result, so it
+    is itself awaitable (join)."""
 
-    __slots__ = ("coro", "name", "future", "_loop")
+    __slots__ = ("coro", "name")
 
-    def __init__(self, coro: Coroutine, name: str, loop: "SimLoop") -> None:
+    def __init__(self, coro: Coroutine, name: str) -> None:
+        super().__init__()
         self.coro = coro
         self.name = name
-        self.future = SimFuture()
-        self._loop = loop
-
-    def done(self) -> bool:
-        return self.future.done()
-
-    def __await__(self):
-        return self.future.__await__()
 
 
 class SimLoop:
@@ -252,12 +230,10 @@ class SimLoop:
         self._ready: Deque[SimTask] = deque()
         self._timers: List[Tuple[float, int, SimFuture]] = []
         self._seq = 0
-        self._alive = 0
         self._failed: List[SimTask] = []
 
     def create_task(self, coro: Coroutine, name: str = "task") -> SimTask:
-        task = SimTask(coro, name, self)
-        self._alive += 1
+        task = SimTask(coro, name)
         self._ready.append(task)
         return task
 
@@ -272,12 +248,10 @@ class SimLoop:
         try:
             awaited = task.coro.send(None)
         except StopIteration as stop:
-            self._alive -= 1
-            task.future.set_result(stop.value)
+            task.set_result(stop.value)
             return
         except BaseException as exc:
-            self._alive -= 1
-            task.future.set_exception(exc)
+            task.set_exception(exc)
             self._failed.append(task)
             return
         if not isinstance(awaited, SimFuture):
@@ -295,7 +269,7 @@ class SimLoop:
                 task = self._ready.popleft()
                 self._step(task)
                 if main is not None and main.done():
-                    return main.future.result()
+                    return main.result()
             if self._timers:
                 deadline, _seq, fut = heapq.heappop(self._timers)
                 self.now = max(self.now, deadline)
@@ -308,8 +282,8 @@ class SimLoop:
                 f"virtual-time deadlock: task {main.name!r} never completed"
             )
         for task in self._failed:
-            if not task.future._retrieved:
-                task.future.result()  # re-raise the unretrieved failure
+            if not task._retrieved:
+                task.result()  # re-raise the unretrieved failure
         return None
 
 
@@ -318,238 +292,43 @@ class SimLoop:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrashFault:
-    """Crash shard ``shard`` when global request ``at_request`` is
-    issued; it stays down for ``down_ms`` virtual ms, then restarts
-    (reboot + republish + journal-directed family recovery) on the next
-    touch."""
-
-    shard: int
-    at_request: int
-    down_ms: float = 120.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "crash",
-            "shard": self.shard,
-            "at_request": self.at_request,
-            "down_ms": self.down_ms,
-        }
-
-
-@dataclass(frozen=True)
-class DropFault:
-    """Drop each inter-shard message with probability ``rate`` (rolled
-    from the per-request fault stream, so a given request's fate is a
-    pure function of the seed)."""
-
-    rate: float
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "drop", "rate": self.rate}
-
-
-@dataclass(frozen=True)
-class DelayFault:
-    """Delay each inter-shard message with probability ``rate`` by
-    ``delay_ms`` virtual ms."""
-
-    rate: float
-    delay_ms: float = 8.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "delay", "rate": self.rate, "delay_ms": self.delay_ms}
-
-
-@dataclass(frozen=True)
-class FuelFault:
-    """Exhaust the serving shard's step budget when request
-    ``at_request`` first reaches an interpreter: the call raises
-    ``JNS-RES-001``, the driver resets the budget and retries."""
-
-    at_request: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "fuel", "at_request": self.at_request}
-
-
 class FaultPlan:
-    """A seeded, deterministic description of what to break and when.
+    """A seeded, deterministic description of what to break and when,
+    parsed from the compact spec DSL::
 
-    Construct directly, from a JSON file/string (:meth:`parse`), or from
-    the compact spec DSL::
+        fuel:REQ                 trip JNS-RES-001 while serving request REQ
 
-        crash:SHARD@REQ+DOWNMS   crash shard SHARD at request REQ for DOWNMS ms
-        drop:RATE                drop inter-shard messages with probability RATE
-        delay:RATE@MS            delay with probability RATE by MS virtual ms
-        fuel:REQ                 trip JNS-RES-001 on the shard serving request REQ
+    e.g. ``fuel:33,fuel:77``.  Any other kind is an error, so a plan
+    written for a fault this harness does not model fails loudly instead
+    of being ignored."""
 
-    e.g. ``crash:1@120+150,drop:0.02,delay:0.05@6,fuel:77``.  The plan
-    carries no RNG of its own: probabilistic decisions are rolled by the
-    driver from per-request forks of the master seed, so a plan replays
-    identically regardless of task interleaving."""
-
-    def __init__(
-        self,
-        crashes: Iterable[CrashFault] = (),
-        drops: Iterable[DropFault] = (),
-        delays: Iterable[DelayFault] = (),
-        fuel: Iterable[FuelFault] = (),
-    ) -> None:
-        self.crashes: Tuple[CrashFault, ...] = tuple(crashes)
-        self.drops: Tuple[DropFault, ...] = tuple(drops)
-        self.delays: Tuple[DelayFault, ...] = tuple(delays)
-        self.fuel: Tuple[FuelFault, ...] = tuple(fuel)
-        self.crash_at: Dict[int, List[CrashFault]] = {}
-        for c in self.crashes:
-            self.crash_at.setdefault(c.at_request, []).append(c)
-        self.fuel_at = {f.at_request for f in self.fuel}
+    def __init__(self, fuel: Iterable[int] = ()) -> None:
+        #: Indices of the requests whose serve trips JNS-RES-001.
+        self.fuel: Tuple[int, ...] = tuple(fuel)
+        self.fuel_at = frozenset(self.fuel)
 
     def __bool__(self) -> bool:
-        return bool(self.crashes or self.drops or self.delays or self.fuel)
-
-    # -- message fate ---------------------------------------------------
-
-    def message_fate(self, rng: Rng) -> Tuple[Optional[str], float]:
-        """Roll the fate of one inter-shard message from ``rng`` (the
-        per-request fault stream): ``("drop", 0)``, ``("delay", ms)``, or
-        ``(None, 0)``.  Consumes one roll per configured fault so the
-        stream layout is stable under plan growth."""
-        for d in self.drops:
-            if rng.random() < d.rate:
-                return "drop", 0.0
-        for d in self.delays:
-            if rng.random() < d.rate:
-                return "delay", d.delay_ms
-        return None, 0.0
-
-    # -- (de)serialization ---------------------------------------------
+        return bool(self.fuel)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "faults": [
-                f.to_dict()
-                for f in (*self.crashes, *self.drops, *self.delays, *self.fuel)
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        crashes: List[CrashFault] = []
-        drops: List[DropFault] = []
-        delays: List[DelayFault] = []
-        fuel: List[FuelFault] = []
-        for entry in payload.get("faults", []):
-            kind = entry.get("kind")
-            if kind == "crash":
-                crashes.append(
-                    CrashFault(
-                        int(entry["shard"]),
-                        int(entry["at_request"]),
-                        float(entry.get("down_ms", 120.0)),
-                    )
-                )
-            elif kind == "drop":
-                drops.append(DropFault(float(entry["rate"])))
-            elif kind == "delay":
-                delays.append(
-                    DelayFault(float(entry["rate"]), float(entry.get("delay_ms", 8.0)))
-                )
-            elif kind == "fuel":
-                fuel.append(FuelFault(int(entry["at_request"])))
-            else:
-                raise ValueError(f"unknown fault kind {kind!r}")
-        return cls(crashes, drops, delays, fuel)
+        return {"fuel": list(self.fuel)}
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
-        """Parse a plan from a JSON file path, a JSON object string, or
-        the compact spec DSL (see the class docstring)."""
+        """Parse a plan from the compact spec DSL (see the class
+        docstring); empty or ``none`` is the empty plan."""
         text = text.strip()
-        if not text or text == "none":
+        if text == "none":
             return cls()
-        if os.path.isfile(text):
-            with open(text) as f:
-                return cls.from_dict(json.load(f))
-        if text.startswith("{"):
-            return cls.from_dict(json.loads(text))
-        crashes: List[CrashFault] = []
-        drops: List[DropFault] = []
-        delays: List[DelayFault] = []
-        fuel: List[FuelFault] = []
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
+        fuel: List[int] = []
+        for part in filter(None, (p.strip() for p in text.split(","))):
+            kind, _, spec = part.partition(":")
             try:
-                kind, _, spec = part.partition(":")
-                if kind == "crash":
-                    where, _, down = spec.partition("+")
-                    shard_s, _, req_s = where.partition("@")
-                    crashes.append(
-                        CrashFault(
-                            int(shard_s), int(req_s), float(down) if down else 120.0
-                        )
-                    )
-                elif kind == "drop":
-                    drops.append(DropFault(float(spec)))
-                elif kind == "delay":
-                    rate_s, _, ms = spec.partition("@")
-                    delays.append(
-                        DelayFault(float(rate_s), float(ms) if ms else 8.0)
-                    )
-                elif kind == "fuel":
-                    fuel.append(FuelFault(int(spec.lstrip("@"))))
-                else:
+                if kind != "fuel":
                     raise ValueError(f"unknown fault kind {kind!r}")
-            except (ValueError, TypeError) as exc:
+                fuel.append(int(spec.lstrip("@")))
+            except ValueError as exc:
                 raise ValueError(
-                    f"bad fault spec {part!r}: {exc} "
-                    "(expected crash:SHARD@REQ+DOWNMS, drop:RATE, "
-                    "delay:RATE@MS, or fuel:REQ)"
+                    f"bad fault spec {part!r}: {exc} (expected fuel:REQ)"
                 ) from None
-        return cls(crashes, drops, delays, fuel)
-
-
-# ----------------------------------------------------------------------
-# client-side retry policy
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with seeded jitter.
-
-    Attempt ``k`` (0-based) backs off ``min(cap_ms, base_ms * mult**k)``
-    virtual ms, scaled by ``1 - jitter * u`` with ``u`` drawn from the
-    caller's deterministic :class:`Rng` stream — so "random" jitter
-    replays exactly from the seed.  ``budget_ms`` is the worst-case sum
-    over all attempts; fault plans whose outages outlast it will see
-    degraded (stale) serves or exhausted retries."""
-
-    max_attempts: int = 8
-    base_ms: float = 4.0
-    mult: float = 2.0
-    cap_ms: float = 64.0
-    jitter: float = 0.5
-
-    def backoff_ms(self, attempt: int, rng: Rng) -> float:
-        raw = min(self.cap_ms, self.base_ms * (self.mult ** attempt))
-        return raw * (1.0 - self.jitter * rng.random())
-
-    @property
-    def budget_ms(self) -> float:
-        return sum(
-            min(self.cap_ms, self.base_ms * (self.mult ** k))
-            for k in range(self.max_attempts)
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_ms": self.base_ms,
-            "mult": self.mult,
-            "cap_ms": self.cap_ms,
-            "jitter": self.jitter,
-        }
+        return cls(fuel)

@@ -20,10 +20,10 @@ Commands:
 * ``fmt FILE``      — parse and pretty-print the program.
 * ``report WHAT``   — regenerate an evaluation artifact: ``table1``
   (jolden), ``table2`` (tree traversal), or ``corona`` (Section 7.4).
-* ``corona``        — the chaos harness: sharded async CorONA traffic
-  with seeded fault injection and live family evolution
-  (``--nodes N --shards K --faults PLAN --seed S``); exits non-zero on
-  any per-request oracle violation.
+* ``corona``        — the chaos harness: live family evolution of one
+  CorONA heap under in-flight traffic, with seeded fuel faults
+  (``--nodes N --faults PLAN --seed S``); exits non-zero on any
+  per-request oracle violation.
 * ``repl``          — an interactive J&s session (see :mod:`repro.repl`).
 * ``profile FILE``  — per-jns-line event counts (steps, dispatches, view
   changes, mask checks).

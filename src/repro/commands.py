@@ -208,38 +208,27 @@ def cmd_explain(args) -> int:
 
 
 def cmd_corona(args) -> int:
-    """``repro corona``: run the chaos-hardened CorONA harness (sharded
-    async traffic + seeded fault injection + live evolution) and print
-    the report.  The report is byte-identical for a given seed/plan when
-    ``--json`` is used without ``--wall``."""
+    """``repro corona``: run the CorONA live-evolution harness (one heap,
+    in-flight traffic, seeded fuel faults) and print the report.  The
+    report is byte-identical for a given seed/plan when ``--json`` is
+    used without ``--wall``."""
     from .chaos import FaultPlan
-    from .programs.corona import ChaosCoronaDriver, EvolutionJournal
+    from .programs.corona import ChaosCoronaDriver
 
     try:
         plan = FaultPlan.parse(args.faults)
-    except (ValueError, KeyError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: bad fault plan: {exc}", file=sys.stderr)
         return 2
     if tracing_requested(args):
         begin_tracing(args)
-    journal = None
-    if args.journal:
-        import os
-
-        journal = (
-            EvolutionJournal.load(args.journal)
-            if os.path.exists(args.journal)
-            else EvolutionJournal(path=args.journal)
-        )
     try:
         driver = ChaosCoronaDriver(
             nodes=args.nodes,
-            shards=args.shards,
             objects=args.objects,
             requests=args.requests,
             seed=args.seed,
             plan=plan,
-            journal=journal,
         )
         report = driver.run()
     finally:
@@ -251,9 +240,8 @@ def cmd_corona(args) -> int:
     else:
         c = report.counters
         print(
-            f"corona chaos: {report.params['nodes']} nodes / "
-            f"{report.params['shards']} shards, {report.params['requests']} requests, "
-            f"seed {report.params['seed']}"
+            f"corona chaos: {report.params['nodes']} nodes, "
+            f"{report.params['requests']} requests, seed {report.params['seed']}"
         )
         print(
             f"  completed {report.wall['requests_completed']} "
@@ -262,17 +250,7 @@ def cmd_corona(args) -> int:
         )
         print(
             f"  faults injected {c.get('chaos.injected', 0)} "
-            f"(crash {c.get('chaos.injected.crash', 0)}, "
-            f"drop {c.get('chaos.injected.drop', 0)}, "
-            f"delay {c.get('chaos.injected.delay', 0)}, "
-            f"fuel {c.get('chaos.injected.fuel', 0)}); "
-            f"restarts {c.get('chaos.restart', 0)}, "
-            f"journal-recovered transitions {c.get('chaos.recovered', 0)}"
-        )
-        print(
-            f"  retries {c.get('retry.attempt', 0)} "
-            f"(exhausted {c.get('retry.exhausted', 0)}), "
-            f"stale serves {c.get('degraded.stale_serve', 0)}, "
+            f"(fuel {c.get('chaos.injected.fuel', 0)}); "
             f"failures {len(report.failures)}"
         )
         pause = report.histograms.get("evolution.pause_virtual_ms")
@@ -281,10 +259,7 @@ def cmd_corona(args) -> int:
                 f"  evolution pause (virtual): p50 {pause['p50']:.1f} ms, "
                 f"p95 {pause['p95']:.1f} ms over {pause['count']} transitions"
             )
-        print(f"  families: " + ", ".join(
-            f"shard{s['index']}={s['family']}(epoch {s['epoch']})"
-            for s in report.shards
-        ))
+        print(f"  family: {report.family}")
         print(f"  oracle violations: {len(report.oracle_violations)}")
         for v in report.oracle_violations[:10]:
             print(f"    {v}")
@@ -429,11 +404,10 @@ def add_report(sub) -> None:
 def add_corona(sub) -> None:
     p_corona = sub.add_parser(
         "corona",
-        help="run the chaos-hardened CorONA harness: sharded async "
-        "traffic, seeded fault injection, live family evolution",
+        help="run the CorONA chaos harness: live family evolution of one "
+        "heap under in-flight traffic, seeded fuel faults",
     )
-    p_corona.add_argument("--nodes", type=int, default=256, metavar="N")
-    p_corona.add_argument("--shards", type=int, default=4, metavar="K")
+    p_corona.add_argument("--nodes", type=int, default=64, metavar="N")
     p_corona.add_argument("--objects", type=int, default=96, metavar="M")
     p_corona.add_argument("--requests", type=int, default=600, metavar="R")
     p_corona.add_argument("--seed", type=int, default=11, metavar="S")
@@ -441,17 +415,8 @@ def add_corona(sub) -> None:
         "--faults",
         default="",
         metavar="PLAN",
-        help="fault plan: JSON file path, JSON object string, or compact "
-        "DSL 'crash:SHARD@REQ+DOWNMS,drop:RATE,delay:RATE@MS,fuel:REQ' "
-        "(empty = no faults)",
-    )
-    p_corona.add_argument(
-        "--journal",
-        default=None,
-        metavar="FILE",
-        help="persist the evolution journal to FILE (JSONL); if FILE "
-        "exists the run resumes from it, completing any pending "
-        "transitions (crash-recoverable evolution)",
+        help="fault plan 'fuel:REQ[,fuel:REQ...]': trip JNS-RES-001 while "
+        "serving request REQ (empty = no faults)",
     )
     p_corona.add_argument(
         "--json", action="store_true", help="emit the full report as JSON"

@@ -208,7 +208,8 @@ def split_chunks(source: str) -> Optional[List[Chunk]]:
     contains nested-class anchors at a uniform indent and ends in a
     column-0 ``}`` is further split into a ``ctx`` header (wrapper
     declaration plus any leading members), one ``nested`` chunk per
-    anchor, and a ``ctx`` trailer from the last column-0 ``}`` on.  The
+    anchor, and a ``ctx`` trailer from the last nested class's closing
+    brace on (members declared after it plus the column-0 ``}``).  The
     split is a guess: the build/edit paths validate it against parsed
     declarations and fall back to coarser chunks (or a scratch build)
     whenever it lies.  Returns ``None`` when there is nothing to split
@@ -247,6 +248,12 @@ def _split_region(text: str, start_line: int) -> List[Chunk]:
     ]
     if not anchors or anchors[0] == 0 or trailer_at <= anchors[-1]:
         return whole
+    # The last nested chunk ends at its class's closing brace, so members
+    # the family declares after it go to the trailer, not into the chunk.
+    close = re.compile(r"^" + re.escape(first.group(1)) + r"\}.*\n?", re.MULTILINE)
+    last = close.search(text, anchors[-1], trailer_at)
+    if last is not None:
+        trailer_at = last.end()
     bounds = anchors + [trailer_at]
     out = [Chunk(CTX, text[: bounds[0]], start_line)]
     for i in range(len(anchors)):

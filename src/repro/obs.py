@@ -21,13 +21,12 @@ collects three kinds of observations:
 
   The chaos harness (:mod:`repro.programs.corona.driver`) mirrors its
   report counters and histograms here when tracing is enabled: counters
-  ``chaos.injected`` (with ``.crash/.drop/.delay/.fuel`` breakdowns),
-  ``chaos.restart``, ``chaos.recovered``, ``retry.attempt``,
-  ``retry.exhausted``, ``degraded.stale_serve``, and histograms
+  ``chaos.injected`` (with its ``.fuel`` breakdown),
+  ``evolution.applied``, ``fetch.ok``, ``publish.ok``,
+  ``requests.failed`` and ``oracle.violation``, and histograms
   ``evolution.pause_virtual_ms`` (virtual-time pause clients observe
-  per shard transition), ``retry.per_request`` (retry amplification),
-  ``degraded.staleness`` and ``staleness.cache_lag`` (versions behind
-  the acknowledged head).
+  per transition) and ``staleness.cache_lag`` (versions behind the
+  acknowledged head).
 * **Event ring** — a bounded ``deque`` of finished spans and instant
   events, exportable as Chrome-trace JSON (``chrome://tracing`` /
   Perfetto) via :meth:`Tracer.to_chrome_trace`.

@@ -176,7 +176,6 @@ _PHASE_ORDER = {
             # chaos-harness spans (repro corona) sort after the pipeline
             "corona.boot",
             "corona.evolve",
-            "corona.restart",
         )
     )
 }

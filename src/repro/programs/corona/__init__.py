@@ -32,8 +32,9 @@ exactly the paper's recipe; it is a few lines against the whole system.
 
 Package layout: :mod:`.source` holds the J&s program, :mod:`.system`
 the synchronous experiment driver, and :mod:`.driver` the chaos harness
-(sharded async traffic, fault injection, crash-recoverable evolution —
-see ``docs/IMPLEMENTATION.md``, "CorONA under chaos").
+(live evolution of one heap under in-flight traffic, seeded fuel faults,
+per-request oracles — see ``docs/IMPLEMENTATION.md``, "CorONA under
+chaos").
 """
 
 from __future__ import annotations
@@ -42,16 +43,12 @@ from .driver import (
     TRANSITIONS,
     ChaosCoronaDriver,
     ChaosReport,
-    DriverKilled,
-    EvolutionJournal,
-    Shard,
     feed_content,
     parse_feed,
     run_chaos,
 )
 from .source import SOURCE, evolution_loc, program
 from .system import (
-    FAMILIES,
     FAMILY_CODES,
     CoronaSystem,
     PhaseStats,
@@ -63,7 +60,6 @@ __all__ = [
     "SOURCE",
     "program",
     "evolution_loc",
-    "FAMILIES",
     "FAMILY_CODES",
     "CoronaSystem",
     "PhaseStats",
@@ -72,9 +68,6 @@ __all__ = [
     "TRANSITIONS",
     "ChaosCoronaDriver",
     "ChaosReport",
-    "DriverKilled",
-    "EvolutionJournal",
-    "Shard",
     "feed_content",
     "parse_feed",
     "run_chaos",

@@ -3,8 +3,8 @@
 ``CoronaSystem`` boots one ring inside one interpreter heap, runs
 workload phases under each family, and evolves the live system between
 phases without recreating any node or data object.  The chaos driver
-(``driver.py``) builds one ``CoronaSystem`` per shard and talks to it
-through the per-request methods (``fetch`` / ``publish`` / ``evolve``).
+(``driver.py``) builds one ``CoronaSystem`` and talks to it through the
+per-request methods (``fetch`` / ``publish`` / ``evolve``).
 
 Determinism: the only randomness source in the J&s program is the
 ``Rand`` LCG, and every ``workload`` / ``workloadVia`` call constructs a
@@ -27,10 +27,6 @@ from ...obs import TRACER
 from .source import SOURCE, evolution_loc, program
 
 FAMILY_CODES = {"corona": 0, "pccorona": 1, "beecorona": 2}
-
-#: Family tower in evolution order; ``FAMILIES.index`` gives the rank a
-#: shard has reached, which the chaos journal uses for idempotent replay.
-FAMILIES = ("corona", "pccorona", "beecorona")
 
 
 @dataclass
@@ -89,16 +85,13 @@ class CoronaSystem:
         self.interp.set_field(self.net, "lookups", 0)
         self.interp.set_field(self.net, "misses", 0)
 
-    def _stats(self) -> PhaseStats:
+    def stats(self) -> PhaseStats:
+        """Cumulative routing statistics since the last phase reset."""
         return PhaseStats(
             lookups=self.interp.get_field(self.net, "lookups"),
             total_hops=self.interp.get_field(self.net, "totalHops"),
             misses=self.interp.get_field(self.net, "misses"),
         )
-
-    def stats(self) -> PhaseStats:
-        """Cumulative routing statistics since the last phase reset."""
-        return self._stats()
 
     def _derive_seed(self) -> int:
         seed = Rng(self.seed).fork(f"phase{self._phase_index}").randrange(2**31 - 1)
@@ -123,7 +116,7 @@ class CoronaSystem:
         )
         if bad:
             raise AssertionError(f"{bad} fetches returned no content")
-        return self._stats()
+        return self.stats()
 
     # ---- per-request surface used by the chaos driver -------------------
 
@@ -174,8 +167,8 @@ class CoronaSystem:
 
     def store_contents(self) -> List[Tuple[int, int, int, str]]:
         """Walk every node's base ``store`` and return
-        ``(node_id, key, version, content)`` rows — the heap-isolation
-        witness used by the chaos driver (manager caches are views over
+        ``(node_id, key, version, content)`` rows — the store witness
+        the chaos driver checks after a run (manager caches are views over
         these same shared objects and are not walked separately)."""
         rows = []
         interp = self.interp

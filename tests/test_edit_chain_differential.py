@@ -72,10 +72,6 @@ class Fam0 {
   }
 }
 class Fam1 extends Fam0 {
-  int display(Fam0!.Exp e) sharing Fam0!.Exp = Exp {
-    Exp t = (view Exp)e;
-    return t.show();
-  }
   class Exp shares Fam0.Exp {
     int show() { return {SHOW}; }
   }
@@ -84,6 +80,10 @@ class Fam1 extends Fam0 {
   }
   class Add shares Fam0.Add {
     int show() { return l.show() + r.show(){ADD1}; }
+  }
+  int display(Fam0!.Exp e) sharing Fam0!.Exp = Exp {
+    Exp t = (view Exp)e;
+    return t.show();
   }
 }
 class Main {

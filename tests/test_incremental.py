@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import check_source
 from repro.lang.incremental import (
     CTX,
     NESTED,
@@ -156,6 +157,47 @@ def test_scratch_fallback_reasons(old, new, reason):
     _, stats = _edited(BASE, old, new)
     assert stats["strategy"] == "scratch"
     assert stats["reason"] == reason
+
+
+TRAILING = """\
+class Fam1 {
+  class Add {
+    int show() { return 1; }
+  }
+  int display() { return new Add().show(); }
+}
+"""
+
+LEADING = """\
+class Fam1 {
+  int display() { return new Add().show(); }
+  class Add {
+    int show() { return 1; }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("src", [TRAILING, LEADING], ids=["after", "before"])
+def test_members_after_the_last_nested_class_stay_incremental(src):
+    """A family member declared after its last nested class belongs to
+    the wrapper's trailer, so an edit of that nested class still grafts
+    (it once fell into the nested chunk, which then failed to parse)."""
+    chunks = split_chunks(src)
+    assert "display" not in [c for c in chunks if c.kind == NESTED][-1].text
+    inc = IncrementalChecker(src, file="t.jns")
+    inc.check()
+    prev = "return 1;"
+    for body in ("return 2;", 'return "two";', "return 3;"):
+        edited = src.replace(prev, body)
+        stats = inc.apply_edit(edited)
+        assert stats["strategy"] == "incremental", stats
+        assert stats["dirty"] == ["Fam1.Add"]
+        got, want = inc.check(), check_source(edited, file="t.jns")
+        assert got.to_json() == want.to_json()
+        assert got.render(edited) == want.render(edited)
+        assert want.has_errors == (body == 'return "two";')
+        src, prev = edited, body
 
 
 def test_noop_edit():

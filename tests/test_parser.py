@@ -259,6 +259,15 @@ class TestExpressions:
         e = expr("new A.B(1)")
         assert isinstance(e, ast.NewObj)
 
+    def test_new_object_of_exact_prefix(self):
+        """Postfix ``!`` in a ``new`` type: ``A!.B`` is the member ``B``
+        of the exact ``A``."""
+        e = expr("new A!.B(1)")
+        assert isinstance(e, ast.NewObj)
+        assert isinstance(e.type, ast.TNested) and e.type.name == "B"
+        assert isinstance(e.type.outer, ast.TExact)
+        assert e.type.outer.inner.parts == ("A",)
+
     def test_new_array(self):
         e = expr("new int[10]")
         assert isinstance(e, ast.NewArray)

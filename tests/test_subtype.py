@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro import compile_program
 from repro.lang import types as T
-from repro.lang.subtype import Env, subtype, type_equiv
+from repro.lang.subtype import Env, substitute_this, subtype, type_equiv
 from repro.lang.types import ClassType, exact_class
 
 from conftest import FIG123_SOURCE
@@ -238,3 +238,14 @@ def test_exact_value_below_its_type(t):
     v = exact_class(t.path)
     if subtype(env, t, t):  # trivially true; keeps hypothesis happy
         assert subtype(env, v, ClassType(t.path))
+
+
+class TestSubstitution:
+    def test_exact_type_substitutes_under_the_bang(self, env):
+        """``AST[this.class]!`` with receiver ``x`` (a final path) is
+        ``AST[x.class]!``: the substitution reaches inside ``ExactType``
+        and keeps it exact."""
+        t = T.make_exact(T.PrefixType(("AST",), T.DepType(("this",))))
+        assert isinstance(t, T.ExactType)
+        out = substitute_this(t, T.DepType(("x",)), env)
+        assert out == T.ExactType(T.PrefixType(("AST",), T.DepType(("x",))))

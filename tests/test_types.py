@@ -85,6 +85,13 @@ class TestMakers:
         m = T.make_member(p, "Exp")
         assert isinstance(m, T.NestedType)
 
+    def test_make_exact_on_prefix_wraps_and_prints(self):
+        p = T.PrefixType(("AST",), T.DepType(("this",)))
+        e = T.make_exact(p)
+        assert isinstance(e, T.ExactType) and e.inner is p
+        assert repr(e) == "AST[this.class]!"
+        assert T.make_exact(e) is e
+
     def test_make_isect_flattens(self):
         t = T.make_isect(
             (T.make_isect((ClassType(("A",)), ClassType(("B",)))), ClassType(("C",)))
