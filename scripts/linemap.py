@@ -13,7 +13,7 @@ read the ``cli.py`` figures as a floor.
 Two modes, run from the repository root::
 
     python scripts/linemap.py --out MAP.json [PYTEST ARGS...]
-    python scripts/linemap.py --diff OLD.json NEW.json [--packages runtime,lang,source]
+    python scripts/linemap.py --diff OLD.json NEW.json
 
 The first runs pytest (default arguments ``-q tests``; anything after
 the options is passed to pytest instead) and writes the map, then prints
@@ -23,10 +23,11 @@ grouped as ``repro``.
 
 The second compares two maps, from two trees or two test selections,
 and lists the lines executed in OLD that NEW never executes, limited to
-the named packages.  Lines are matched by file, stripped text and the
-occurrence index of that text in the file, so a map of a parent tree and
-one of a changed tree compare even where lines moved; a line whose text
-changed counts as lost.
+the interpreter core (``PACKAGES``: ``runtime``, ``lang``, ``source``).
+Lines are matched by file, stripped text and the occurrence index of
+that text in the file, so a map of a parent tree and one of a changed
+tree compare even where lines moved; a line whose text changed counts
+as lost.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "repro"
+#: The packages ``--diff`` reports lost lines for.
+PACKAGES = ("runtime", "lang", "source")
 
 
 def package_of(rel: str) -> str:
@@ -108,11 +111,12 @@ def per_package(files: dict) -> dict:
     return dict(sorted(counts.items()))
 
 
-def lost(old: dict, new: dict, packages: set) -> dict:
-    """``{relative path: [line text]}`` executed in ``old`` only."""
+def lost(old: dict, new: dict) -> dict:
+    """``{relative path: [line text]}`` of ``PACKAGES`` executed in
+    ``old`` only."""
     out = {}
     for rel, keys in sorted(old.items()):
-        if package_of(rel) not in packages:
+        if package_of(rel) not in PACKAGES:
             continue
         gone = sorted(set(keys) - set(new.get(rel, ())))
         if gone:
@@ -125,19 +129,16 @@ def main(argv=None) -> int:
     ap.add_argument("--out", metavar="MAP.json", help="write the line map here")
     ap.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                     help="compare two line maps instead of running tests")
-    ap.add_argument("--packages", default="runtime,lang,source",
-                    help="packages --diff reports on (comma-separated)")
     args, rest = ap.parse_known_args(argv)
     if args.diff:
         old, new = (json.loads(Path(p).read_text())["files"] for p in args.diff)
-        packages = set(args.packages.split(","))
-        gone = lost(old, new, packages)
+        gone = lost(old, new)
         olds, news = per_package(old), per_package(new)
         print(f"{'package':12s} {'old':>7s} {'new':>7s}")
         for pkg in sorted(set(olds) | set(news)):
             print(f"{pkg:12s} {olds.get(pkg, 0):7d} {news.get(pkg, 0):7d}")
         total = sum(len(v) for v in gone.values())
-        print(f"lines of {args.packages} executed in OLD only: {total}")
+        print(f"lines of {','.join(PACKAGES)} executed in OLD only: {total}")
         for rel, texts in gone.items():
             for text in texts:
                 print(f"  {rel}: {text}")

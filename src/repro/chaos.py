@@ -19,11 +19,10 @@ experiments on one running heap:
   ids) forks its own stream keyed by a stable label, so the decisions
   taken for request *i* do not depend on how requests happen to
   interleave.
-* :class:`FaultPlan` — a declarative description of the faults to
-  inject: fuel exhaustion — a forced
-  :class:`~repro.errors.JnsResourceError` ``JNS-RES-001`` inside the
-  interpreter — at chosen request indices.  Plans parse from a compact
-  spec string (:meth:`FaultPlan.parse`).
+* :func:`parse_fuel_plan` — the faults to inject: fuel exhaustion — a
+  forced :class:`~repro.errors.JnsResourceError` ``JNS-RES-001`` inside
+  the interpreter — at chosen request indices, parsed from a compact
+  spec string.
 
 When the process-wide tracer (:mod:`repro.obs`) is enabled, the driver
 mirrors every injection into ``chaos.injected`` / ``chaos.injected.<kind>``
@@ -41,8 +40,7 @@ from typing import (
     Callable,
     Coroutine,
     Deque,
-    Dict,
-    Iterable,
+    FrozenSet,
     List,
     Optional,
     Tuple,
@@ -54,7 +52,7 @@ __all__ = [
     "SimEvent",
     "SimTask",
     "SimLoop",
-    "FaultPlan",
+    "parse_fuel_plan",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -292,43 +290,24 @@ class SimLoop:
 # ----------------------------------------------------------------------
 
 
-class FaultPlan:
-    """A seeded, deterministic description of what to break and when,
-    parsed from the compact spec DSL::
+def parse_fuel_plan(text: str) -> FrozenSet[int]:
+    """Parse a fault plan from its compact spec DSL::
 
         fuel:REQ                 trip JNS-RES-001 while serving request REQ
 
-    e.g. ``fuel:33,fuel:77``.  Any other kind is an error, so a plan
-    written for a fault this harness does not model fails loudly instead
-    of being ignored."""
-
-    def __init__(self, fuel: Iterable[int] = ()) -> None:
-        #: Indices of the requests whose serve trips JNS-RES-001.
-        self.fuel: Tuple[int, ...] = tuple(fuel)
-        self.fuel_at = frozenset(self.fuel)
-
-    def __bool__(self) -> bool:
-        return bool(self.fuel)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"fuel": list(self.fuel)}
-
-    @classmethod
-    def parse(cls, text: str) -> "FaultPlan":
-        """Parse a plan from the compact spec DSL (see the class
-        docstring); empty or ``none`` is the empty plan."""
-        text = text.strip()
-        if text == "none":
-            return cls()
-        fuel: List[int] = []
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            kind, _, spec = part.partition(":")
-            try:
-                if kind != "fuel":
-                    raise ValueError(f"unknown fault kind {kind!r}")
-                fuel.append(int(spec.lstrip("@")))
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad fault spec {part!r}: {exc} (expected fuel:REQ)"
-                ) from None
-        return cls(fuel)
+    e.g. ``fuel:33,fuel:77`` -> ``frozenset({33, 77})``; empty text is
+    the empty plan.  Any other kind is an error, so a plan written for a
+    fault this harness does not model fails loudly instead of being
+    ignored."""
+    fuel = set()
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        kind, _, spec = part.partition(":")
+        try:
+            if kind != "fuel":
+                raise ValueError(f"unknown fault kind {kind!r}")
+            fuel.add(int(spec))
+        except ValueError as exc:
+            raise ValueError(
+                f"bad fault spec {part!r}: {exc} (expected fuel:REQ)"
+            ) from None
+    return frozenset(fuel)

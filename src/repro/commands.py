@@ -212,11 +212,11 @@ def cmd_corona(args) -> int:
     in-flight traffic, seeded fuel faults) and print the report.  The
     report is byte-identical for a given seed/plan when ``--json`` is
     used without ``--wall``."""
-    from .chaos import FaultPlan
+    from .chaos import parse_fuel_plan
     from .programs.corona import ChaosCoronaDriver
 
     try:
-        plan = FaultPlan.parse(args.faults)
+        fuel = parse_fuel_plan(args.faults)
     except ValueError as exc:
         print(f"error: bad fault plan: {exc}", file=sys.stderr)
         return 2
@@ -228,7 +228,7 @@ def cmd_corona(args) -> int:
             objects=args.objects,
             requests=args.requests,
             seed=args.seed,
-            plan=plan,
+            fuel=fuel,
         )
         report = driver.run()
     finally:

@@ -209,8 +209,13 @@ def split_chunks(source: str) -> Optional[List[Chunk]]:
     column-0 ``}`` is further split into a ``ctx`` header (wrapper
     declaration plus any leading members), one ``nested`` chunk per
     anchor, and a ``ctx`` trailer from the last nested class's closing
-    brace on (members declared after it plus the column-0 ``}``).  The
-    split is a guess: the build/edit paths validate it against parsed
+    brace on (members declared after it plus the column-0 ``}``).  That
+    closing brace is the first line after the last anchor made of the
+    nested indent and ``}``; so blank or comment lines after it are
+    trailer text (editing them is a ``wrapper-edit``), and a class whose
+    body has such a line before its real close is cut short (its chunk
+    fails to parse and edits fall back to scratch).  The split is a
+    guess: the build/edit paths validate it against parsed
     declarations and fall back to coarser chunks (or a scratch build)
     whenever it lies.  Returns ``None`` when there is nothing to split
     on or the pieces do not reassemble byte-for-byte.

@@ -7,10 +7,10 @@ the headline event of §7.4 — the corona → pccorona → beecorona family
 evolution — runs *while requests are in flight*, behind a pause gate:
 requests that reach the heap during a transition wait for it.
 
-Faults come from the seeded :class:`FaultPlan`: a ``fuel:REQ`` fault
-trips ``JnsResourceError`` (JNS-RES-001) inside the interpreter while
-request REQ is served; the driver recovers the interpreter with
-``Interp.reset_budget()`` and re-runs the request once.
+Faults come from the fault plan (:func:`~repro.chaos.parse_fuel_plan`):
+a ``fuel:REQ`` fault trips ``JnsResourceError`` (JNS-RES-001) inside the
+interpreter while request REQ is served; the driver recovers the
+interpreter with ``Interp.reset_budget()`` and re-runs the request once.
 
 Every node is in a well-typed family at every instant: the view change
 itself is atomic because the virtual-time scheduler never preempts
@@ -52,9 +52,9 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ...chaos import FaultPlan, Rng, SimEvent, SimLoop
+from ...chaos import Rng, SimEvent, SimLoop, parse_fuel_plan
 from ...errors import JnsResourceError
 from ...obs import TRACER, Histogram
 from ...telemetry import TraceContext
@@ -129,7 +129,7 @@ class ChaosCoronaDriver:
         objects: int = 96,
         requests: int = 600,
         seed: int = 11,
-        plan: Optional[FaultPlan] = None,
+        fuel: Iterable[int] = (),
     ):
         if nodes < 1:
             raise ValueError("need at least one node")
@@ -137,7 +137,8 @@ class ChaosCoronaDriver:
         self.objects = objects
         self.requests = requests
         self.seed = seed
-        self.plan = plan or FaultPlan()
+        #: Indices of the requests whose serve trips JNS-RES-001.
+        self.fuel = frozenset(fuel)
         self.evolve_at = (requests // 3, (2 * requests) // 3)
 
         self._rng = Rng(seed)
@@ -244,7 +245,7 @@ class ChaosCoronaDriver:
         rng = self._rng.fork(f"req{rid}")
         floor = self.version_acked.get(key, 0)
         await self.gate.wait()
-        if rid in self.plan.fuel_at:
+        if rid in self.fuel:
             self._count("chaos.injected")
             self._count("chaos.injected.fuel")
             # The next interpreter step raises JNS-RES-001 (the counting
@@ -373,7 +374,7 @@ class ChaosCoronaDriver:
                 "objects": self.objects,
                 "requests": self.requests,
                 "seed": self.seed,
-                "plan": self.plan.to_dict(),
+                "plan": {"fuel": sorted(self.fuel)},
                 "evolve_at": list(self.evolve_at),
             },
             counters=dict(self.counters),
@@ -403,5 +404,5 @@ def run_chaos(
     faults: str = "",
 ) -> ChaosReport:
     """Convenience wrapper: parse a fault-plan string and run."""
-    plan = FaultPlan.parse(faults)
-    return ChaosCoronaDriver(nodes, objects, requests, seed, plan).run()
+    fuel = parse_fuel_plan(faults)
+    return ChaosCoronaDriver(nodes, objects, requests, seed, fuel).run()

@@ -200,6 +200,38 @@ def test_members_after_the_last_nested_class_stay_incremental(src):
         src, prev = edited, body
 
 
+TRAILING_COMMENT = """\
+class Fam1 {
+  class Add {
+    int show() { return 1; }
+  }
+  // the last nested class ends above
+}
+"""
+
+
+def test_comment_after_the_last_nested_class_is_trailer_text():
+    """Blank and comment lines after the last nested class's closing
+    brace belong to the wrapper's trailer: editing them rebuilds from
+    scratch (``wrapper-edit``), while an edit of the class itself still
+    grafts.  Both paths agree with a scratch check."""
+    chunks = split_chunks(TRAILING_COMMENT)
+    assert [c.kind for c in chunks] == [CTX, NESTED, CTX]
+    assert chunks[1].text.endswith("  }\n")
+    assert chunks[2].text.startswith("  // the last nested class")
+    src = TRAILING_COMMENT
+    for old, new, strategy in [
+        ("ends above", "is Add", "scratch"),
+        ("return 1;", "return 2;", "incremental"),
+    ]:
+        inc = IncrementalChecker(src, file="t.jns")
+        inc.check()
+        edited = src.replace(old, new)
+        stats = inc.apply_edit(edited)
+        assert stats["strategy"] == strategy, stats
+        assert inc.check().to_json() == check_source(edited, file="t.jns").to_json()
+
+
 def test_noop_edit():
     inc = IncrementalChecker(BASE, file="t.jns")
     inc.check()
