@@ -478,37 +478,31 @@ class ClassTable:
     def _mem(self, t: Type) -> Tuple[Path, ...]:
         """``mem(PS)``: the classes comprising a pure non-dependent type."""
         if _PROV.enabled:
-            frame = _PROV.begin("mem", f"mem({t!r})")
-            try:
-                cached = self._q_mem.get(t)
-                if cached is not MISS:
-                    return _PROV.end_hit(frame, ("mem", id(self), t), cached)
-                result = self._q_mem.put(t, self._mem_uncached(t))
-                return _PROV.end(
-                    frame, result, rule="mem (Fig. 8)", key=("mem", id(self), t)
-                )
-            except BaseException:
-                _PROV.abort(frame)
-                raise
+            return _PROV.judge(
+                "mem", f"mem({t!r})", self._q_mem, t, self._mem_uncached, t,
+                rule="mem (Fig. 8)",
+            )
         cached = self._q_mem.get(t)
         if cached is not MISS:
             return cached
-        return self._q_mem.put(t, self._mem_uncached(t))
+        return self._mem_uncached(t)
 
     def _mem_uncached(self, t: Type) -> Tuple[Path, ...]:
-        t = t.pure()
-        if isinstance(t, ClassType):
-            return (t.path,)
-        if isinstance(t, T.IsectType):
+        pure = t.pure()
+        if isinstance(pure, ClassType):
+            mem: Tuple[Path, ...] = (pure.path,)
+        elif isinstance(pure, T.IsectType):
             out: List[Path] = []
-            for part in t.parts:
+            for part in pure.parts:
                 for p in self._mem(part):
                     if p not in out:
                         out.append(p)
-            return tuple(out)
-        if isinstance(t, T.ExactType):
-            return self._mem(t.inner)
-        raise ResolveError(f"cannot take mem of non-evaluated type {t!r}")
+            mem = tuple(out)
+        elif isinstance(pure, T.ExactType):
+            mem = self._mem(pure.inner)
+        else:
+            raise ResolveError(f"cannot take mem of non-evaluated type {pure!r}")
+        return self._q_mem.put(t, mem)
 
     def _inherits_safe(self, sub: Path, sup: Path) -> bool:
         """``sub @* sup`` but tolerant of in-progress resolution: answers
@@ -564,21 +558,11 @@ class ClassTable:
         Only ``this``-rooted dependent paths are allowed."""
         key = (t, this)
         if _PROV.enabled:
-            frame = _PROV.begin("eval", f"eval({t!r}) in {path_str(this)}")
-            try:
-                cached = self._q_eval_static.get(key)
-                if cached is not MISS:
-                    return _PROV.end_hit(frame, ("eval", id(self), key), cached)
-                result = self._eval_static_uncached(t, this, key)
-                return _PROV.end(
-                    frame,
-                    result,
-                    rule="type evaluation (Sec. 4.5)",
-                    key=("eval", id(self), key),
-                )
-            except BaseException:
-                _PROV.abort(frame)
-                raise
+            return _PROV.judge(
+                "eval", f"eval({t!r}) in {path_str(this)}", self._q_eval_static,
+                key, self._eval_static_uncached, t, this, key,
+                rule="type evaluation (Sec. 4.5)",
+            )
         cached = self._q_eval_static.get(key)
         if cached is not MISS:
             return cached
@@ -903,28 +887,11 @@ class ClassTable:
         """All classes sharing instances with ``path`` (including itself)."""
         self._build_sharing()
         if _PROV.enabled:
-            frame = _PROV.begin("sharing_group", f"group({path_str(path)})")
-            try:
-                cached = self._q_group.get(path)
-                if cached is not MISS:
-                    return _PROV.end_hit(
-                        frame, ("sharing_group", id(self), path), cached
-                    )
-                result = self._sharing_group_uncached(path)
-                _PROV.note(
-                    "union-find",
-                    f"equivalence root of {path_str(path)} is "
-                    f"{path_str(self._find(path))}",
-                )
-                return _PROV.end(
-                    frame,
-                    result,
-                    rule="sharing equivalence (Sec. 2.2)",
-                    key=("sharing_group", id(self), path),
-                )
-            except BaseException:
-                _PROV.abort(frame)
-                raise
+            return _PROV.judge(
+                "sharing_group", f"group({path_str(path)})", self._q_group, path,
+                self._sharing_group_uncached, path,
+                rule="sharing equivalence (Sec. 2.2)",
+            )
         cached = self._q_group.get(path)
         if cached is not MISS:
             return cached
@@ -936,6 +903,11 @@ class ClassTable:
         group = [p for p in self.all_class_paths() if self._find(p) == root]
         if path not in group:
             group.append(path)
+        if _PROV.enabled:
+            _PROV.note(
+                "union-find",
+                f"equivalence root of {path_str(path)} is {path_str(root)}",
+            )
         return self._q_group.put(path, tuple(group))
 
     def share_target(self, path: Path) -> Path:
@@ -957,52 +929,42 @@ class ClassTable:
         duplicated (masked in the sharing declaration); otherwise follows
         the share target."""
         if _PROV.enabled:
-            frame = _PROV.begin("fclass", f"fclass({path_str(path)}, {fname!r})")
-            try:
-                result = self._fclass_recorded(path, fname)
-                return _PROV.end(frame, result, rule="fclass (Sec. 4.15)")
-            except BaseException:
-                _PROV.abort(frame)
-                raise
-        target = self.share_target(path)
-        if target == path:
-            return path
-        if fname in self.share_masks(path):
-            return path
-        target_fields = {decl.name for _, decl in self.all_fields(target)}
-        if fname not in target_fields:
-            return path
-        return self.fclass(target, fname)
+            return _PROV.judge(
+                "fclass", f"fclass({path_str(path)}, {fname!r})", None, None,
+                self._fclass, path, fname, rule="fclass (Sec. 4.15)",
+            )
+        return self._fclass(path, fname)
 
-    def _fclass_recorded(self, path: Path, fname: str) -> Path:
-        """The :meth:`fclass` dispatch with leaf premises explaining which
-        clause selected the copy (recording-only path)."""
+    def _fclass(self, path: Path, fname: str) -> Path:
         target = self.share_target(path)
         if target == path:
-            _PROV.note(
-                "share", f"{path_str(path)} declares no sharing: own copy"
-            )
+            if _PROV.enabled:
+                _PROV.note(
+                    "share", f"{path_str(path)} declares no sharing: own copy"
+                )
             return path
         if fname in self.share_masks(path):
-            _PROV.note(
-                "duplicated",
-                f"field {fname!r} is masked in {path_str(path)}'s shares "
-                "clause: duplicated, own copy",
-            )
+            if _PROV.enabled:
+                _PROV.note(
+                    "duplicated",
+                    f"field {fname!r} is masked in {path_str(path)}'s shares "
+                    "clause: duplicated, own copy",
+                )
             return path
-        target_fields = {decl.name for _, decl in self.all_fields(target)}
-        if fname not in target_fields:
-            _PROV.note(
-                "new-field",
-                f"field {fname!r} is new in {path_str(path)} (absent from "
-                f"{path_str(target)}): own copy",
-            )
+        if fname not in {decl.name for _, decl in self.all_fields(target)}:
+            if _PROV.enabled:
+                _PROV.note(
+                    "new-field",
+                    f"field {fname!r} is new in {path_str(path)} (absent from "
+                    f"{path_str(target)}): own copy",
+                )
             return path
-        _PROV.note(
-            "share",
-            f"{path_str(path)} shares {path_str(target)} and {fname!r} is "
-            "not masked: follow the share target",
-        )
+        if _PROV.enabled:
+            _PROV.note(
+                "share",
+                f"{path_str(path)} shares {path_str(target)} and {fname!r} is "
+                "not masked: follow the share target",
+            )
         return self.fclass(target, fname)
 
     def subclasses_of(self, bound: ClassType) -> Tuple[Path, ...]:

@@ -6,17 +6,18 @@ recording protocol.
 one thing a judgment site reads while recording is off.  Everything
 that runs only while recording is on lives here: :class:`Derivation`,
 the frame stack, :class:`Capture`, and the protocol methods of
-:class:`Recording` (``begin``/``end``/``end_hit``/``abort``/``rule``/
-``note``), which join :class:`~repro.lang.provenance.Provenance` when
-the first recorder is enabled.  A run that never records never compiles
-this module.
+:class:`Recording` (``judge``, the one recorded step every judgment
+site runs, and ``rule``/``note`` for the body it runs), which join
+:class:`~repro.lang.provenance.Provenance` when the first recorder is
+enabled.  A run that never records never compiles this module.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import TRACER
+from .queries import MISS, Query
 
 #: Completed root derivations kept per recording session (old roots fall
 #: off the front; splice storage is unaffected).
@@ -177,7 +178,8 @@ class Capture:
 
     def __enter__(self) -> "Capture":
         if self._prov.enabled:
-            self._frame = self._prov.begin("<capture>", "")
+            self._frame = _Frame("<capture>", "", None)
+            self._prov._stack.append(self._frame)
         return self
 
     def __exit__(self, *exc: Any) -> bool:
@@ -204,10 +206,74 @@ class Recording:
     """The recording protocol of :class:`~repro.lang.provenance.Provenance`
     (``self`` is the recorder); never instantiated."""
 
-    def begin(self, judgment: str, subject: str, loc: Optional[str] = None) -> _Frame:
+    def judge(
+        self,
+        judgment: str,
+        subject: str,
+        query: Optional[Query],
+        key: Any,
+        compute: Callable[..., Any],
+        *args: Any,
+        rule: Optional[str] = None,
+        loc: Optional[str] = None,
+        verdict: Optional[Callable[[Any], Any]] = None,
+    ) -> Any:
+        """Decide one judgment while recording and return its value.
+
+        The judgment is answered from ``query`` at ``key`` when the memo
+        table holds it (splicing the derivation stored when the entry was
+        computed, or a bare ``(cached)`` leaf citing the memo when the
+        entry predates recording); otherwise ``compute(*args)`` — the
+        same step the unrecorded path calls, which owns the cache-write
+        policy — runs inside a fresh frame, so its sub-judgments attach
+        as premises.  The finished derivation is stored for later hits
+        exactly when the memo table holds ``key`` after the compute step,
+        so a recorded tree never disagrees with what was cached.
+        ``query=None`` records an unmemoized judgment.  ``rule`` names
+        the deciding rule (else the one the body set with :meth:`rule`);
+        ``verdict`` maps the value to the proof-tree result.  A judgment
+        that raises unwinds its frame and records nothing."""
         frame = _Frame(judgment, subject, loc)
         self._stack.append(frame)
-        return frame
+        try:
+            value = MISS if query is None else query.get(key)
+            cached = value is not MISS
+            if not cached:
+                value = compute(*args)
+        finally:
+            self._pop(frame)
+        result = value if verdict is None else verdict(value)
+        store_key = (judgment, id(query), key)
+        if cached:
+            stored = self._store.get(store_key)
+            if stored is None:
+                d = Derivation(
+                    judgment, subject, "memo (computed before recording)",
+                    result, (), True, loc,
+                )
+            else:
+                d = Derivation(
+                    stored.judgment, stored.subject, stored.rule,
+                    result, stored.premises, True, stored.loc,
+                )
+            counts, event = self.spliced, "provenance.spliced"
+        else:
+            d = Derivation(
+                judgment, subject, rule or frame.rule,
+                result, tuple(frame.children), False, loc,
+            )
+            if query is not None and key in query:
+                self._store[store_key] = d
+            counts, event = self.recorded, "provenance.recorded"
+        self._attach(d)
+        counts[judgment] = counts.get(judgment, 0) + 1
+        tracer = TRACER
+        if tracer.enabled:
+            tracer.count(event)
+            tracer.count(event + "." + judgment)
+            if not cached:
+                tracer.observe("provenance.premises." + judgment, len(d.premises))
+        return value
 
     def _pop(self, frame: _Frame) -> None:
         # Reentrancy-safe unwind, mirroring obs_export.Span.__exit__.
@@ -224,80 +290,6 @@ class Recording:
             self.roots.append(d)
             if len(self.roots) > MAX_ROOTS:
                 del self.roots[0]
-
-    def end(
-        self,
-        frame: _Frame,
-        result: Any,
-        rule: Optional[str] = None,
-        key: Any = None,
-    ) -> Any:
-        """Finish a computed (non-hit) judgment; returns ``result`` so
-        sites can ``return PROVENANCE.end(...)``."""
-        self._pop(frame)
-        d = Derivation(
-            frame.judgment,
-            frame.subject,
-            rule or frame.rule,
-            result,
-            tuple(frame.children),
-            False,
-            frame.loc,
-        )
-        self._attach(d)
-        if key is not None:
-            self._store[key] = d
-        self.recorded[frame.judgment] = self.recorded.get(frame.judgment, 0) + 1
-        tracer = TRACER
-        if tracer.enabled:
-            tracer.count("provenance.recorded")
-            tracer.count("provenance.recorded." + frame.judgment)
-            tracer.observe("provenance.premises." + frame.judgment, len(d.premises))
-        return result
-
-    def end_hit(
-        self,
-        frame: _Frame,
-        key: Any,
-        result: Any,
-        rule: Optional[str] = None,
-    ) -> Any:
-        """Finish a judgment answered from a memo table, splicing the
-        derivation stored when the entry was computed (a bare ``(cached)``
-        leaf citing the memo when the entry predates recording)."""
-        self._pop(frame)
-        stored = self._store.get(key)
-        if stored is not None:
-            d = Derivation(
-                stored.judgment,
-                stored.subject,
-                stored.rule,
-                result,
-                stored.premises,
-                True,
-                stored.loc,
-            )
-        else:
-            d = Derivation(
-                frame.judgment,
-                frame.subject,
-                rule or "memo (computed before recording)",
-                result,
-                (),
-                True,
-                frame.loc,
-            )
-        self._attach(d)
-        self.spliced[frame.judgment] = self.spliced.get(frame.judgment, 0) + 1
-        tracer = TRACER
-        if tracer.enabled:
-            tracer.count("provenance.spliced")
-            tracer.count("provenance.spliced." + frame.judgment)
-        return result
-
-    def abort(self, frame: _Frame) -> None:
-        """Unwind a frame whose judgment raised; nothing is recorded."""
-        self._pop(frame)
 
     def rule(self, name: str) -> None:
         """Name the paper rule deciding the innermost open judgment."""

@@ -208,13 +208,15 @@ def split_chunks(source: str) -> Optional[List[Chunk]]:
     contains nested-class anchors at a uniform indent and ends in a
     column-0 ``}`` is further split into a ``ctx`` header (wrapper
     declaration plus any leading members), one ``nested`` chunk per
-    anchor, and a ``ctx`` trailer from the last nested class's closing
-    brace on (members declared after it plus the column-0 ``}``).  That
-    closing brace is the first line after the last anchor made of the
-    nested indent and ``}``; so blank or comment lines after it are
-    trailer text (editing them is a ``wrapper-edit``), and a class whose
-    body has such a line before its real close is cut short (its chunk
-    fails to parse and edits fall back to scratch).  The split is a
+    anchor, a ``ctx`` chunk for any text between one nested class's
+    closing brace and the next anchor (members the family declares
+    there), and a ``ctx`` trailer from the last nested class's closing
+    brace on (members declared after it plus the column-0 ``}``).  A
+    nested class's closing brace is the first line after its anchor made
+    of the nested indent and ``}``; so blank or comment lines after it
+    are wrapper text (editing them is a ``wrapper-edit``), and a class
+    whose body has such a line before its real close is cut short (its
+    chunk fails to parse and edits fall back to scratch).  The split is a
     guess: the build/edit paths validate it against parsed
     declarations and fall back to coarser chunks (or a scratch build)
     whenever it lies.  Returns ``None`` when there is nothing to split
@@ -253,22 +255,17 @@ def _split_region(text: str, start_line: int) -> List[Chunk]:
     ]
     if not anchors or anchors[0] == 0 or trailer_at <= anchors[-1]:
         return whole
-    # The last nested chunk ends at its class's closing brace, so members
-    # the family declares after it go to the trailer, not into the chunk.
+    # Each nested chunk ends at its class's closing brace, so members the
+    # family declares after it go to a ctx chunk, not into the chunk.
     close = re.compile(r"^" + re.escape(first.group(1)) + r"\}.*\n?", re.MULTILINE)
-    last = close.search(text, anchors[-1], trailer_at)
-    if last is not None:
-        trailer_at = last.end()
-    bounds = anchors + [trailer_at]
-    out = [Chunk(CTX, text[: bounds[0]], start_line)]
-    for i in range(len(anchors)):
-        s, e = bounds[i], bounds[i + 1]
-        out.append(
-            Chunk(NESTED, text[s:e], start_line + text.count("\n", 0, s))
-        )
-    out.append(
-        Chunk(CTX, text[trailer_at:], start_line + text.count("\n", 0, trailer_at))
-    )
+    out = [Chunk(CTX, text[: anchors[0]], start_line)]
+    for s, limit in zip(anchors, anchors[1:] + [len(text)]):
+        stop = min(limit, trailer_at)
+        m = close.search(text, s, stop)
+        e = stop if m is None else m.end()
+        out.append(Chunk(NESTED, text[s:e], start_line + text.count("\n", 0, s)))
+        if e < limit:
+            out.append(Chunk(CTX, text[e:limit], start_line + text.count("\n", 0, e)))
     return out
 
 
@@ -289,14 +286,16 @@ def _collect_paths(
 
 
 def _wire_group(unit: List[Chunk], top_decls: List[ast.ClassDecl]) -> bool:
-    """Wire one wrapper group ``[ctx header, nested..., ctx trailer]`` to
-    its parsed family class: the header owns the wrapper declaration,
-    each nested chunk the member classes that start inside it (recorded
-    with their index in the wrapper's member list).  ``False`` when the
-    textual guess does not match the parse — the caller collapses the
-    group to a coarse chunk.  Partial mutation is fine: collapsed chunks
-    are discarded."""
-    header, nested, trailer = unit[0], unit[1:-1], unit[-1]
+    """Wire one wrapper group ``[ctx header, nested..., ctx trailer]``
+    (with ``ctx`` chunks between the nested ones wherever the family
+    declares members there) to its parsed family class: the header owns
+    the wrapper declaration, each nested chunk the member classes that
+    start inside it (recorded with their index in the wrapper's member
+    list).  ``False`` when the textual guess does not match the parse —
+    the caller collapses the group to a coarse chunk.  Partial mutation
+    is fine: collapsed chunks are discarded."""
+    header = unit[0]
+    nested = [ch for ch in unit[1:-1] if ch.kind == NESTED]
     if len(top_decls) != 1:
         return False
     wrapper = top_decls[0]
@@ -312,7 +311,7 @@ def _wire_group(unit: List[Chunk], top_decls: List[ast.ClassDecl]) -> bool:
         while ni + 1 < len(nested) and nested[ni + 1].start_line <= line:
             ni += 1
         ch = nested[ni]
-        if not ch.start_line <= line <= ch.end_line:
+        if not ch.start_line <= line < ch.end_line:
             return False
         if not ch.decls and line != ch.start_line:
             return False  # the anchor line is not a real class start
@@ -418,8 +417,13 @@ class IncrementalChecker:
                 units.append([chunks[i]])
                 i += 1
                 continue
+            # A group runs to the first ctx chunk that no nested chunk
+            # follows (ctx chunks between nested ones stay inside it).
             j = i + 1
-            while j < len(chunks) and chunks[j].kind == NESTED:
+            while j < len(chunks) and (
+                chunks[j].kind == NESTED
+                or (j + 1 < len(chunks) and chunks[j + 1].kind == NESTED)
+            ):
                 j += 1
             if j >= len(chunks) or chunks[j].kind != CTX:
                 return None  # malformed split

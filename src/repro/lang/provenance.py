@@ -75,32 +75,34 @@ class Provenance:
     whose ``enabled`` flag is the single branch every judgment site pays
     while recording is off.
 
-    Protocol at an instrumented site (the methods are those of
-    :class:`repro.lang.derivation.Recording`, which join this class when
-    a recorder is first enabled; sites call them only while enabled)::
+    Protocol at an instrumented site (``judge`` is a method of
+    :class:`repro.lang.derivation.Recording`, which joins this class when
+    a recorder is first enabled; sites call it only while enabled).  The
+    site computes its memo table and key once, then either records or
+    runs the plain cache path; both call the same compute step, which
+    owns the cache write::
 
-        frame = PROVENANCE.begin("subtype", f"{t1!r} <= {t2!r}")
-        try:
-            cached = q.get(key)
-            if cached is not MISS:
-                return PROVENANCE.end_hit(frame, ("subtype", id(table), key), cached)
-            result = q.put(key, compute())   # recursion re-enters recording
-            return PROVENANCE.end(frame, result, key=("subtype", id(table), key))
-        except BaseException:
-            PROVENANCE.abort(frame)
-            raise
+        if PROVENANCE.enabled:
+            return PROVENANCE.judge("mem", f"mem({t!r})", q, t, compute, t,
+                                    rule="mem (Fig. 8)")
+        cached = q.get(t)
+        if cached is not MISS:
+            return cached
+        return compute(t)                 # ends with q.put(t, ...)
 
-    ``end`` stores the finished derivation under ``key`` so a later
-    cache *hit* on the same judgment can splice it back in via
-    ``end_hit`` — memoization never makes a proof tree shallower.
+    ``judge`` answers a hit by splicing the derivation stored when the
+    entry was computed, so memoization never makes a proof tree
+    shallower; on a miss it records the compute step's sub-judgments as
+    premises and stores the tree exactly when the memo table holds the
+    key afterwards.  ``query=None`` records an unmemoized judgment.
     """
 
     def __init__(self) -> None:
         self.enabled = False
         self.roots: List[Derivation] = []
         self._stack: List[_Frame] = []
-        #: (judgment, id(owner), cache key) -> derivation recorded when
-        #: the memo entry was computed; consulted on cache hits.
+        #: (judgment, id(memo table), cache key) -> derivation recorded
+        #: when the memo entry was computed; consulted on cache hits.
         self._store: Dict[Any, Derivation] = {}
         self.recorded: Dict[str, int] = {}
         self.spliced: Dict[str, int] = {}

@@ -20,7 +20,8 @@ has no ``base`` view)."""
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from operator import itemgetter
+from typing import FrozenSet, Optional, Set, Tuple
 
 from . import types as T
 from .classtable import ClassTable, JnsError, ResolveError, path_str, sharing_engine
@@ -28,15 +29,6 @@ from .provenance import PROVENANCE as _PROV
 from .queries import MISS, QueryEngine
 from .subtype import Env, subtype
 from .types import ClassType, Path, Type, intern_type
-
-#: How a successful ``~>`` judgment maps to the paper rule that closed it
-#: (proof-tree labels; a failed judgment carries no rule).
-_SHARES_RULES: Dict[str, str] = {
-    "subtype": "SH-REFL",
-    "constraint": "SH-ENV",
-    "global": "SH-CLS",
-}
-
 
 class SharingChecker:
     """Computes directional sharing judgments over a class table.
@@ -107,25 +99,11 @@ class SharingChecker:
             subject = f"{path_str(src)}! ~> {path_str(dst)}!"
             if lenient:
                 subject += " (lenient)"
-            frame = _PROV.begin(
-                "required_masks", subject, loc=self._decl_loc(dst)
+            return _PROV.judge(
+                "required_masks", subject, self._q_req_masks, key,
+                self._required_masks_compute, key,
+                rule="masks (Fig. 5)", loc=self._decl_loc(dst),
             )
-            try:
-                cached = self._q_req_masks.get(key)
-                if cached is not MISS:
-                    return _PROV.end_hit(
-                        frame, ("required_masks", id(self), key), cached
-                    )
-                result = self._required_masks_compute(key)
-                return _PROV.end(
-                    frame,
-                    result,
-                    rule="masks (Fig. 5)",
-                    key=("required_masks", id(self), key),
-                )
-            except BaseException:
-                _PROV.abort(frame)
-                raise
         cached = self._q_req_masks.get(key)
         if cached is not MISS:
             return cached
@@ -239,26 +217,17 @@ class SharingChecker:
             subject = f"{src!r} ~> {dst!r}"
             if allowed_masks:
                 subject += " \\ {" + ", ".join(sorted(allowed_masks)) + "}"
-            frame = _PROV.begin("type_shares", subject)
-            try:
-                cached = self._q_type_shares.get(key)
-                if cached is not MISS:
-                    return _PROV.end_hit(
-                        frame, ("type_shares", id(self), key), cached
-                    )
-                result = self._type_shares_uncached(src, dst, allowed_masks, lenient)
-                store_key = None
-                if not self._in_progress:
-                    self._q_type_shares.put(key, result)
-                    store_key = ("type_shares", id(self), key)
-                return _PROV.end(frame, result, rule="SH-CLS", key=store_key)
-            except BaseException:
-                _PROV.abort(frame)
-                raise
+            return _PROV.judge(
+                "type_shares", subject, self._q_type_shares, key,
+                self._type_shares_step, key, rule="SH-CLS",
+            )
         cached = self._q_type_shares.get(key)
         if cached is not MISS:
             return cached
-        result = self._type_shares_uncached(src, dst, allowed_masks, lenient)
+        return self._type_shares_step(key)
+
+    def _type_shares_step(self, key: Tuple[Type, Type, FrozenSet[str], bool]) -> bool:
+        result = self._type_shares_uncached(*key)
         if not self._in_progress:
             self._q_type_shares.put(key, result)
         return result
@@ -335,16 +304,11 @@ class SharingChecker:
         the judgment came from the closed-world check — legal in the
         calculus, flagged for modularity)."""
         if _PROV.enabled:
-            frame = _PROV.begin("shares", f"{t_src!r} ~> {t_dst!r}")
-            try:
-                holds, how = self._sharing_judgment_inner(
-                    env, t_src, t_dst, allow_global
-                )
-                _PROV.end(frame, holds, rule=_SHARES_RULES.get(how))
-                return holds, how
-            except BaseException:
-                _PROV.abort(frame)
-                raise
+            return _PROV.judge(
+                "shares", f"{t_src!r} ~> {t_dst!r}", None, None,
+                self._sharing_judgment_inner, env, t_src, t_dst, allow_global,
+                verdict=itemgetter(0),
+            )
         return self._sharing_judgment_inner(env, t_src, t_dst, allow_global)
 
     def _sharing_judgment_inner(
@@ -352,6 +316,8 @@ class SharingChecker:
     ) -> Tuple[bool, str]:
         # SH-REFL (via subsumption): a no-op view change.
         if subtype(env, t_src, t_dst):
+            if _PROV.enabled:
+                _PROV.rule("SH-REFL")
             return True, "subtype"
         # SH-ENV / SH-MASK: an enabling constraint in scope.  Matched
         # nominally first, then on the statically evaluated types (this :=
@@ -367,6 +333,7 @@ class SharingChecker:
             for l, r in ((left, right), (right, left)):
                 if subtype(env, t_src, l) and subtype(env, r, t_dst):
                     if _PROV.enabled:
+                        _PROV.rule("SH-ENV")
                         _PROV.note(
                             "constraint",
                             f"enabled by the in-scope constraint "
@@ -382,6 +349,7 @@ class SharingChecker:
                     continue
                 if subtype(env, s, l_ev) and subtype(env, r_ev, d):
                     if _PROV.enabled:
+                        _PROV.rule("SH-ENV")
                         _PROV.note(
                             "constraint",
                             f"enabled by the in-scope constraint "
@@ -408,6 +376,8 @@ class SharingChecker:
                 )
             return False, "none"
         if self.type_shares(s.pure(), d.pure(), d.masks):
+            if _PROV.enabled:
+                _PROV.rule("SH-CLS")
             return True, "global"
         return False, "none"
 

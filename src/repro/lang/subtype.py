@@ -79,49 +79,26 @@ class Env:
         dependent paths are all ``this``-rooted and ``this`` has its
         standard binding; other bounds read the flow-sensitive variable
         environment and recompute every time."""
-        if _PROV.enabled:
-            return self._bound_recorded(t)
         paths = T.paths_in(t)
-        cacheable = all(p == _THIS_PATH for p in paths) and (
-            not paths or _standard_this(self)
-        )
-        if cacheable:
+        q = None
+        if all(p == _THIS_PATH for p in paths) and (not paths or _standard_this(self)):
             q = self.table._q_bound
-            key = (self.ctx, t)
+        key = (self.ctx, t)
+        if _PROV.enabled:
+            return _PROV.judge(
+                "bound", f"{t!r} <|", q, key, self._bound_step, t, q, key,
+                rule=_bound_rule(t),
+            )
+        if q is not None:
             cached = q.get(key)
             if cached is not MISS:
                 return cached
-            return q.put(key, self._bound_uncached(t))
-        return self._bound_uncached(t)
+        return self._bound_step(t, q, key)
 
-    def _bound_recorded(self, t: Type) -> Type:
-        """The :meth:`bound` control flow with derivation recording (the
-        disabled path above stays byte-identical)."""
-        frame = _PROV.begin("bound", f"{t!r} <|")
-        try:
-            paths = T.paths_in(t)
-            cacheable = all(p == _THIS_PATH for p in paths) and (
-                not paths or _standard_this(self)
-            )
-            if cacheable:
-                q = self.table._q_bound
-                key = (self.ctx, t)
-                cached = q.get(key)
-                if cached is not MISS:
-                    return _PROV.end_hit(
-                        frame, ("bound", id(self.table), key), cached
-                    )
-                result = q.put(key, self._bound_uncached(t))
-                return _PROV.end(
-                    frame,
-                    result,
-                    rule=_bound_rule(t),
-                    key=("bound", id(self.table), key),
-                )
-            return _PROV.end(frame, self._bound_uncached(t), rule=_bound_rule(t))
-        except BaseException:
-            _PROV.abort(frame)
-            raise
+    def _bound_step(self, t: Type, q, key) -> Type:
+        """The bound of ``t``, cached in ``q`` when it is memoized."""
+        b = self._bound_uncached(t)
+        return b if q is None else q.put(key, b)
 
     def _bound_uncached(self, t: Type) -> Type:
         t = t.pure()
@@ -308,46 +285,35 @@ def subtype(env: Env, t1: Type, t2: Type) -> bool:
     eligibility rule as :meth:`Env.bound`: every dependent path in both
     types is ``this``-rooted and ``this`` has its standard binding.  The
     judgment never reads ``env.constraints`` (sharing never implies
-    subtyping), so constraints don't enter the key."""
-    if _PROV.enabled:
-        return _subtype_recorded(env, t1, t2)
-    if t1 == t2:
-        return True
-    paths = T.paths_in(t1) | T.paths_in(t2)
-    if all(p == _THIS_PATH for p in paths) and (not paths or _standard_this(env)):
-        q = env.table._q_subtype
-        key = (env.ctx, t1, t2)
-        cached = q.get(key)
-        if cached is not MISS:
-            return cached
-        return q.put(key, _subtype_uncached(env, t1, t2))
-    return _subtype_uncached(env, t1, t2)
-
-
-def _subtype_recorded(env: Env, t1: Type, t2: Type) -> bool:
-    """:func:`subtype` with derivation recording (same control flow as
-    the disabled path, which stays byte-identical)."""
-    frame = _PROV.begin("subtype", f"{t1!r} <= {t2!r}")
-    try:
-        if t1 == t2:
-            return _PROV.end(frame, True, rule="S-REFL")
+    subtyping), so constraints don't enter the key.  ``T <= T`` (S-REFL)
+    is never cached."""
+    q = None
+    if t1 != t2:
         paths = T.paths_in(t1) | T.paths_in(t2)
         if all(p == _THIS_PATH for p in paths) and (not paths or _standard_this(env)):
             q = env.table._q_subtype
-            key = (env.ctx, t1, t2)
-            cached = q.get(key)
-            if cached is not MISS:
-                return _PROV.end_hit(frame, ("subtype", id(env.table), key), cached)
-            result = q.put(key, _subtype_uncached(env, t1, t2))
-            return _PROV.end(frame, result, key=("subtype", id(env.table), key))
-        return _PROV.end(frame, _subtype_uncached(env, t1, t2))
-    except BaseException:
-        _PROV.abort(frame)
-        raise
+    key = (env.ctx, t1, t2)
+    if _PROV.enabled:
+        return _PROV.judge(
+            "subtype", f"{t1!r} <= {t2!r}", q, key, _subtype_step, env, t1, t2, q, key
+        )
+    if q is not None:
+        cached = q.get(key)
+        if cached is not MISS:
+            return cached
+    return _subtype_step(env, t1, t2, q, key)
+
+
+def _subtype_step(env: Env, t1: Type, t2: Type, q, key) -> bool:
+    """``t1 <= t2``, cached in ``q`` when it is memoized."""
+    result = _subtype_uncached(env, t1, t2)
+    return result if q is None else q.put(key, result)
 
 
 def _subtype_uncached(env: Env, t1: Type, t2: Type) -> bool:
     if t1 == t2:
+        if _PROV.enabled:
+            _PROV.rule("S-REFL")
         return True
     # S-MASK: masks may only be added going up (T <= T\f).
     if not t1.masks <= t2.masks:
@@ -504,27 +470,21 @@ def _same_shape_equiv(env: Env, t1: Type, t2: Type) -> bool:
 def _class_subtype(table: ClassTable, c1: ClassType, c2) -> bool:
     """Subtyping between canonical path types with exactness positions.
     A pure function of the table; memoized unconditionally."""
-    if _PROV.enabled:
-        frame = _PROV.begin("class_subtype", f"{c1!r} <= {c2!r}")
-        try:
-            q = table._q_class_subtype
-            key = (c1, c2)
-            cached = q.get(key)
-            if cached is not MISS:
-                return _PROV.end_hit(frame, ("class_subtype", id(table), key), cached)
-            result = q.put(key, _class_subtype_uncached(table, c1, c2))
-            return _PROV.end(
-                frame, result, rule="S-EXACT", key=("class_subtype", id(table), key)
-            )
-        except BaseException:
-            _PROV.abort(frame)
-            raise
     q = table._q_class_subtype
     key = (c1, c2)
+    if _PROV.enabled:
+        return _PROV.judge(
+            "class_subtype", f"{c1!r} <= {c2!r}", q, key, _class_subtype_step,
+            table, c1, c2, rule="S-EXACT",
+        )
     cached = q.get(key)
     if cached is not MISS:
         return cached
-    return q.put(key, _class_subtype_uncached(table, c1, c2))
+    return _class_subtype_step(table, c1, c2)
+
+
+def _class_subtype_step(table: ClassTable, c1: ClassType, c2) -> bool:
+    return table._q_class_subtype.put((c1, c2), _class_subtype_uncached(table, c1, c2))
 
 
 def _class_subtype_uncached(table: ClassTable, c1: ClassType, c2) -> bool:

@@ -129,15 +129,10 @@ class TypeChecker:
         table: ClassTable,
         strict_sharing: bool = False,
         skip: Iterable[Path] = (),
-        explain: bool = False,
     ) -> None:
         self.table = table
         self.strict_sharing = strict_sharing
         self.skip = frozenset(skip)
-        #: When true (``check --explain``), failing sharing judgments are
-        #: recorded via :mod:`repro.lang.provenance` and their refutation
-        #: trees attached to the resulting diagnostics.
-        self.explain = explain
         self.report = CheckReport()
 
     @property
@@ -243,9 +238,8 @@ class TypeChecker:
         """Per-class results may come from (or go to) the memo table only
         when nothing run-specific can leak into them: no derivation
         recording (``--explain`` attaches refutation payloads built only
-        while recording) and no skip set (mirrors the recorded/plain dual
-        paths of the judgment caches)."""
-        return not self.explain and not _PROV.enabled and not self.skip
+        while recording) and no skip set."""
+        return not _PROV.enabled and not self.skip
 
     def class_report(
         self, path: Path
@@ -1085,14 +1079,15 @@ def check_program(
     resolved) members are not checked, so one broken class does not
     drown the report in cascading errors.
 
-    ``explain`` turns on derivation recording for the duration of the
-    check (see :mod:`repro.lang.provenance`): failing sharing judgments
-    (T-VIEW, Q-OK, L-OK) get their refutation trees attached to the
-    resulting ``JNS-TYPE-012/013/014`` diagnostics.
+    ``explain`` turns on the process-wide derivation recorder
+    ``PROVENANCE`` for the duration of the check (see
+    :mod:`repro.lang.provenance`); its ``enabled`` flag is the one switch
+    the checker reads.  While it is on, per-class reports bypass their
+    memo tables and failing sharing judgments (T-VIEW, Q-OK, L-OK) get
+    their refutation trees attached to the resulting
+    ``JNS-TYPE-012/013/014`` diagnostics.
     """
-    checker = TypeChecker(
-        table, strict_sharing=strict_sharing, skip=skip, explain=explain
-    )
+    checker = TypeChecker(table, strict_sharing=strict_sharing, skip=skip)
     was_recording = _PROV.enabled
     if explain and not was_recording:
         _PROV.enable()

@@ -993,3 +993,60 @@ def test_casts_of_a_signed_operand_match_walker():
     assert _both(SIGNED_CASTS) == (-5, [
         "-3.0", "-5.0", "-2", "5", "-10.0", "3", "4", "14",
     ])
+
+
+MASKED_LINK = r"""
+class F0 {
+  class A {
+    int x = 4;
+    A\x next;
+    int get() { return x; }
+  }
+}
+class F1 extends F0 {
+  class A shares F0.A {
+    int get() { return x + 3; }
+  }
+}
+class Main {
+  int main() {
+    int s = 0;
+    for (int i = 0; i < 2; i++) {
+      F0!.A a = new F0.A();
+      a.next = new F0.A();
+      s = s + a.get();
+      F1!.A v = (view F1!.A)a;
+      s = s + v.get();
+      Sys.print(Sys.viewName(v.next));
+      F1!.A\x w = v.next; w.x = i + 5; s = s + w.get();
+    }
+    return s;
+  }
+}
+"""
+
+
+def test_masked_view_dependent_read_matches_walker():
+    """``v.next`` reads a field whose view-dependent type carries a mask
+    (``A\\x next``), so its read plan is PLAN_ADAPT: the emitted site
+    hands the value to ``plan_apply_fn``'s adapt branch, which must view
+    it exactly as the walker does."""
+    from repro.runtime.specialize import PLAN_ADAPT
+
+    assert _both(MASKED_LINK) == (39, ["F1.A", "F1.A"])
+    interp = compile_program(MASKED_LINK).interp(mode="jns", backend="codegen")
+    cg = interp._codegen()
+    make, applied = cg.plan_apply_fn, []
+
+    def plan_apply_fn(name):
+        apply_plan = make(name)
+
+        def counted(plan, v, o):
+            applied.append((name, plan[0]))
+            return apply_plan(plan, v, o)
+
+        return counted
+
+    cg.plan_apply_fn = plan_apply_fn
+    assert interp.run("Main.main") == 39
+    assert applied and set(applied) == {("next", PLAN_ADAPT)}

@@ -178,13 +178,30 @@ class Fam1 {
 """
 
 
-@pytest.mark.parametrize("src", [TRAILING, LEADING], ids=["after", "before"])
+BETWEEN = """\
+class Fam1 {
+  class Add {
+    int show() { return 1; }
+  }
+  int display() { return new Add().show() + new Sub().show(); }
+  class Sub {
+    int show() { return 5; }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "src", [TRAILING, LEADING, BETWEEN], ids=["after", "before", "between"]
+)
 def test_members_after_the_last_nested_class_stay_incremental(src):
-    """A family member declared after its last nested class belongs to
-    the wrapper's trailer, so an edit of that nested class still grafts
-    (it once fell into the nested chunk, which then failed to parse)."""
+    """A family member declared after a nested class belongs to a wrapper
+    ``ctx`` chunk (the trailer, or the text between two nested classes),
+    so an edit of that nested class still grafts (the member once fell
+    into the nested chunk, which then failed to parse), while an edit of
+    the member itself rebuilds from scratch (``wrapper-edit``)."""
     chunks = split_chunks(src)
-    assert "display" not in [c for c in chunks if c.kind == NESTED][-1].text
+    assert all("display" not in c.text for c in chunks if c.kind == NESTED)
     inc = IncrementalChecker(src, file="t.jns")
     inc.check()
     prev = "return 1;"
@@ -198,6 +215,12 @@ def test_members_after_the_last_nested_class_stay_incremental(src):
         assert got.render(edited) == want.render(edited)
         assert want.has_errors == (body == 'return "two";')
         src, prev = edited, body
+    edited = src.replace("new Add().show()", "new Add().show() + 1")
+    stats = inc.apply_edit(edited)
+    assert (stats["strategy"], stats["reason"]) == ("scratch", "wrapper-edit")
+    got, want = inc.check(), check_source(edited, file="t.jns")
+    assert got.to_json() == want.to_json()
+    assert got.render(edited) == want.render(edited)
 
 
 TRAILING_COMMENT = """\

@@ -1,15 +1,27 @@
 """Provenance-recorder tests: recording, cache-hit splicing, refutation
 pruning, the disabled-path guarantee, and the tracer integration."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import obs
 from repro.api import check_source, compile_program
 from repro.lang import provenance
+from repro.lang import types as T
+from repro.lang.classtable import ClassTable
 from repro.lang.provenance import PROVENANCE, Derivation
+from repro.lang.resolve import resolve_program
 from repro.lang.sharing import SharingChecker
-from repro.lang.subtype import Env, subtype
+from repro.lang.subtype import Env, _class_subtype, subtype
+from repro.lang.typecheck import check_program
 from repro.lang.types import ClassType
+from repro.programs.corona.source import SOURCE as CORONA_SOURCE
+from repro.programs.jolden import ALL as JOLDEN
+from repro.sink import DiagnosticSink
+from repro.source.parser import parse_program
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 PAIR_SOURCE = """
 abstract class base {
@@ -97,6 +109,82 @@ class TestDisabledPath:
         assert on == off
 
 
+def _check_tables(source, record):
+    """Check ``source`` from a fresh table, recording or not: the
+    diagnostics (without the refutation payloads only recording adds)
+    and the contents of every judgment memo table."""
+    sink = DiagnosticSink()
+    table = ClassTable(parse_program(source, sink=sink))
+    resolve_program(table, sink=sink)
+    report = check_program(table, explain=record)
+    diagnostics = []
+    for d in sink.diagnostics + report.errors + report.warnings:
+        payload = d.to_dict()
+        payload.pop("explain", None)
+        notes = payload.pop("notes", [])
+        if "refutation:" in notes:
+            notes = notes[: notes.index("refutation:")]
+        diagnostics.append((payload, notes))
+    memo = {}
+    for engine in (table.queries, table.sharing_queries()):
+        for name, q in engine.queries.items():
+            # Per-class check reports bypass their memo tables while
+            # recording (``TypeChecker._cacheable``): they carry the
+            # refutation payloads, so only the judgments compare.
+            if name not in ("check_class", "inherited_ok"):
+                memo[engine.name, name] = {k: e[:2] for k, e in q.table.items()}
+    return diagnostics, memo
+
+
+CORPUS = [(m.NAME, m.SOURCE) for m in JOLDEN] + [
+    ("corona", CORONA_SOURCE),
+    ("lambda_pair", (EXAMPLES / "lambda_pair.jns").read_text()),
+    ("lambda_pair_bad", (EXAMPLES / "lambda_pair_bad.jns").read_text()),
+    ("pair", PAIR_SOURCE),
+]
+
+
+@pytest.mark.parametrize("source", [s for _, s in CORPUS], ids=[n for n, _ in CORPUS])
+def test_recording_is_transparent_across_the_corpus(source):
+    """Recording changes neither what a check reports nor what any
+    judgment caches."""
+    off = _check_tables(source, record=False)
+    on = _check_tables(source, record=True)
+    assert on[0] == off[0]
+    assert on[1] == off[1]
+    assert any(on[1].values())
+
+
+def _pair_judgments():
+    """One instance of each recorded judgment over PAIR_SOURCE, as a
+    function of the table and a sharing checker."""
+    abs_e = ("pair", "Abs")
+
+    def env(table):
+        e = Env(table, abs_e)
+        e.vars["this"] = ClassType(abs_e)
+        return e
+
+    var, exp = C("pair", "Var", exact=(1,)), C("base", "Exp")
+    pexp, bexp = C("pair", "Exp", exact=(1,)), C("base", "Exp", exact=(1,))
+    return {
+        "subtype": lambda t, c: subtype(env(t), var, exp),
+        "bound": lambda t, c: env(t).bound(T.DepType(("this",))),
+        "class_subtype": lambda t, c: _class_subtype(t, var, exp),
+        "mem": lambda t, c: t._mem(T.make_isect((pexp, bexp))),
+        "eval": lambda t, c: t.eval_type_static(
+            t.find_field(abs_e, "e")[1].type, this=abs_e
+        ),
+        "sharing_group": lambda t, c: t.sharing_group(abs_e),
+        "fclass": lambda t, c: t.fclass(abs_e, "e"),
+        "required_masks": lambda t, c: c.required_masks(abs_e, ("base", "Abs")),
+        "type_shares": lambda t, c: c.type_shares(pexp, bexp, frozenset()),
+        "shares": lambda t, c: c.sharing_judgment(
+            env(t), C("pair", "Abs", exact=(1,)), C("base", "Abs", exact=(1,))
+        ),
+    }
+
+
 class TestRecording:
     def test_subtype_derivation_cites_rules(self, table):
         table.queries.clear()
@@ -132,6 +220,49 @@ class TestRecording:
         # fclass premises cite the paper section
         assert any(p.judgment == "fclass" for p in d.premises)
 
+    @pytest.mark.parametrize(
+        "dst,constrained,how,rule",
+        [
+            (C("base", "Exp"), False, "subtype", "SH-REFL"),
+            (C("base", "Var", exact=(1,)), True, "constraint", "SH-ENV"),
+            (C("base", "Var", exact=(1,)), False, "global", "SH-CLS"),
+        ],
+    )
+    def test_shares_derivation_cites_the_closing_rule(
+        self, table, dst, constrained, how, rule
+    ):
+        src = C("pair", "Var", exact=(1,))
+        env = _env(table)
+        if constrained:
+            env.constraints = [(src, dst)]
+        provenance.enable()
+        with PROVENANCE.capture() as cap:
+            assert SharingChecker(table).sharing_judgment(env, src, dst) == (True, how)
+        d = cap.derivations[-1]
+        assert (d.judgment, d.result, d.rule) == ("shares", True, rule)
+
+    @pytest.mark.parametrize(
+        "path,fname,note,owner",
+        [
+            (("F0", "A"), "x", "share", ("F0", "A")),
+            (("F1", "A"), "z", "duplicated", ("F1", "A")),
+            (("F1", "A"), "y", "new-field", ("F1", "A")),
+            (("F1", "A"), "x", "share", ("F0", "A")),
+        ],
+    )
+    def test_fclass_derivation_cites_the_deciding_clause(self, path, fname, note, owner):
+        table = compile_program(
+            "class F0 { class A { int x; int z; } }\n"
+            "class F1 extends F0 { class A shares F0.A\\z { int y; } }\n",
+            check=False,
+        ).table
+        provenance.enable()
+        with PROVENANCE.capture() as cap:
+            assert table.fclass(path, fname) == owner
+        d = cap.derivations[-1]
+        assert (d.judgment, d.rule, d.result) == ("fclass", "fclass (Sec. 4.15)", owner)
+        assert note in [p.judgment for p in d.premises]
+
     def test_recorded_counters_by_judgment(self, table):
         table.queries.clear()
         provenance.enable()
@@ -143,20 +274,26 @@ class TestRecording:
 
 
 class TestSplicing:
-    def test_cache_hit_splices_stored_derivation(self, table):
+    @pytest.mark.parametrize("judgment", sorted(_pair_judgments()))
+    def test_cache_hit_splices_stored_derivation(self, table, judgment):
+        """Every judgment: a warm recorded run renders the tree of the
+        cold one, apart from the ``(cached)`` marks on spliced hits."""
+        run = _pair_judgments()[judgment]
         table.queries.clear()
+        checker = SharingChecker(table)
         provenance.enable()
-        env = _env(table)
-        t1, t2 = C("pair", "Var", exact=(1,)), C("base", "Exp")
-        with PROVENANCE.capture() as cold:
-            subtype(env, t1, t2)
-        with PROVENANCE.capture() as warm:
-            subtype(env, t1, t2)
-        assert PROVENANCE.spliced.get("subtype", 0) >= 1
-        d = warm.derivation
-        assert d.cached is True
-        # The spliced tree preserves the premises recorded on the miss.
-        assert len(d.premises) == len(cold.derivation.premises)
+        trees = []
+        for _ in range(2):
+            with PROVENANCE.capture() as cap:
+                run(table, checker)
+            # the last root: operands may run judgments of their own first
+            trees.append(cap.derivations[-1])
+        cold, warm = trees
+        assert cold.judgment == warm.judgment == judgment and cold.premises
+        if judgment not in ("fclass", "shares"):  # memoized: the warm root hits
+            assert warm.cached and PROVENANCE.spliced[judgment] >= 1
+        text = [d.format().replace("  (cached)", "") for d in trees]
+        assert text[1] == text[0]
 
     def test_entry_computed_before_recording_is_bare_leaf(self, table):
         # Warm the caches with recording off...

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import compile_program
-from repro.lang import types as T
+from repro.lang import provenance, types as T
+from repro.lang.provenance import PROVENANCE
 from repro.lang.subtype import Env, substitute_this, subtype, type_equiv
 from repro.lang.types import ClassType, exact_class
 
@@ -107,6 +108,37 @@ class TestExactness:
         assert subtype(
             env, C("ASTDisplay", "Value", exact=(2,)), C("ASTDisplay", "Exp", exact=(1,))
         )
+
+    @pytest.mark.parametrize(
+        "sub,sup,holds",
+        [
+            # AST!.Exp! <= AST.Exp!: the run-time class is AST.Exp itself
+            (C("AST", "Exp", exact=(1, 2)), C("AST", "Exp", exact=(2,)), True),
+            # AST!.Exp is not below AST!: only AST itself is
+            (C("AST", "Exp", exact=(1,)), C("AST", exact=(1,)), False),
+        ],
+    )
+    def test_fully_exact_supertype_admits_only_its_own_class(self, sub, sup, holds):
+        """S-EXACT against a fully exact supertype, with the ``exact``
+        premise a recorded derivation cites for it."""
+        table = compile_program(FIG123_SOURCE).table
+        env = Env(table, ("ASTDisplay",))
+        assert subtype(env, sub, sup) is holds
+        table.queries.clear()
+        provenance.enable()
+        try:
+            with PROVENANCE.capture() as cap:
+                assert subtype(env, sub, sup) is holds
+        finally:
+            provenance.disable()
+            PROVENANCE.clear()
+        nodes, notes = [cap.derivation], []
+        while nodes:
+            node = nodes.pop()
+            if node.judgment == "exact":
+                notes.append(node.result)
+            nodes.extend(node.premises)
+        assert notes == [holds]
 
     def test_new_expression_type(self, env):
         # new AST.Value() : AST.Value! <= AST!.Exp

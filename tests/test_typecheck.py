@@ -3,6 +3,7 @@
 import pytest
 
 from repro import JnsError, TypeError_, compile_program
+from repro.api import check_source
 
 from conftest import FIG123_SOURCE, FIG5_SOURCE
 
@@ -57,6 +58,10 @@ class TestBasicTyping:
 
     def test_assignment_type_mismatch(self):
         assert "cannot" in errors_of('class A { void m() { int x = "s"; } }')
+        sink = check_source('class A { int x; void m() { this.x = "s"; } }')
+        assert [(d.code, d.message) for d in sink.diagnostics] == [
+            ("JNS-TYPE-008", "cannot assign String to field 'x': int")
+        ]
 
     def test_duplicate_local(self):
         assert "duplicate local" in errors_of(
