@@ -29,7 +29,7 @@ from ..source import ast
 from . import types as T
 from .provenance import PROVENANCE as _PROV
 from .queries import MISS, QueryEngine, VersionStore, read_input
-from .types import ClassType, Path, Type, View, exact_class, intern_type
+from .types import ClassType, Path, Type, View, exact_class, intern_type, intern_view
 
 
 class ResolveError(JnsError):
@@ -581,7 +581,7 @@ class ClassTable:
 
     def _static_path_view(self, dep_path: Path, this: Path) -> View:
         if dep_path == ("this",):
-            return View(this)
+            return intern_view(this)
         raise ResolveError(
             f"dependent path {'.'.join(dep_path)} cannot be evaluated statically"
         )
@@ -1010,7 +1010,7 @@ class ClassTable:
         if self.inherits(current.path, target_pure.path) and self._exact_prefix_matches(
             current.path, target_pure
         ):
-            return self._q_view_of.put(key, View(current.path, frozenset(masks)))
+            return self._q_view_of.put(key, intern_view(current.path, frozenset(masks)))
         self._build_sharing()
         matches = [
             p
@@ -1019,7 +1019,7 @@ class ClassTable:
             and self._exact_prefix_matches(p, target_pure)
         ]
         if len(matches) == 1:
-            return self._q_view_of.put(key, View(matches[0], frozenset(masks)))
+            return self._q_view_of.put(key, intern_view(matches[0], frozenset(masks)))
         if not matches:
             raise JnsError(
                 f"no view of {path_str(current.path)} is compatible with {target!r}"

@@ -488,3 +488,21 @@ class View(Frozen):
         if not self.masks:
             return self
         return View(self.path)
+
+
+#: One run-time view per ``(path, masks)``: every view a reference can
+#: hold comes from :func:`intern_view`, so emitted code may key an inline
+#: cache on the ``View`` object and test it with ``is``.  Not cleared by
+#: ``queries.clear_caches()``: live references keep the views they hold,
+#: and a fresh table would split them from the views made afterwards.
+_VIEWS: Dict[Tuple[Path, FrozenSet[str]], View] = {}
+
+
+def intern_view(path: Path, masks: FrozenSet[str] = frozenset()) -> View:
+    """The one :class:`View` of ``path`` with ``masks`` (a frozenset).
+    ``View(...)`` itself stays an ordinary constructor."""
+    key = (path, masks)
+    view = _VIEWS.get(key)
+    if view is None:
+        view = _VIEWS[key] = View(path, masks)
+    return view

@@ -9,11 +9,22 @@ directly into the emitted text:
 
 * slot indices from the :class:`~repro.runtime.specialize.Layout` appear
   as literal ``inst.slots[i]`` accesses;
+* every view guard is one identity test.  A field read or write through
+  a receiver other than ``this`` caches the receiver's ``View`` (with
+  its slot and read plan) and hits on ``o.view is site[0]``; ``this.f``
+  tests the masks ``this`` had on entry (``_tm``), read once.  Both rest
+  on two invariants: one interned ``View`` per ``(path, masks)``
+  (:func:`~repro.lang.types.intern_view`), and a reference's view only
+  ever losing masks (R-SET's unmask is the only write of ``Ref.view``);
 * sealed-family (and receiver-monomorphic) devirtualized targets become
-  direct calls to the emitted callee, behind the usual view-path guard;
-* ``PLAN_NOOP`` view retargets are erased to a two-comparison guard (at
-  ``this.f`` reads and at inline-cache read sites alike) and
-  ``PLAN_ADAPT`` retargets are inlined as a single ``_adapt`` call;
+  direct calls to the emitted callee: a this-call takes it from a cell
+  filled once, any other call from a site keyed by the receiver's view;
+* ``PLAN_NOOP`` view retargets are erased to an inline no-op-set test
+  (at ``this.f`` reads and at inline-cache read sites alike),
+  ``PLAN_ADAPT`` retargets are inlined as a single ``_adapt`` call, and
+  a read of a primitive, ``String`` or array type has no retarget;
+* casts and ``instanceof`` to a type with no dependent path evaluate it
+  once, at emission;
 * constants are folded and J&s locals become real Python locals.
 
 Semantics stay anchored to the interpreter: every slow path (generic
@@ -55,12 +66,11 @@ semantics against the ``walker`` reference.
 from __future__ import annotations
 
 import linecache
-import re
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..lang import types as T
 from ..lang.classtable import JnsError, ResolveError, path_str
-from ..lang.types import ClassType, View
+from ..lang.types import ClassType, intern_view
 from ..obs import PROFILER, TRACER
 from ..source import ast
 from .interp import _jdiv, _jint, _jmod, allocate, to_jstring
@@ -159,8 +169,6 @@ _PRIMITIVE = (T.INT, T.DOUBLE, T.BOOLEAN, T.STRING)
 #: an inline-cache read site's no-op paths when its plan is not PLAN_NOOP
 _NO_PATHS = frozenset()
 
-_TEMP_RE = re.compile(r"_t\d+$")
-
 
 class _FrameView:
     """Dict-like adapter over the emitted function's ``locals()`` for the
@@ -211,8 +219,12 @@ class _Emitter:
         self.bound: set = set()
         self._atoms: set = set()
         self._loop_stack: List[str] = []  # "while" | "for"
-        #: the monomorphic inline-cache sites ``[view path, body]`` of
-        #: this body (``CodegenCompiler.evict`` resets the stale ones)
+        #: whether the prologue reads ``this``'s masks (:meth:`_tm`)
+        self.uses_tm = False
+        #: the call sites of this body that hold a callee body: the
+        #: inline caches ``[view path, body]``, the receiver-devirtualized
+        #: sites ``[view, body]`` and the this-call cells ``[None, body]``
+        #: (``CodegenCompiler.evict`` resets the stale ones)
         self.ic_sites: List[list] = []
         names: set = set()
         _collect_names(node, names)
@@ -298,6 +310,14 @@ class _Emitter:
         bodies, and then with no ``enabled`` branch."""
         if self.traced:
             self.w(f"{pad}{self.helper('_TR', TRACER)}.count({event!r})")
+
+    def _tm(self) -> str:
+        """``_tm``: the masks ``this`` had on entry, read once by the body's
+        prologue.  A reference's view only ever loses masks (R-SET), so
+        an empty ``_tm`` proves every ``this`` field unmasked for the
+        whole body; a non-empty one sends each test to the live view."""
+        self.uses_tm = True
+        return "_tm"
 
     def _fv(self) -> str:
         """A ``_FrameView`` over the live locals, for cold dependent-type
@@ -421,10 +441,8 @@ class _Emitter:
             return self._view_change(e)
         if cls is ast.InstanceOf:
             inner = self.spill(self.emit(e.expr))
-            k = self.const(self.cg.instanceof_fn(e.type))
-            t = self.temp()
-            self.w(f"{t} = {k}({inner}, {self._fv()})")
-            return t
+            test = self.cg.type_test_fn(self.interp.instanceof_value, e.type)
+            return self._typed_site(test, inner)
         if cls is ast.Assign:
             return self._assign(e)
         raise JnsRuntimeError(f"cannot emit expression {e!r}")
@@ -638,9 +656,20 @@ class _Emitter:
                 return f"{self.helper('_bool', bool)}({inner})"
             return inner
         inner = self.spill(self.emit(e.expr))
-        k = self.const(self.cg.cast_fn(e.type))
+        test = self.cg.type_test_fn(self.interp.cast_value, e.type)
+        return self._typed_site(test, inner)
+
+    def _typed_site(self, fn, inner: str) -> str:
+        """Call a cast, ``instanceof`` or view-change closure on ``inner``:
+        one whose type was evaluated at emission (``_static``) takes the
+        value alone, a dependent one also a ``_FrameView`` of the live
+        locals."""
+        k = self.const(fn)
         t = self.temp()
-        self.w(f"{t} = {k}({inner}, {self._fv()})")
+        if getattr(fn, "_static", False):
+            self.w(f"{t} = {k}({inner})")
+        else:
+            self.w(f"{t} = {k}({inner}, {self._fv()})")
         return t
 
     def _view_change(self, e: ast.ViewChange) -> str:
@@ -652,21 +681,14 @@ class _Emitter:
             self.w(f"{t} = {k}()")
             return t
         inner = self.spill(self.emit(e.expr))
-        fn = self.cg.view_change_fn(e.type)
-        k = self.const(fn)
-        t = self.temp()
-        if getattr(fn, "_static", False):
-            self.w(f"{t} = {k}({inner})")
-        else:
-            self.w(f"{t} = {k}({inner}, {self._fv()})")
-        return t
+        return self._typed_site(self.cg.view_change_fn(e.type), inner)
 
     # -- specialized field access ----------------------------------------
 
     def _field_read(self, e: ast.FieldGet) -> str:
         name = e.name
         if type(e.obj) is ast.This:
-            return self._this_read(name)
+            return self._this_read(name, self._rt(e))
         code = self.emit(e.obj)
         gf = self.helper("_gf", self.interp.get_field)
         rt = self._rt(e.obj)
@@ -694,38 +716,45 @@ class _Emitter:
             self.w(f"    {t} = {gf}({o}, {name!r})")
             self.helper("_ABSENT", ABSENT)
             return t
-        fill = self.const(self.cg.fill_shared_fn(name))
-        plan = self.const(self.cg.plan_apply_fn(name))
-        mblk = self.helper("_mblk", _raise_masked)
+        # the site [view, slot, read plan, no-op paths] holds a view in
+        # which the field is unmasked: one identity test covers the class
+        # test, the mask test and the slot lookup (every other receiver
+        # takes the cold path, which refills the site)
+        miss = self.const(self.cg.read_miss_fn(name))
         site = self.const([None, -1, None, None])
         self.cg.note_site()
         ab = self.helper("_ABSENT", ABSENT)
-        wv = self.temp()
-        self.w(f"if {o}.__class__ is {ref}:")
+        self.w(f"if {o}.__class__ is {ref} and {o}.view is {site}[0]:")
         self.count("mask.check", "    ")
         if self.lp:
             pfm = self.helper("_pfm", PROFILER.mask_hit)
             self.w(f"    {pfm}()")
-        self.w(f"    if {name!r} in {o}.view.masks: {mblk}({name!r}, {o}.view)")
-        self.w(f"    if {site}[0] != {o}.view.path: {fill}({site}, {o})")
         self.w(f"    {t} = {o}.inst.slots[{site}[1]]")
-        self.w(f"    if {t} is {ab}:")
-        self.w(f"        {t} = {gf}({o}, {name!r})")
-        self.w(f"    elif {site}[2] is not None and {t}.__class__ is {ref}:")
-        # the site's no-op paths (PLAN_NOOP) skip the call, as in _this_read
-        self.w(f"        {wv} = {t}.view")
-        self.w(f"        if {wv}.path not in {site}[3] or {wv}.masks:")
-        self.w(f"            {t} = {plan}({site}[2], {t}, {o})")
-        if self.lp:
-            pfv = self.helper("_pfv", PROFILER.view_hit)
-            self.w(f"        else: {pfv}()")
+        if _holds_no_ref(self._rt(e)):
+            self.w(f"    if {t} is {ab}: {t} = {gf}({o}, {name!r})")
+        else:
+            plan = self.const(self.cg.plan_apply_fn(name))
+            wv = self.temp()
+            self.w(f"    if {t} is {ab}:")
+            self.w(f"        {t} = {gf}({o}, {name!r})")
+            self.w(f"    elif {site}[2] is not None and {t}.__class__ is {ref}:")
+            # the site's no-op paths (PLAN_NOOP) skip the call, as in
+            # _this_read
+            self.w(f"        {wv} = {t}.view")
+            self.w(f"        if {wv}.path not in {site}[3] or {wv}.masks:")
+            self.w(f"            {t} = {plan}({site}[2], {t}, {o})")
+            if self.lp:
+                pfv = self.helper("_pfv", PROFILER.view_hit)
+                self.w(f"        else: {pfv}()")
         self.w(f"else:")
-        self.w(f"    {t} = {gf}({o}, {name!r})")
+        self.w(f"    {t} = {miss}({site}, {o})")
         return t
 
-    def _this_read(self, name: str) -> str:
+    def _this_read(self, name: str, rtype) -> str:
         """``this.f``: the slot index and read plan are known at emission
-        time — this is where the Layout is baked into the text."""
+        time — this is where the Layout is baked into the text.  The mask
+        test reads the live masks only when ``this`` entered with some
+        (:meth:`_tm`)."""
         gf = self.helper("_gf", self.interp.get_field)
         t = self.temp()
         slot = self.cspec.slot_of.get(name) if self.cspec is not None else None
@@ -743,10 +772,11 @@ class _Emitter:
         if self.lp:
             pfm = self.helper("_pfm", PROFILER.mask_hit)
             self.w(f"{pfm}()")
-        self.w(f"if {name!r} in u_this.view.masks: {mblk}({name!r}, u_this.view)")
+        self.w(f"if {self._tm()} and {name!r} in u_this.view.masks: "
+               f"{mblk}({name!r}, u_this.view)")
         self.w(f"{t} = u_this.inst.slots[{slot}]")
         rplan = self.cspec.read_plan.get(name)
-        if rplan is None:
+        if rplan is None or _holds_no_ref(rtype):
             self.w(f"if {t} is {ab}: {t} = {gf}(u_this, {name!r})")
             return t
         ref = self.helper("_Ref", Ref)
@@ -754,7 +784,7 @@ class _Emitter:
         self.w(f"    {t} = {gf}(u_this, {name!r})")
         self.w(f"elif {t}.__class__ is {ref}:")
         tag = rplan[0]
-        if tag == 0:  # PLAN_NOOP — erased to a two-comparison guard
+        if tag == 0:  # PLAN_NOOP — erased to an inline no-op test
             kn = self.const(rplan[1])
             kt = self.const(rplan[2])
             adapt = self.helper("_adapt", self.interp._adapt)
@@ -778,22 +808,24 @@ class _Emitter:
 
     def _field_store(self, target: ast.FieldGet, v: str) -> None:
         name = target.name
-        sf = self.helper("_sf", self.interp.set_field)
         if type(target.obj) is ast.This:
             slot = self.cspec.slot_of.get(name) if self.cspec is not None else None
             if slot is None:
+                sf = self.helper("_sf", self.interp.set_field)
                 self.w(f"{sf}(u_this, {name!r}, {v})")
                 return
             self.cg.note_site()
             self.w(f"u_this.inst.slots[{slot}] = {v}")
             if self.sharing:
                 unmask = self.helper("_unmask", _remove_mask)
-                self.w(f"if {name!r} in u_this.view.masks: {unmask}(u_this, {name!r})")
+                self.w(f"if {self._tm()} and {name!r} in u_this.view.masks: "
+                       f"{unmask}(u_this, {name!r})")
             return
         o = self.spill(self.emit(target.obj))
         ref = self.helper("_Ref", Ref)
         self.cg.note_site()
         if not self.sharing:
+            sf = self.helper("_sf", self.interp.set_field)
             fill = self.const(self.cg.fill_plain_fn(name))
             site = self.const([None, None])
             self.w(f"if {o}.__class__ is {ref}:")
@@ -805,15 +837,14 @@ class _Emitter:
             self.w(f"else:")
             self.w(f"    {sf}({o}, {name!r}, {v})")
             return
-        fill = self.const(self.cg.fill_shared_fn(name))
+        # the read site's shape: a cached view has the field unmasked, so
+        # a hit has no mask to remove
+        miss = self.const(self.cg.store_miss_fn(name))
         site = self.const([None, -1, None, None])
-        unmask = self.helper("_unmask", _remove_mask)
-        self.w(f"if {o}.__class__ is {ref}:")
-        self.w(f"    if {site}[0] != {o}.view.path: {fill}({site}, {o})")
+        self.w(f"if {o}.__class__ is {ref} and {o}.view is {site}[0]:")
         self.w(f"    {o}.inst.slots[{site}[1]] = {v}")
-        self.w(f"    if {name!r} in {o}.view.masks: {unmask}({o}, {name!r})")
         self.w(f"else:")
-        self.w(f"    {sf}({o}, {name!r}, {v})")
+        self.w(f"    {miss}({site}, {o}, {v})")
 
     # -- calls -----------------------------------------------------------
 
@@ -827,13 +858,20 @@ class _Emitter:
                 and len(found[1].params) == len(e.args)
             ):
                 owner, decl = found
-                dv = self.const(self.cg.devirt_bodies(owner, decl))
-                vp = self.const(self.path)
+                # the callee body for this body's own path, fixed once
+                # known: a cell [None, body] filled on the first call
+                cell: list = [None, None]
+                self.ic_sites.append(cell)
+                site = self.const(cell)
+                fill = self.const(self.cg.this_call_fill_fn(owner, decl, self.path))
                 args = self.emit_seq(e.args)
                 self.cg.note_site()
                 t = self.temp()
                 self.count("dispatch.codegen_hit")
-                self.w(f"{t} = {dv}[{vp}](u_this{''.join(', ' + a for a in args)})")
+                self.w(
+                    f"{t} = ({site}[1] or {fill}({site}))"
+                    f"(u_this{''.join(', ' + a for a in args)})"
+                )
                 return t
             o = "u_this"
         else:
@@ -854,19 +892,20 @@ class _Emitter:
             owner, decl, valid = target
             self.spec.note_devirtualized()
             self.cg.note_site()
-            kv = self.const(valid)
-            dv = self.const(self.cg.devirt_bodies(owner, decl))
-            gen = self.const(self.cg.resolve_fn(name))
+            # a site [view, body]: a receiver view whose path is valid
+            # fills it, any other dispatches generically
+            cell = [None, None]
+            self.ic_sites.append(cell)
+            site = self.const(cell)
+            miss = self.const(self.cg.devirt_miss_fn(name, owner, decl, valid))
             args = self.emit_seq(e.args)
             argstr = "".join(", " + a for a in args)
             t = self.temp()
-            vp = self.temp()
-            self.w(f"{vp} = {o}.view.path")
-            self.w(f"if {vp} in {kv}:")
+            self.w(f"if {o}.view is {site}[0]:")
             self.count("dispatch.codegen_hit", "    ")
-            self.w(f"    {t} = {dv}[{vp}]({o}{argstr})")
+            self.w(f"    {t} = {site}[1]({o}{argstr})")
             self.w(f"else:")
-            self.w(f"    {t} = {gen}({o}, {len(args)})({o}{argstr})")
+            self.w(f"    {t} = {miss}({site}, {o}, {len(args)})({o}{argstr})")
             return t
         # monomorphic inline cache over emitted bodies (a miss refills it)
         ic: list = [None, None]
@@ -1146,6 +1185,8 @@ class _Emitter:
         if locals_needed:
             ab = self.helper("_ABSENT", ABSENT)
             head.append(f"{pad}{' = '.join(locals_needed)} = {ab}")
+        if self.uses_tm:
+            head.append(f"{pad}_tm = u_this.view.masks")
         if entry_pos is not None and not entry_pos[0]:
             entry_pos = None
         lines = head + self.lines
@@ -1236,7 +1277,7 @@ def _remove_mask(o, name):
     view = o.view
     if TRACER.enabled:
         TRACER.event("mask.removed", field=name, view=path_str(view.path))
-    o.view = View(view.path, view.masks - {name})
+    o.view = intern_view(view.path, view.masks - {name})
 
 
 def _compound_add(current, r):
@@ -1299,6 +1340,13 @@ def _collect_names(node, out) -> None:
             for x in v:
                 if isinstance(x, (ast.Expr, ast.Stmt)):
                     _collect_names(x, out)
+
+
+def _holds_no_ref(t) -> bool:
+    """Whether a value of checker type ``t`` is never a reference: a
+    primitive, ``String`` or an array (``None`` — unchecked — may be
+    anything)."""
+    return t is not None and isinstance(t.pure(), (T.PrimType, T.ArrayType))
 
 
 def _is_null(e: ast.Expr) -> bool:
@@ -1366,7 +1414,8 @@ class CodegenCompiler:
         self._miss_fns: Dict[str, Any] = {}
         self._resolve_fns: Dict[str, Any] = {}
         self._fill_plain: Dict[str, Any] = {}
-        self._fill_shared: Dict[str, Any] = {}
+        self._read_miss: Dict[str, Any] = {}
+        self._store_miss: Dict[str, Any] = {}
         self._plan_apply: Dict[str, Any] = {}
         self._unbound: Dict[str, Any] = {}
 
@@ -1516,25 +1565,80 @@ class CodegenCompiler:
             fn = self._fill_plain[name] = fill
         return fn
 
-    def fill_shared_fn(self, name):
-        fn = self._fill_shared.get(name)
+    def _shared_site(self, name, view):
+        """The contents ``[view, slot, read plan, no-op paths]`` of a
+        ``jns`` read or store site of field ``name`` for receivers viewed
+        as ``view``; raises JNS-RUN-003 when the class has no such
+        field."""
+        vp = view.path
+        cspec = self.spec.class_spec(vp)
+        i = cspec.slot_of.get(name)
+        if i is None:
+            raise NoSuchName(f"no field {name!r} on {path_str(vp)}")
+        plan = cspec.read_plan.get(name)
+        noops = plan[1] if plan is not None and plan[0] == 0 else _NO_PATHS
+        return [view, i, plan, noops]
+
+    def read_miss_fn(self, name):
+        """The cold path of the ``jns`` read sites of field ``name``
+        through a receiver other than ``this``: the full guard sequence
+        of ``Interp.get_field`` (a null or non-object receiver, a masked
+        field raising JNS-RUN-002), then the read, with the counts and
+        profiler hooks a hit plants.  The site is refilled for the
+        receiver's view, which has the field unmasked."""
+        fn = self._read_miss.get(name)
         if fn is None:
-            spec = self.spec
+            gf = self.interp.get_field
+            apply_plan = self.plan_apply_fn(name)
+            traced = self.traced
+            lp = self.interp.line_profile
 
-            def fill(site, o):
-                vp = o.view.path
-                cspec = spec.class_spec(vp)
-                i = cspec.slot_of.get(name)
-                if i is None:
-                    raise NoSuchName(f"no field {name!r} on {path_str(vp)}")
-                plan = cspec.read_plan.get(name)
-                if plan is not None and plan[0] == 0:  # PLAN_NOOP
-                    noops = plan[1]
-                else:
-                    noops = _NO_PATHS
-                site[0], site[1], site[2], site[3] = vp, i, plan, noops
+            def miss(site, o):
+                if o.__class__ is not Ref:
+                    return gf(o, name)
+                if traced:
+                    TRACER.count("mask.check")
+                if lp:
+                    PROFILER.mask_hit()
+                view = o.view
+                if name in view.masks:
+                    _raise_masked(name, view)
+                site[:] = self._shared_site(name, view)
+                v = o.inst.slots[site[1]]
+                if v is ABSENT:
+                    return gf(o, name)
+                if site[2] is not None and v.__class__ is Ref:
+                    w = v.view
+                    if w.path not in site[3] or w.masks:
+                        return apply_plan(site[2], v, o)
+                    if lp:
+                        PROFILER.view_hit()
+                return v
 
-            fn = self._fill_shared[name] = fill
+            fn = self._read_miss[name] = miss
+        return fn
+
+    def store_miss_fn(self, name):
+        """The cold path of the ``jns`` store sites of field ``name``
+        (see :meth:`read_miss_fn`): ``Interp.set_field``'s guards, the
+        store, and R-SET's unmask; the site is refilled for the view the
+        receiver has after the store."""
+        fn = self._store_miss.get(name)
+        if fn is None:
+            sf = self.interp.set_field
+
+            def miss(site, o, v):
+                if o.__class__ is not Ref:
+                    sf(o, name, v)
+                    return
+                fill = self._shared_site(name, o.view)
+                o.inst.slots[fill[1]] = v
+                if name in o.view.masks:
+                    _remove_mask(o, name)
+                fill[0] = o.view
+                site[:] = fill
+
+            fn = self._store_miss[name] = miss
         return fn
 
     def plan_apply_fn(self, name):
@@ -1571,6 +1675,39 @@ class CodegenCompiler:
                 lambda vp: self.method_fn(decl, vp, owner)
             )
         return bodies
+
+    def this_call_fill_fn(self, owner, decl, path):
+        """Fill a devirtualized this-call's cell ``[None, body]`` with the
+        body of ``decl`` for the caller's own ``path``, and return it."""
+        bodies = self.devirt_bodies(owner, decl)
+
+        def fill(cell):
+            body = cell[1] = bodies[path]
+            return body
+
+        return fill
+
+    def devirt_miss_fn(self, name, owner, decl, valid):
+        """The cold path of a receiver-devirtualized call site ``[view,
+        body]``: a receiver path in ``valid`` fills the site with the
+        body of ``decl`` for that path (a hit, counted as one); any
+        other receiver is dispatched generically and leaves the site as
+        it is.  Returns the body to call."""
+        bodies = self.devirt_bodies(owner, decl)
+        resolve = self.resolve_fn(name)
+        traced = self.traced
+
+        def miss(site, receiver, nargs):
+            view = receiver.view
+            if view.path not in valid:
+                return resolve(receiver, nargs)
+            if traced:
+                TRACER.count("dispatch.codegen_hit")
+            body = bodies[view.path]
+            site[0], site[1] = view, body
+            return body
+
+        return miss
 
     def resolve_fn(self, name):
         """Dispatch ``name`` for the sites that cannot bind statically
@@ -1637,13 +1774,31 @@ class CodegenCompiler:
 
         return make
 
-    def cast_fn(self, t):
-        cast_value = self.interp.cast_value
-        return lambda v, fv: cast_value(v, t, fv)
+    def _static_type(self, t):
+        """``t`` evaluated once, at emission, when it mentions no dependent
+        path; ``None`` for a dependent type, or one whose evaluation fails
+        (the site then evaluates it, and raises, when it runs)."""
+        if T.paths_in(t):
+            return None
+        try:
+            return self.interp.table.eval_type(t, _unreachable_resolver)
+        except (ResolveError, JnsError):
+            return None
 
-    def instanceof_fn(self, t):
-        instanceof_value = self.interp.instanceof_value
-        return lambda v, fv: instanceof_value(v, t, fv)
+    def type_test_fn(self, test, t):
+        """A cast or ``instanceof`` site of reference type ``t``, deciding
+        through ``test`` (``Interp.cast_value``/``instanceof_value``, and
+        so ``Interp.conforms``): ``fn(v)`` when ``t`` is evaluated at
+        emission, else ``fn(v, frame view)``."""
+        evaled = self._static_type(t)
+        if evaled is None:
+            return lambda v, fv: test(v, t, fv)
+
+        def static_test(v):
+            return test(v, t, None, evaled)
+
+        static_test._static = True
+        return static_test
 
     def view_unsupported_fn(self):
         mode = self.interp.mode
@@ -1661,43 +1816,37 @@ class CodegenCompiler:
         the proven no-op set (``view_change.elided``); dependent targets
         keep the full dynamic path."""
         interp = self.interp
-        if not T.paths_in(target):
-            try:
-                evaled = interp.table.eval_type(target, _unreachable_resolver)
-            except (ResolveError, JnsError):
-                evaled = None
-            if evaled is not None:
-                noops = self.spec.noop_view_paths(evaled)
-                adapt = interp._adapt
+        evaled = self._static_type(target)
+        if evaled is not None:
+            noops = self.spec.noop_view_paths(evaled)
+            adapt = interp._adapt
 
-                def static_view(v):
-                    if v is None:
-                        return None
-                    if v.__class__ is not Ref:
-                        raise CastError(
-                            f"view change applied to non-object {v!r}"
-                        )
+            def static_view(v):
+                if v is None:
+                    return None
+                if v.__class__ is not Ref:
+                    raise CastError(f"view change applied to non-object {v!r}")
+                if TRACER.enabled:
+                    TRACER.event(
+                        "view_change.explicit",
+                        source=path_str(v.view.path),
+                        target=str(evaled),
+                    )
+                w = v.view
+                if w.path in noops and not w.masks:
                     if TRACER.enabled:
-                        TRACER.event(
-                            "view_change.explicit",
-                            source=path_str(v.view.path),
-                            target=str(evaled),
-                        )
-                    w = v.view
-                    if w.path in noops and not w.masks:
-                        if TRACER.enabled:
-                            TRACER.count("view_change.elided")
-                        if PROFILER.enabled:
-                            PROFILER.view_hit()
-                        result = v
-                    else:
-                        result = adapt(v, evaled)
-                    if interp.eager_views:
-                        interp.propagate_views(result)
-                    return result
+                        TRACER.count("view_change.elided")
+                    if PROFILER.enabled:
+                        PROFILER.view_hit()
+                    result = v
+                else:
+                    result = adapt(v, evaled)
+                if interp.eager_views:
+                    interp.propagate_views(result)
+                return result
 
-                static_view._static = True
-                return static_view
+            static_view._static = True
+            return static_view
         eval_type = interp._eval_type
         adapt = interp._adapt
 
@@ -1748,7 +1897,7 @@ class _NewPlan:
         self.interp = interp
         self.path = path
         self.layout = layout
-        self.view = View(path)
+        self.view = intern_view(path)
         self.steps = steps
         self.ctor = ctor
         self.traced = traced

@@ -33,7 +33,7 @@ from ..lang import types as T
 from ..obs import PROFILER, TRACER
 from ..lang.classtable import ClassTable, JnsError, ResolveError, path_str
 from ..lang.queries import MISS, CacheStats, QueryEngine, collect_stats
-from ..lang.types import Path, Type, View
+from ..lang.types import Path, Type, View, intern_view
 from .loader import Loader, RTClass
 from .values import (
     ABSENT,
@@ -646,7 +646,7 @@ class Interp:
                 TRACER.event(
                     "mask.removed", field=name, view=path_str(view.path)
                 )
-            obj.view = View(view.path, view.masks - {name})
+            obj.view = intern_view(view.path, view.masks - {name})
 
     def _check_declared(self, path: Path, name: str) -> None:
         """Raise JNS-RUN-003 unless class ``path`` declares field ``name``
@@ -699,7 +699,10 @@ class Interp:
         # conformance-set queries use the same judgment).
         return self.table.runtime_conforms(path, t)
 
-    def cast_value(self, v, t, frame):
+    def cast_value(self, v, t, frame, evaled=None):
+        """``(t)v``.  ``evaled`` is ``t`` already evaluated (a codegen site
+        whose type has no dependent path); otherwise ``t`` is evaluated in
+        ``frame`` when ``v`` is an object."""
         t_pure = t.pure()
         if isinstance(t_pure, T.PrimType):
             if t_pure == T.INT:
@@ -719,7 +722,8 @@ class Interp:
             if isinstance(v, str) and t_pure == T.STRING:
                 return v
             raise CastError(f"cannot cast {v!r} to {t!r}")
-        evaled = self._eval_type(t, frame)
+        if evaled is None:
+            evaled = self._eval_type(t, frame)
         if not self.conforms(v.view, evaled):
             raise CastError(
                 f"ClassCastException: {path_str(v.view.path)} is not a {evaled!r}"
@@ -780,7 +784,7 @@ class Interp:
             if current.masks == masks:
                 found = None
             else:
-                found = View(current.path, frozenset(masks))
+                found = intern_view(current.path, frozenset(masks))
         else:
             found = self.table.view_of(current, target)
         if per_target is None:
@@ -813,14 +817,16 @@ class Interp:
                     stack.append(value)
         return visited
 
-    def instanceof_value(self, v, t, frame):
+    def instanceof_value(self, v, t, frame, evaled=None):
+        """``v instanceof t``; ``evaled`` as in :meth:`cast_value`."""
         if v is None:
             return False
         t_pure = t.pure()
         if isinstance(v, Ref):
             if isinstance(t_pure, T.PrimType):
                 return False
-            evaled = self._eval_type(t, frame)
+            if evaled is None:
+                evaled = self._eval_type(t, frame)
             return self.conforms(v.view, evaled)
         if isinstance(v, str):
             return t_pure == T.STRING

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..lang import types as T
 from ..lang.classtable import JnsError, ResolveError
 from ..lang.queries import MISS, QueryEngine
-from ..lang.types import Path, Type, View
+from ..lang.types import Path, Type, intern_view
 from ..obs import TRACER
 from .loader import RTClass
 from .values import default_value
@@ -207,7 +207,7 @@ class Specializer:
             if not all(p == ("this",) for p in paths):
                 plans[name] = (PLAN_DYNAMIC,)
                 continue
-            this_view = View(rtc.path)
+            this_view = intern_view(rtc.path)
             try:
                 # interned, so equal targets of different classes are one
                 # key object in Interp's view_change query

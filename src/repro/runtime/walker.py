@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Tuple
 
 from ..lang import types as T
 from ..lang.classtable import path_str
-from ..lang.types import ClassType, Path, View
+from ..lang.types import ClassType, Path, intern_view
 from ..obs import PROFILER, TRACER
 from ..source import ast
 from .interp import _jdiv, _jmod, to_jstring
@@ -102,7 +102,7 @@ class Walker:
         if TRACER.enabled:
             TRACER.count("alloc")
         inst = Instance(path)
-        view = View(path)
+        view = intern_view(path)
         ref = Ref(inst, view)
         inst.view_refs[path] = ref
         frame = {"this": ref}

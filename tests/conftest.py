@@ -13,7 +13,12 @@ from repro import compile_program
 # tier-1 (`pytest -x -q`) fast; tier-2 raises the example budget via
 # ``HYPOTHESIS_PROFILE=fuzz pytest -m fuzz``.  Tests that should scale with
 # the tier are marked ``@pytest.mark.fuzz`` and do *not* pin max_examples.
-settings.register_profile("default", max_examples=50, deadline=None)
+# The default profile is deterministic: derandomized, with no example
+# database, so one tree always runs the same tier-1 examples (and two line
+# maps of it agree).  Random exploration is the fuzz profile's job.
+settings.register_profile(
+    "default", max_examples=50, deadline=None, derandomize=True, database=None
+)
 settings.register_profile("fuzz", max_examples=1500, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

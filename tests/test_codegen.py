@@ -1050,3 +1050,267 @@ def test_masked_view_dependent_read_matches_walker():
     cg.plan_apply_fn = plan_apply_fn
     assert interp.run("Main.main") == 39
     assert applied and set(applied) == {("next", PLAN_ADAPT)}
+
+
+# ---------------------------------------------------------------------------
+# view-keyed guards: identity-tested read, store and call sites
+# ---------------------------------------------------------------------------
+
+SITES = r"""
+class A1 { class B { int b0 = 1; } }
+class A2 extends A1 {
+  class B shares A1.B {
+    int f;
+    int setGet(int v) { this.f = v; return this.f; }
+    int peek() { return this.f; }
+  }
+}
+class Main {
+  A2!.B\f toDerived(A1!.B b) sharing A1!.B = A2!.B\f {
+    return (view A2!.B\f)b;
+  }
+  A2!.B\f remask(A2!.B b) { return (view A2!.B\f)b; }
+  int read(A2!.B b) { return b.f; }
+  void write(A2!.B b, int v) { b.f = v; }
+}
+"""
+
+
+def _host_script(steps):
+    """Run ``steps(interp, main, call)`` on each backend and compare the
+    outcomes; ``call(ref, name, *args)`` records a result or an error's
+    code and message."""
+    program = compile_program(SITES)
+    seen = {}
+    for backend in ("walker", "codegen"):
+        interp = program.interp(mode="jns", backend=backend)
+        main = interp.new_instance(("Main",), ())
+        outcomes = []
+
+        def call(ref, name, *args):
+            try:
+                outcomes.append(interp.call_method(ref, name, list(args)))
+            except JnsError as exc:
+                outcomes.append((exc.code, str(exc)))
+
+        steps(interp, main, call)
+        seen[backend] = (outcomes, interp.output)
+    assert seen["codegen"] == seen["walker"]
+    return seen["walker"][0]
+
+
+def _masked(interp, main):
+    base = interp.new_instance(("A1", "B"), ())
+    return interp.call_method(main, "toDerived", [base])
+
+
+def _count_misses(cg, factory):
+    """Wrap the compiler's ``factory`` (``read_miss_fn``/``store_miss_fn``)
+    so each cold-path call is recorded."""
+    make, calls = getattr(cg, factory), []
+
+    def counted_factory(name):
+        miss = make(name)
+
+        def counted(site, o, *rest):
+            calls.append(name)
+            return miss(site, o, *rest)
+
+        return counted
+
+    setattr(cg, factory, counted_factory)
+    return calls
+
+
+def test_warm_read_site_alternating_masked_views():
+    """One read site fed the same class under an unmasked and a masked
+    view: the unmasked receiver hits after the first fill, and the masked
+    one takes the cold path, raising JNS-RUN-002, every time."""
+    misses = {}
+
+    def steps(interp, main, call):
+        if interp.codegen:
+            misses["read"] = _count_misses(interp._codegen(), "read_miss_fn")
+        plain = interp.new_instance(("A2", "B"), ())
+        call(main, "write", plain, 5)
+        for _ in range(4):
+            call(main, "read", plain)
+            call(main, "read", _masked(interp, main))
+
+    outcomes = _host_script(steps)
+    assert outcomes[1::2] == [5] * 4
+    assert {o[0] for o in outcomes[2::2]} == {"JNS-RUN-002"}
+    assert len(misses["read"]) == 1 + 4  # one fill, then the masked reads
+
+
+def test_store_site_unmasks_for_the_next_warm_read():
+    """A write through a warm store site removes the receiver's mask; the
+    view it moves to is the interned unmasked one the read site holds,
+    so the next read hits.  Each site misses once per view it meets."""
+    views = {}
+
+    def steps(interp, main, call):
+        if interp.codegen:
+            cg = interp._codegen()
+            views["misses"] = (
+                _count_misses(cg, "read_miss_fn"),
+                _count_misses(cg, "store_miss_fn"),
+            )
+        plain = interp.new_instance(("A2", "B"), ())
+        call(main, "write", plain, 1)
+        call(main, "write", plain, 2)
+        call(main, "read", plain)
+        masked = _masked(interp, main)
+        call(main, "read", masked)
+        call(main, "write", masked, 7)
+        call(main, "read", masked)
+        views[interp.backend] = (masked.view, plain.view)
+
+    outcomes = _host_script(steps)
+    assert outcomes[2] == 2 and outcomes[3][0] == "JNS-RUN-002"
+    assert outcomes[5] == 7
+    for backend in ("walker", "codegen"):
+        after_write, plain = views[backend]
+        assert after_write is plain
+    reads, stores = views["misses"]
+    assert len(reads) == 2  # the plain fill and the masked read
+    assert len(stores) == 2  # the plain fill and the masked write
+
+
+@pytest.mark.parametrize("backend", ["walker", "codegen"])
+def test_view_changes_return_interned_views(backend):
+    """A view change to another class (``ClassTable.view_of``) and one
+    that only adds a mask (``Interp._view_change``) both land on the
+    interned view, as allocation does."""
+    from repro.lang.types import intern_view
+
+    interp = compile_program(SITES).interp(mode="jns", backend=backend)
+    main = interp.new_instance(("Main",), ())
+    plain = interp.new_instance(("A2", "B"), ())
+    assert plain.view is intern_view(("A2", "B"))
+    masked = intern_view(("A2", "B"), frozenset({"f"}))
+    assert _masked(interp, main).view is masked
+    assert interp.call_method(main, "remask", [plain]).view is masked
+
+
+def test_this_write_then_read_under_an_entry_mask():
+    """``this.f = v`` then ``this.f`` in a body entered with ``f`` masked:
+    the prologue's ``_tm`` snapshot is non-empty, so the read tests the
+    live masks, which the write emptied.  A body entered unmasked reads
+    with no mask test at all."""
+
+    def steps(interp, main, call):
+        call(_masked(interp, main), "setGet", 9)
+        call(_masked(interp, main), "peek")
+        plain = interp.new_instance(("A2", "B"), ())
+        call(plain, "setGet", 4)
+        call(plain, "peek")
+
+    outcomes = _host_script(steps)
+    assert outcomes[0] == 9 and outcomes[1][0] == "JNS-RUN-002"
+    assert outcomes[2:] == [4, 4]
+    interp = compile_program(SITES).interp(mode="jns", backend="codegen")
+    interp.call_method(interp.new_instance(("A2", "B"), ()), "setGet", [1])
+    text = interp._cg.sources["A2.B.setGet"]
+    assert "_tm = u_this.view.masks" in text
+    assert text.count("if _tm and 'f' in u_this.view.masks") == 2
+
+
+RETARGET = """
+class F0 { class A { int x = 3; A next; } }
+class F1 extends F0 { class A shares F0.A { } }
+class Main {
+  int main() {
+    F0!.A a = new F0.A();
+    a.next = new F0.A();
+    F0!.A n = a.next;
+    return a.x + n.x;
+  }
+}
+"""
+
+
+def test_primitive_read_emits_no_retarget_branch():
+    """A read whose checker type is primitive, ``String`` or an array can
+    never hold a reference, so its site has no retarget branch; the
+    ``A``-typed ``a.next`` keeps one."""
+    assert _both(RETARGET) == (6, [])
+    interp = compile_program(RETARGET).interp(mode="jns", backend="codegen")
+    assert interp.run("Main.main") == 6
+    text = interp._cg.sources["Main.main"]
+    assert text.count(".view is ") == 4  # the reads a.next, a.x, n.x, store
+    assert text.count(".path not in ") == 1  # a.next only
+
+
+def test_receiver_devirtualized_site_reemits_after_callee_edit():
+    """A receiver-devirtualized site caches its callee body; a body edit
+    of the callee resets the site (the caller's body is kept) and the
+    next call runs the new body."""
+    from repro.lang.incremental import IncrementalChecker
+    from repro.runtime.interp import Interp
+
+    caller = "\nclass Main { int k(A a) { return a.m() + 1; } }"
+    v1 = "class A { int m() { return 10; } }" + caller
+    v2 = "class A { int m() { return 20; } }" + caller
+    inc = IncrementalChecker(v1)
+    assert not inc.check().has_errors
+    interp = Interp(inc.table, mode="jns", backend="codegen")
+    main = interp.new_instance(("Main",), ())
+    a = interp.new_instance(("A",), ())
+    assert interp.call_method(main, "k", [a]) == 11
+    cg = interp._cg
+    k_decl = inc.table.explicit[("Main",)].decl.methods[0]
+    kept = cg._fns[(id(k_decl), ("Main",))]
+    assert ".view is " in cg.sources["Main.k"]  # the devirtualized site
+    assert inc.apply_edit(v2)["strategy"] == "incremental"
+    assert interp._cg is cg and cg._fns[(id(k_decl), ("Main",))] is kept
+    assert interp.call_method(main, "k", [a]) == 21
+    walker = Interp(inc.table, mode="jns", backend="walker")
+    wmain = walker.new_instance(("Main",), ())
+    assert walker.call_method(wmain, "k", [walker.new_instance(("A",), ())]) == 21
+
+
+def _reachable_refs(roots):
+    """Every reference reachable from ``roots`` through fields, arrays and
+    the instances' memoized view references."""
+    from repro.runtime.values import Ref
+
+    seen, stack, refs = set(), list(roots), []
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+            continue
+        if not isinstance(v, Ref):
+            continue
+        refs.append(v)
+        inst = v.inst
+        if id(inst) in seen:
+            continue
+        seen.add(id(inst))
+        stack.extend(inst.view_refs.values())
+        stack.extend(getattr(inst, "slots", ()))
+        stack.extend((getattr(inst, "extra", None) or {}).values())
+        stack.extend(getattr(inst, "fields", {}).values())
+    return refs
+
+
+@pytest.mark.parametrize("backend", ["walker", "codegen"])
+def test_every_reachable_view_is_interned_after_evolution(backend):
+    """After a ``corona -> pccorona -> beecorona`` run every reference in
+    the heap holds the one interned view of its ``(path, masks)``: the
+    invariant the identity-keyed sites rely on to hit."""
+    from repro.lang.types import intern_view
+    from repro.programs.corona import CoronaSystem
+
+    system = CoronaSystem(size=8, objects=16, backend=backend)
+    system.run_phase("corona", fetches=40)
+    system.evolve("pccorona")
+    system.run_phase("pccorona", fetches=40)
+    system.evolve("beecorona")
+    system.run_phase("beecorona", fetches=40)
+    refs = _reachable_refs([system.main, system.net])
+    paths = {r.view.path for r in refs}
+    assert len(refs) > 100 and any(p[0] == "beecorona" for p in paths)
+    stray = [r for r in refs if r.view is not intern_view(r.view.path, r.view.masks)]
+    assert stray == []

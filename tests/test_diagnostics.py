@@ -151,3 +151,45 @@ class TestDiagnosticSink:
             if "span" in entry:
                 assert entry["span"]["line"] >= 1
                 assert entry["span"]["col"] >= 1
+
+
+# One ill-formed program per error, each pinned to its first diagnostic:
+# code, line, column and message.
+PINNED_ERRORS = [
+    (
+        "class Main {\n  int main() {\n    int x = 1;\n    x + 1 = 2;\n"
+        "    return x;\n  }\n}\n",
+        ("JNS-PARSE-003", 4, 11, "invalid assignment target at 4:11 (got '=')"),
+    ),
+    (
+        "class Main {\n  int main() {\n    return new Main;\n  }\n}\n",
+        ("JNS-PARSE-001", 3, 20,
+         "expected '(' or '[' after new T at 3:20 (got ';')"),
+    ),
+    (
+        "class Main {\n  boolean main() {\n    int x = 1;\n    return !x;\n"
+        "  }\n}\n",
+        ("JNS-TYPE-005", 4, 12, "! applied to int"),
+    ),
+]
+
+
+class TestPinnedErrors:
+    @pytest.mark.parametrize("source,expected", PINNED_ERRORS)
+    def test_first_diagnostic_is_pinned(self, source, expected):
+        first = check_source(source).errors[0]
+        assert (first.code, first.span.line, first.span.col, first.message) == expected
+
+    def test_run_without_entry_class(self, tmp_path, capsys):
+        """``repro run`` of a file with no ``Main`` fails with
+        JNS-RESOLVE-006, which carries no source position."""
+        from repro.cli import main
+
+        path = tmp_path / "nomain.jns"
+        path.write_text("class A { int m() { return 1; } }\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "runtime error: no entry class Main",
+            "[JNS-RESOLVE-006]",
+        ]
