@@ -146,7 +146,14 @@ def cmd_run(args) -> int:
         try:
             result = interp.run(args.entry)
         except JnsError as exc:
-            print(f"runtime error: {exc}", file=sys.stderr)
+            # only a failure of the running program is a runtime error;
+            # e.g. a missing entry class (JNS-RESOLVE-006) is not
+            from .errors import JnsResourceError
+            from .runtime.values import JnsRuntimeError
+
+            runtime = isinstance(exc, (JnsRuntimeError, JnsResourceError))
+            label = "runtime error" if runtime else "error"
+            print(f"{label}: {exc}", file=sys.stderr)
             for note in exc.notes:
                 print(f"  note: {note}", file=sys.stderr)
             print(f"[{exc.code}]", file=sys.stderr)

@@ -356,7 +356,7 @@ class Query:
     def set_enabled(self, enabled: bool) -> None:
         self._enabled = enabled
         if not enabled:
-            self.table.clear()
+            self.clear()
 
     def __contains__(self, key: Any) -> bool:
         return key in self.table
@@ -518,10 +518,14 @@ class QueryEngine:
         if versions is not None:
             versions.engines.add(self)
 
-    def query(self, name: str, maxsize: Optional[int] = _DEFAULT) -> Query:
+    def query(
+        self, name: str, maxsize: Optional[int] = _DEFAULT, cls: type = Query
+    ) -> Query:
+        """The query ``name``, made on first use as a ``cls`` (a
+        :class:`Query` subclass that changes how its table clears)."""
         q = self.queries.get(name)
         if q is None:
-            q = self.queries[name] = Query(
+            q = self.queries[name] = cls(
                 name, maxsize=maxsize, versions=self.versions
             )
         return q

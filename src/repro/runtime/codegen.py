@@ -21,10 +21,15 @@ directly into the emitted text:
   filled once, any other call from a site keyed by the receiver's view;
 * ``PLAN_NOOP`` view retargets are erased to an inline no-op-set test
   (at ``this.f`` reads and at inline-cache read sites alike),
-  ``PLAN_ADAPT`` retargets are inlined as a single ``_adapt`` call, and
-  a read of a primitive, ``String`` or array type has no retarget;
+  ``PLAN_ADAPT`` retargets are inlined as a single call, and a read of
+  a primitive, ``String`` or array type has no retarget.  A view change
+  to a fixed target calls ``Interp.adapt_fn(target)``, which binds that
+  target's table of the ``view_change`` query: a warm adapt looks the
+  source ``View`` up by ``id`` and hashes no type;
 * casts and ``instanceof`` to a type with no dependent path evaluate it
-  once, at emission;
+  once, at emission; a dependent ``new``, cast, ``instanceof`` or view
+  change whose type's only dependent path is ``this`` evaluates it once
+  per view of ``this`` (:func:`_by_this_view`);
 * constants are folded and J&s locals become real Python locals.
 
 Semantics stay anchored to the interpreter: every slow path (generic
@@ -168,6 +173,8 @@ _NUMERIC = (T.INT, T.DOUBLE)
 _PRIMITIVE = (T.INT, T.DOUBLE, T.BOOLEAN, T.STRING)
 #: an inline-cache read site's no-op paths when its plan is not PLAN_NOOP
 _NO_PATHS = frozenset()
+#: ``paths_in`` of a type whose only dependent path is ``this``
+_THIS_ONLY = frozenset({("this",)})
 
 
 class _FrameView:
@@ -604,12 +611,14 @@ class _Emitter:
             )
             return t
         # dependent target type: evaluate the type *before* the arguments
-        # (walker order), against a by-name view of the live locals
+        # (walker order), against a by-name view of the live locals or,
+        # keyed by its view, ``this``
         alloc = self.helper("_alloc", allocate)
         plans = self.const(self.cg.new_plans)
-        npk = self.const(self.cg.new_path_fn(e.type))
+        resolve = self.cg.new_path_fn(e.type)
+        npk = self.const(resolve)
         tp = self.temp()
-        self.w(f"{tp} = {npk}({self._fv()})")
+        self.w(f"{tp} = {npk}({self._frame_arg(resolve)})")
         args = self.emit_seq(e.args)
         t = self.temp()
         self.w(
@@ -662,15 +671,23 @@ class _Emitter:
     def _typed_site(self, fn, inner: str) -> str:
         """Call a cast, ``instanceof`` or view-change closure on ``inner``:
         one whose type was evaluated at emission (``_static``) takes the
-        value alone, a dependent one also a ``_FrameView`` of the live
-        locals."""
+        value alone, a dependent one also its frame (:meth:`_frame_arg`)."""
         k = self.const(fn)
         t = self.temp()
         if getattr(fn, "_static", False):
             self.w(f"{t} = {k}({inner})")
         else:
-            self.w(f"{t} = {k}({inner}, {self._fv()})")
+            self.w(f"{t} = {k}({inner}, {self._frame_arg(fn)})")
         return t
+
+    def _frame_arg(self, fn) -> str:
+        """The frame a dependent-type closure takes: ``u_this`` for one
+        that resolves its type per view of ``this`` (``_this_keyed``, see
+        :func:`_by_this_view`), else a ``_FrameView`` of the live
+        locals."""
+        if getattr(fn, "_this_keyed", False):
+            return "u_this"
+        return self._fv()
 
     def _view_change(self, e: ast.ViewChange) -> str:
         if not self.sharing:
@@ -716,7 +733,7 @@ class _Emitter:
             self.w(f"    {t} = {gf}({o}, {name!r})")
             self.helper("_ABSENT", ABSENT)
             return t
-        # the site [view, slot, read plan, no-op paths] holds a view in
+        # the site [view, slot, read function, no-op paths] holds a view in
         # which the field is unmasked: one identity test covers the class
         # test, the mask test and the slot lookup (every other receiver
         # takes the cold path, which refills the site)
@@ -733,7 +750,6 @@ class _Emitter:
         if _holds_no_ref(self._rt(e)):
             self.w(f"    if {t} is {ab}: {t} = {gf}({o}, {name!r})")
         else:
-            plan = self.const(self.cg.plan_apply_fn(name))
             wv = self.temp()
             self.w(f"    if {t} is {ab}:")
             self.w(f"        {t} = {gf}({o}, {name!r})")
@@ -742,7 +758,7 @@ class _Emitter:
             # _this_read
             self.w(f"        {wv} = {t}.view")
             self.w(f"        if {wv}.path not in {site}[3] or {wv}.masks:")
-            self.w(f"            {t} = {plan}({site}[2], {t}, {o})")
+            self.w(f"            {t} = {site}[2]({t}, {o})")
             if self.lp:
                 pfv = self.helper("_pfv", PROFILER.view_hit)
                 self.w(f"        else: {pfv}()")
@@ -784,26 +800,24 @@ class _Emitter:
         self.w(f"    {t} = {gf}(u_this, {name!r})")
         self.w(f"elif {t}.__class__ is {ref}:")
         tag = rplan[0]
+        # the read function of the plan: an adapt bound to the static
+        # target's view-change table, or PLAN_DYNAMIC's evaluation
+        read = self.const(self.cg.read_fn(name, rplan))
         if tag == 0:  # PLAN_NOOP — erased to an inline no-op test
             kn = self.const(rplan[1])
-            kt = self.const(rplan[2])
-            adapt = self.helper("_adapt", self.interp._adapt)
             wv = self.temp()
             self.w(f"    {wv} = {t}.view")
             self.w(f"    if {wv}.path not in {kn} or {wv}.masks:")
-            self.w(f"        {t} = {adapt}({t}, {kt})")
+            self.w(f"        {t} = {read}({t})")
             if self.lp:
                 # the elided no-op still counts as one view adaptation,
                 # keeping the view column a cross-backend invariant
                 pfv = self.helper("_pfv", PROFILER.view_hit)
                 self.w(f"    else: {pfv}()")
         elif tag == 1:  # PLAN_ADAPT — inlined adapt to the static target
-            kt = self.const(rplan[1])
-            adapt = self.helper("_adapt", self.interp._adapt)
-            self.w(f"    {t} = {adapt}({t}, {kt})")
+            self.w(f"    {t} = {read}({t})")
         else:  # PLAN_DYNAMIC
-            plan = self.const(self.cg.plan_apply_fn(name))
-            self.w(f"    {t} = {plan}({self.const(rplan)}, {t}, u_this)")
+            self.w(f"    {t} = {read}({t}, u_this)")
         return t
 
     def _field_store(self, target: ast.FieldGet, v: str) -> None:
@@ -1416,7 +1430,8 @@ class CodegenCompiler:
         self._fill_plain: Dict[str, Any] = {}
         self._read_miss: Dict[str, Any] = {}
         self._store_miss: Dict[str, Any] = {}
-        self._plan_apply: Dict[str, Any] = {}
+        self._read_dynamic: Dict[str, Any] = {}
+        self._adapters: Dict[Any, Any] = {}
         self._unbound: Dict[str, Any] = {}
 
     # -- counters --------------------------------------------------------
@@ -1566,18 +1581,21 @@ class CodegenCompiler:
         return fn
 
     def _shared_site(self, name, view):
-        """The contents ``[view, slot, read plan, no-op paths]`` of a
+        """The contents ``[view, slot, read function, no-op paths]`` of a
         ``jns`` read or store site of field ``name`` for receivers viewed
-        as ``view``; raises JNS-RUN-003 when the class has no such
-        field."""
+        as ``view`` (the read function of the class's read plan, see
+        :meth:`read_fn`, or ``None`` for none); raises JNS-RUN-003 when
+        the class has no such field."""
         vp = view.path
         cspec = self.spec.class_spec(vp)
         i = cspec.slot_of.get(name)
         if i is None:
             raise NoSuchName(f"no field {name!r} on {path_str(vp)}")
         plan = cspec.read_plan.get(name)
-        noops = plan[1] if plan is not None and plan[0] == 0 else _NO_PATHS
-        return [view, i, plan, noops]
+        if plan is None:
+            return [view, i, None, _NO_PATHS]
+        noops = plan[1] if plan[0] == 0 else _NO_PATHS
+        return [view, i, self.read_fn(name, plan), noops]
 
     def read_miss_fn(self, name):
         """The cold path of the ``jns`` read sites of field ``name``
@@ -1589,7 +1607,6 @@ class CodegenCompiler:
         fn = self._read_miss.get(name)
         if fn is None:
             gf = self.interp.get_field
-            apply_plan = self.plan_apply_fn(name)
             traced = self.traced
             lp = self.interp.line_profile
 
@@ -1610,7 +1627,7 @@ class CodegenCompiler:
                 if site[2] is not None and v.__class__ is Ref:
                     w = v.view
                     if w.path not in site[3] or w.masks:
-                        return apply_plan(site[2], v, o)
+                        return site[2](v, o)
                     if lp:
                         PROFILER.view_hit()
                 return v
@@ -1641,26 +1658,37 @@ class CodegenCompiler:
             fn = self._store_miss[name] = miss
         return fn
 
-    def plan_apply_fn(self, name):
-        fn = self._plan_apply.get(name)
+    def read_fn(self, name, plan):
+        """``fn(v, o)``: the value ``v`` read from field ``name`` of
+        receiver ``o``, moved into the view read plan ``plan`` gives it.
+        A PLAN_NOOP (whose site's no-op test failed) or PLAN_ADAPT plan
+        adapts to its static target through :meth:`adapt_fn`; a
+        PLAN_DYNAMIC one evaluates the receiver's target type per read."""
+        if plan[0] == 0:
+            return self.adapt_fn(plan[2])
+        if plan[0] == 1:
+            return self.adapt_fn(plan[1])
+        fn = self._read_dynamic.get(name)
         if fn is None:
             interp = self.interp
             adapt = interp._adapt
             retarget_dyn = interp._retarget_type
             rtclass = interp.loader.rtclass
 
-            def apply_plan(plan, v, o):
-                tag = plan[0]
-                if tag == 0:  # PLAN_NOOP: the site's no-op test failed
-                    return adapt(v, plan[2])
-                if tag == 1:  # PLAN_ADAPT
-                    return adapt(v, plan[1])
+            def read_dynamic(v, o):
                 target = retarget_dyn(rtclass(o.view.path), name, o)
                 if target is not None:
                     return adapt(v, target)
                 return v
 
-            fn = self._plan_apply[name] = apply_plan
+            fn = self._read_dynamic[name] = read_dynamic
+        return fn
+
+    def adapt_fn(self, target):
+        """``Interp.adapt_fn(target)``, one per target in this compiler."""
+        fn = self._adapters.get(target)
+        if fn is None:
+            fn = self._adapters[target] = self.interp.adapt_fn(target)
         return fn
 
     # -- call targets ----------------------------------------------------
@@ -1752,6 +1780,9 @@ class CodegenCompiler:
     # -- cold dependent-type sites ---------------------------------------
 
     def new_path_fn(self, t):
+        """The class a dependent ``new t`` site instantiates: ``fn(frame
+        view)``, or ``fn(this)`` when ``t``'s only dependent path is
+        ``this`` (:func:`_by_this_view`)."""
         interp = self.interp
 
         def resolve(fv):
@@ -1762,6 +1793,8 @@ class CodegenCompiler:
                 raise JnsRuntimeError(f"cannot instantiate {t!r}")
             return evaled.path
 
+        if T.paths_in(t) == _THIS_ONLY:
+            return _by_this_view(resolve)
         return resolve
 
     def newarray_fn(self, elem_type):
@@ -1789,10 +1822,23 @@ class CodegenCompiler:
         """A cast or ``instanceof`` site of reference type ``t``, deciding
         through ``test`` (``Interp.cast_value``/``instanceof_value``, and
         so ``Interp.conforms``): ``fn(v)`` when ``t`` is evaluated at
-        emission, else ``fn(v, frame view)``."""
+        emission, ``fn(v, this)`` when its only dependent path is
+        ``this`` (evaluated per view of ``this``, and only for an object
+        ``v``, as ``test`` does), else ``fn(v, frame view)``."""
         evaled = self._static_type(t)
         if evaled is None:
-            return lambda v, fv: test(v, t, fv)
+            if T.paths_in(t) != _THIS_ONLY:
+                return lambda v, fv: test(v, t, fv)
+            eval_type = self.interp._eval_type
+            resolve = _by_this_view(lambda fv: eval_type(t, fv))
+
+            def this_test(v, this):
+                if isinstance(v, Ref):
+                    return test(v, t, None, resolve(this))
+                return test(v, t, None)
+
+            this_test._this_keyed = True
+            return this_test
 
         def static_test(v):
             return test(v, t, None, evaled)
@@ -1812,14 +1858,16 @@ class CodegenCompiler:
 
     def view_change_fn(self, target):
         """Explicit ``(view T)e``.  Non-dependent targets evaluate once
-        at emission and elide the whole adapt when the source view is in
-        the proven no-op set (``view_change.elided``); dependent targets
-        keep the full dynamic path."""
+        at emission, adapt through :meth:`adapt_fn`, and elide the whole
+        adapt when the source view is in the proven no-op set
+        (``view_change.elided``).  A target whose only dependent path is
+        ``this`` evaluates once per view of ``this`` and adapts the same
+        way; other dependent targets keep the full dynamic path."""
         interp = self.interp
         evaled = self._static_type(target)
         if evaled is not None:
             noops = self.spec.noop_view_paths(evaled)
-            adapt = interp._adapt
+            adapt_to = self.adapt_fn(evaled)
 
             def static_view(v):
                 if v is None:
@@ -1840,7 +1888,7 @@ class CodegenCompiler:
                         PROFILER.view_hit()
                     result = v
                 else:
-                    result = adapt(v, evaled)
+                    result = adapt_to(v)
                 if interp.eager_views:
                     interp.propagate_views(result)
                 return result
@@ -1849,25 +1897,62 @@ class CodegenCompiler:
             return static_view
         eval_type = interp._eval_type
         adapt = interp._adapt
+        this_keyed = T.paths_in(target) == _THIS_ONLY
+        if this_keyed:
+            # the evaluated target with its bound adapt, per view of this
+            def resolve(fv):
+                target_t = eval_type(target, fv)
+                return target_t, self.adapt_fn(target_t)
 
-        def dyn_view(v, fv):
+            resolve = _by_this_view(resolve)
+        else:
+            def resolve(fv):
+                return eval_type(target, fv), None
+
+        def dyn_view(v, frame):
             if v is None:
                 return None
             if not isinstance(v, Ref):
                 raise CastError(f"view change applied to non-object {v!r}")
-            target_t = eval_type(target, fv)
+            target_t, adapt_to = resolve(frame)
             if TRACER.enabled:
                 TRACER.event(
                     "view_change.explicit",
                     source=path_str(v.view.path),
                     target=str(target_t),
                 )
-            result = adapt(v, target_t)
+            result = adapt(v, target_t) if adapt_to is None else adapt_to(v)
             if interp.eager_views:
                 interp.propagate_views(result)
             return result
 
+        dyn_view._this_keyed = this_keyed
         return dyn_view
+
+
+def _by_this_view(evaluate):
+    """``fn(this)``: ``evaluate(frame)`` for a site whose type's only
+    dependent path is ``this``, computed once per (interned) view of
+    ``this`` and memoized by its ``id`` with the view held, as the
+    ``view_change`` query does.  Only a miss builds a ``_FrameView``,
+    holding ``this`` alone (all such a type reads), and evaluates; a
+    raise is not memoized, so it recurs where it would.  The result
+    depends on the class table's interface alone, which the emitted
+    body baked in too, so the memo lives and dies with the body.
+    ``fn._this_keyed`` tells the emitter to pass ``u_this``."""
+    memo: Dict[int, Tuple[Any, Any]] = {}
+
+    def resolve(this):
+        view = this.view
+        entry = memo.get(id(view))
+        if entry is not None and entry[0] is view:
+            return entry[1]
+        value = evaluate(_FrameView({"u_this": this}))
+        memo[id(view)] = (view, value)
+        return value
+
+    resolve._this_keyed = True
+    return resolve
 
 
 class _Lazy(dict):

@@ -32,7 +32,7 @@ from ..errors import JnsResourceError
 from ..lang import types as T
 from ..obs import PROFILER, TRACER
 from ..lang.classtable import ClassTable, JnsError, ResolveError, path_str
-from ..lang.queries import MISS, CacheStats, QueryEngine, collect_stats
+from ..lang.queries import MISS, CacheStats, Query, QueryEngine, collect_stats
 from ..lang.types import Path, Type, View, intern_view
 from .loader import Loader, RTClass
 from .values import (
@@ -218,11 +218,12 @@ class Interp:
         self._q_dispatch = q("dispatch")
         self._q_retarget = q("retarget")
         self._q_conforms = q("conforms")
-        # (target, (view path, masks)) -> the view a lazy view change
-        # moves to, or None for "unchanged".  Unbounded: its keys are the
-        # program's evaluated target types and the views that reach them,
-        # both finite, and LRU upkeep would cost a dict pop per hit.
-        self._q_view_change = q("view_change", maxsize=None)
+        # target -> {id(source view): (source view, the view a lazy view
+        # change moves to, or None for "unchanged")}.  Unbounded: its keys
+        # are the program's evaluated target types and the views that
+        # reach them, both finite, and LRU upkeep would cost a dict pop
+        # per hit.
+        self._q_view_change = q("view_change", maxsize=None, cls=_ViewChangeQuery)
         self._q_site = q("call_site")
         # Legacy aliases: the underlying dicts of the queries (cleared in
         # place, never replaced), kept for introspection/tests.
@@ -418,8 +419,10 @@ class Interp:
         coarse-grained caches (dispatch, retargets, conformance, view
         changes) embed types and vtable entries from the edited classes
         transitively; they are cheap warm-up state, so they clear in place
-        (counters survive).  Codegen's inline-cache sites live in its
-        emitted bodies and go with them."""
+        (counters survive).  The ``view_change`` query empties each
+        per-target table in place too, since kept emitted bodies hold
+        them (:meth:`adapt_fn`).  Codegen's inline-cache sites live in
+        its emitted bodies and go with them."""
         if self._cg is not None:
             if notice.bodies_only:
                 self._cg.evict(notice.retired_ids)
@@ -429,7 +432,7 @@ class Interp:
             self._q_dispatch.table.clear()
             self._retarget_cache.clear()
             self._conforms_cache.clear()
-            self._q_view_change.table.clear()
+            self._q_view_change.clear()
             if self.spec is not None:
                 self.spec.invalidate_classes(notice.affected)
 
@@ -735,11 +738,13 @@ class Interp:
         (Section 6.3).
 
         The view to move to comes from :meth:`_view_change` (once warm,
-        a lookup by target, then by the source view's path and masks);
-        the reference object comes from the instance's ``view_refs``
-        memo.  Every call counts one profiler view hit, and when traced
-        one ``conforms.check`` and one of ``view_change.noop``/
-        ``memo_hit``/``new_ref``."""
+        a lookup by target, then by the source view object); the
+        reference object comes from the instance's ``view_refs`` memo,
+        whose entry is reused when it holds that very (interned) view.
+        Every call counts one profiler view hit, and when traced one
+        ``conforms.check`` and one of ``view_change.noop``/
+        ``memo_hit``/``new_ref``.  Emitted code calls the same step
+        through :meth:`adapt_fn`."""
         if PROFILER.enabled:
             PROFILER.view_hit()
         if TRACER.enabled:
@@ -752,7 +757,7 @@ class Interp:
         inst = ref.inst
         if self.memoize_views:
             memo = inst.view_refs.get(new_view.path)
-            if memo is not None and memo.view.masks == new_view.masks:
+            if memo is not None and memo.view is new_view:
                 if TRACER.enabled:
                     TRACER.count("view_change.memo_hit")
                 return memo
@@ -766,17 +771,19 @@ class Interp:
     def _view_change(self, current: View, target: Type) -> Optional[View]:
         """The view a reference viewed as ``current`` takes when adapted to
         ``target``, or ``None`` when it stays as it is: the ``view_change``
-        query.  Entries live in one table per target, keyed by the view's
-        ``(path, masks)``, so a hit hashes the target once and no View.
-        Raises, uncached, when no shared view exists."""
+        query.  Entries live in one table per target, keyed by the
+        ``id`` of the source view and holding that view, so a hit hashes
+        the target once and no view, and a recycled ``id`` cannot alias
+        (the entry keeps its view alive, and the hit tests it with
+        ``is``; every run-time view is interned).  Raises, uncached,
+        when no shared view exists."""
         q = self._q_view_change
         per_target = q.table.get(target)
-        key = (current.path, current.masks)
         if per_target is not None:
-            found = per_target.get(key, MISS)
-            if found is not MISS:
+            entry = per_target.get(id(current))
+            if entry is not None and entry[0] is current:
                 q.hits += 1
-                return found
+                return entry[1]
         q.misses += 1
         t_pure = target.pure()
         if self._conforms(current.path, t_pure):
@@ -790,8 +797,58 @@ class Interp:
         if per_target is None:
             # a no-op put when caches are off: the entry is then dropped
             per_target = q.put(target, {})
-        per_target[key] = found
+        per_target[id(current)] = (current, found)
         return found
+
+    def adapt_fn(self, target: Type) -> Callable[..., Ref]:
+        """``fn(ref, o=None)``: :meth:`_adapt` to ``target``, for the
+        emitted sites whose target is fixed (``this.f`` and inline-cache
+        reads, static ``(view T)e``; ``o``, the receiver, is unused).
+
+        The function binds ``target``'s table of the ``view_change``
+        query, so a warm adapt is one lookup by the source view's ``id``
+        and one ``view_refs`` test: no type is hashed and no tuple
+        built.  A hit counts one query hit, as :meth:`_adapt` does; a
+        miss takes :meth:`_adapt` and binds the table the query then
+        holds, which is the same one unless the query was cleared (an
+        edit empties the bound table in place, so a cleared entry is
+        never answered).  Traced, profiled, unmemoized and cache-less
+        interpreters get plain :meth:`_adapt`, with all its counts."""
+        adapt = self._adapt
+        q = self._q_view_change
+        if (
+            TRACER.enabled
+            or PROFILER.enabled
+            or self.line_profile
+            or not self.memoize_views
+            or not q._enabled
+        ):
+            return lambda ref, o=None: adapt(ref, target)
+        tables = q.table
+        per_target = tables.get(target)
+        if per_target is None:
+            per_target = {}  # private and empty: rebound on the first miss
+
+        def adapt_to(ref, o=None):
+            nonlocal per_target
+            view = ref.view
+            entry = per_target.get(id(view))
+            if entry is None or entry[0] is not view:
+                adapted = adapt(ref, target)
+                per_target = tables.get(target) or per_target
+                return adapted
+            q.hits += 1
+            new_view = entry[1]
+            if new_view is None:
+                return ref
+            inst = ref.inst
+            refs = inst.view_refs
+            memo = refs.get(new_view.path)
+            if memo is None or memo.view is not new_view:
+                memo = refs[new_view.path] = Ref(inst, new_view)
+            return memo
+
+        return adapt_to
 
     def propagate_views(self, ref: Ref) -> int:
         """Eagerly move every object transitively reachable from ``ref``
@@ -890,6 +947,20 @@ class Interp:
             "MIN_INT": lambda: -2147483648,
             "MAX_DOUBLE": lambda: sys.float_info.max,
         }
+
+
+class _ViewChangeQuery(Query):
+    """The ``view_change`` query, whose per-target tables emitted code
+    binds (:meth:`Interp.adapt_fn`): clearing it (an edit, ``clear_caches``,
+    turning caches off) empties each of them in place first, so no bound
+    table keeps an entry the query dropped."""
+
+    __slots__ = ()
+
+    def clear(self) -> None:
+        for per_target in self.table.values():
+            per_target.clear()
+        self.table.clear()
 
 
 def allocate(args, plan):

@@ -461,7 +461,9 @@ class Parser:
 
     def parse_simple_stmt(self) -> ast.Stmt:
         """A local variable declaration or an expression statement, ending
-        with ';'.  Disambiguated by backtracking."""
+        with ';'.  Disambiguated by backtracking until ``T x =`` or
+        ``T x;`` has matched; from there on it is a declaration, so an
+        error in its initializer is reported where it is."""
         pos = self._pos()
         final = False
         save = self.pos
@@ -470,23 +472,23 @@ class Parser:
         try:
             decl_type = self.parse_type()
             name_tok = self.peek()
-            if name_tok.kind == IDENT and (
+            if name_tok.kind != IDENT or not (
                 self.peek(1).is_punct("=") or self.peek(1).is_punct(";")
             ):
-                self.next()
-                init: Optional[ast.Expr] = None
-                if self.accept_punct("="):
-                    init = self.parse_expr()
-                self.expect_punct(";")
-                return ast.LocalDecl(final, decl_type, name_tok.value, init, pos)
-            raise ParseError("not a declaration", name_tok)
+                raise ParseError("not a declaration", name_tok)
         except ParseError:
             if final:
                 raise
             self.pos = save
-        expr = self.parse_expr()
+            expr = self.parse_expr()
+            self.expect_punct(";")
+            return ast.ExprStmt(expr, pos)
+        self.next()
+        init: Optional[ast.Expr] = None
+        if self.accept_punct("="):
+            init = self.parse_expr()
         self.expect_punct(";")
-        return ast.ExprStmt(expr, pos)
+        return ast.LocalDecl(final, decl_type, name_tok.value, init, pos)
 
     # -- expressions --------------------------------------------------------
 

@@ -1029,25 +1029,26 @@ class Main {
 def test_masked_view_dependent_read_matches_walker():
     """``v.next`` reads a field whose view-dependent type carries a mask
     (``A\\x next``), so its read plan is PLAN_ADAPT: the emitted site
-    hands the value to ``plan_apply_fn``'s adapt branch, which must view
-    it exactly as the walker does."""
+    hands the value to the read function of that plan (``read_fn``, an
+    adapt bound to the plan's target), which must view it exactly as the
+    walker does."""
     from repro.runtime.specialize import PLAN_ADAPT
 
     assert _both(MASKED_LINK) == (39, ["F1.A", "F1.A"])
     interp = compile_program(MASKED_LINK).interp(mode="jns", backend="codegen")
     cg = interp._codegen()
-    make, applied = cg.plan_apply_fn, []
+    make, applied = cg.read_fn, []
 
-    def plan_apply_fn(name):
-        apply_plan = make(name)
+    def read_fn(name, plan):
+        read = make(name, plan)
 
-        def counted(plan, v, o):
+        def counted(v, o=None):
             applied.append((name, plan[0]))
-            return apply_plan(plan, v, o)
+            return read(v, o)
 
         return counted
 
-    cg.plan_apply_fn = plan_apply_fn
+    cg.read_fn = read_fn
     assert interp.run("Main.main") == 39
     assert applied and set(applied) == {("next", PLAN_ADAPT)}
 

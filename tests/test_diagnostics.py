@@ -171,6 +171,14 @@ PINNED_ERRORS = [
         "  }\n}\n",
         ("JNS-TYPE-005", 4, 12, "! applied to int"),
     ),
+    (
+        # an error in a local's initializer is reported where it is,
+        # not as "expected ';'" at the local's name
+        "class Main {\n  int main() {\n    Main m = new Main;\n"
+        "    return 0;\n  }\n}\n",
+        ("JNS-PARSE-001", 3, 22,
+         "expected '(' or '[' after new T at 3:22 (got ';')"),
+    ),
 ]
 
 
@@ -182,7 +190,8 @@ class TestPinnedErrors:
 
     def test_run_without_entry_class(self, tmp_path, capsys):
         """``repro run`` of a file with no ``Main`` fails with
-        JNS-RESOLVE-006, which carries no source position."""
+        JNS-RESOLVE-006, which carries no source position; it is not a
+        failure of the running program, so it is no "runtime error"."""
         from repro.cli import main
 
         path = tmp_path / "nomain.jns"
@@ -190,6 +199,6 @@ class TestPinnedErrors:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            "runtime error: no entry class Main",
+            "error: no entry class Main",
             "[JNS-RESOLVE-006]",
         ]

@@ -2,9 +2,11 @@
 view-dependent dispatch and fields, lazy implicit view changes,
 memoization, duplicate fields, uninitialized-read protection."""
 
+import re
+
 import pytest
 
-from repro import UninitializedFieldError, compile_program, obs
+from repro import JnsError, UninitializedFieldError, compile_program, obs
 from repro.lang.types import ClassType
 from repro.programs import cached_program, trees
 
@@ -445,3 +447,317 @@ class TestEvolution:
         interp.call_method(server, "evolve", [])
         after = interp.get_field(server, "disp")
         assert before.inst is after.inst
+
+
+# ---------------------------------------------------------------------------
+# view-keyed view changes: each warm codegen decision keyed on the
+# interned view, against the walker's full path
+# ---------------------------------------------------------------------------
+
+BACKENDS = ("walker", "codegen")
+
+
+def _outcome(interp, fn, *args):
+    """What a run shows: its result, or the error's code and message
+    (object addresses dropped), and the output so far."""
+    try:
+        result = fn(*args)
+    except JnsError as exc:
+        result = (exc.code, re.sub(r" at 0x[0-9a-f]+", "", str(exc)))
+    return result, list(interp.output)
+
+
+def _both(src, entry="Main.main", check=True, runs=1):
+    """The outcome of ``runs`` warm runs of ``entry`` per backend, which
+    must agree; returns the walker's."""
+    program = compile_program(src, check=check)
+    seen = {}
+    for backend in BACKENDS:
+        interp = program.interp(backend=backend)
+        seen[backend] = [_outcome(interp, interp.run, entry) for _ in range(runs)]
+    assert seen["codegen"] == seen["walker"]
+    return seen["walker"]
+
+
+#: ``nextOf``'s read of ``r.next`` has a masked view-dependent type, so
+#: every read adapts: ``v.next`` holds an ``F0!.A`` (a new reference,
+#: then a memo hit), ``c.next`` an ``F1!.A\x`` (a no-op)
+ONE_SITE = r"""
+class F0 {
+  class A {
+    int x = 4;
+    A\x next;
+  }
+}
+class F1 extends F0 {
+  class A shares F0.A { }
+}
+class Main {
+  F1!.A\x nextOf(F1!.A r) { return r.next; }
+  F1!.A makeV() sharing F0!.A = F1!.A {
+    F0!.A a = new F0.A();
+    a.next = new F0.A();
+    return (view F1!.A)a;
+  }
+  F1!.A makeC(F1!.A v) {
+    F1!.A c = new F1.A();
+    c.next = this.nextOf(v);
+    return c;
+  }
+  int main() {
+    F1!.A v = this.makeV();
+    F1!.A c = this.makeC(v);
+    int same = 0;
+    for (int i = 0; i < 3; i++) {
+      F1!.A\x p = this.nextOf(v);
+      F1!.A\x q = this.nextOf(c);
+      if (p == q) { same = same + 1; }
+      Sys.print(Sys.viewName(p) + " " + Sys.viewName(q));
+    }
+    return same;
+  }
+}
+"""
+
+
+def test_one_read_site_two_source_views():
+    """One warm read site adapts two source views to one target in turn:
+    the reference it returns for ``v`` is made once and then reused, the
+    one for ``c`` is ``c``'s own, and the ``view_change`` query counts
+    the same hits and misses on both backends."""
+    from repro.lang.types import intern_view
+
+    assert _both(ONE_SITE) == [(3, ["F1.A F1.A"] * 3)]
+    program = compile_program(ONE_SITE)
+    seen = {}
+    for backend in BACKENDS:
+        interp = program.interp(backend=backend)
+        main = interp.new_instance(("Main",), ())
+        v = interp.call_method(main, "makeV", [])
+        c = interp.call_method(main, "makeC", [v])
+        first = interp.call_method(main, "nextOf", [v])
+        reads = [interp.call_method(main, "nextOf", [r]) for r in (c, v, c, v)]
+        assert first.view is intern_view(("F1", "A"), frozenset({"x"}))
+        assert first.inst is not v.inst
+        assert all(r is first for r in reads)  # memo hits and no-ops
+        q = interp._q_view_change
+        seen[backend] = (q.hits, q.misses, len(q))
+    assert seen["codegen"] == seen["walker"]
+
+
+LINKED = r"""
+class F0 {
+  class A {
+    int v;
+    A next;
+    String tag() { return "F0." + v; }
+    B make() { return new B(); }
+  }
+  class B { String who() { return "F0.B"; } }
+}
+class F1 extends F0 {
+  class A shares F0.A {
+    String tag() { return "F1." + v; }
+  }
+  class B shares F0.B { String who() { return "F1.B"; } }
+}
+class Main {
+  String main() sharing F0!.A = F1!.A {
+    F0!.A a = new F0.A();
+    F0!.A b = new F0.A();
+    a.v = 1;
+    b.v = 2;
+    a.next = b;
+    F1!.A x = (view F1!.A)a;
+    return x.tag() + " " + x.next.tag() + " " + Sys.viewName(x.next)
+      + " " + x.make().who() + " " + a.make().who();
+  }
+}
+"""
+
+
+def test_edits_between_warm_runs_match_a_fresh_walker():
+    """A bodies-only edit keeps the interpreter, its emitted code and the
+    view-change tables that code bound, emptied in place: the next run
+    misses as the walker's does.  A ``shares`` clause is class
+    structure, so that edit rebuilds the class table, and a new table
+    gets a new interpreter, as ``repro serve`` does it.  Two warm runs
+    after each edit answer as a fresh walker does."""
+    from repro.lang.incremental import IncrementalChecker
+    from repro.runtime.interp import Interp
+
+    body_edit = LINKED.replace('return "F1." + v;', 'return "G1." + v;')
+    shares_edit = body_edit.replace(
+        "class B shares F0.B { String who", "class B { String who"
+    )
+    seen = {}
+    for backend in BACKENDS:
+        inc = IncrementalChecker(LINKED, file="t.jns")
+        assert not inc.check().has_errors
+        live = Interp(inc.table, backend=backend)
+        q = live._q_view_change
+        runs = [(live.run("Main.main"), q.hits, q.misses) for _ in range(2)]
+        for edited, kept in ((body_edit, True), (shares_edit, False)):
+            cg = live._cg
+            stats = inc.apply_edit(edited)
+            assert not inc.check().has_errors
+            assert stats["strategy"] == ("incremental" if kept else "scratch")
+            if kept:
+                assert live.table is inc.table and len(q) == 0
+                assert live._cg is cg
+            else:
+                live = Interp(inc.table, backend=backend)
+                q = live._q_view_change
+            runs += [(live.run("Main.main"), q.hits, q.misses) for _ in range(2)]
+            fresh = compile_program(edited).interp(backend="walker")
+            assert runs[-1][0] == runs[-2][0] == fresh.run("Main.main")
+        seen[backend] = runs
+    assert seen["codegen"] == seen["walker"]
+    assert [r[0] for r in seen["walker"]] == (
+        ["F1.1 F1.2 F1.A F1.B F0.B"] * 2 + ["G1.1 G1.2 F1.A F1.B F0.B"] * 4
+    )
+
+
+#: ``make``'s ``new B()`` is ``F0[this.class].B``: a type whose only
+#: dependent path is ``this``
+THIS_NEW = r"""
+class F0 {
+  class A {
+    int x = 1;
+    B make() { return new B(); }
+  }
+  class B { int who() { return 0; } }
+}
+class F1 extends F0 {
+  class A shares F0.A { }
+  class B shares F0.B { int who() { return 1; } }
+}
+class Main {
+  int main() sharing F0!.A = F1!.A\x {
+    F0!.A a = new F0.A();
+    F1!.A\x m = (view F1!.A\x)a;
+    int s = 0;
+    for (int i = 0; i < 2; i++) {
+      s = s * 10 + a.make().who();
+      s = s * 10 + m.make().who();
+      Sys.print(Sys.viewName(m.make()) + " " + Sys.viewName(a.make()));
+    }
+    m.x = 3;
+    s = s * 10 + m.make().who();
+    return s;
+  }
+}
+"""
+
+
+def test_this_dependent_new_under_two_views():
+    """``new B()`` entered by ``this`` under two families, and under the
+    masked and the unmasked view of one (a call the checker would refuse
+    on the masked view, so the program runs unchecked)."""
+    assert _both(THIS_NEW, check=False, runs=2) == [
+        (1011, ["F1.B F0.B"] * 2),
+        (1011, ["F1.B F0.B"] * 4),
+    ]
+    interp = compile_program(THIS_NEW, check=False).interp(backend="codegen")
+    interp.run("Main.main")
+    (source,) = [s for label, s in interp._codegen().sources.items()
+                 if label == "F1.A.make"]
+    assert "(u_this)" in source and "_FV(" not in source
+
+
+#: ``X`` inherits ``make`` from two families, so ``F0[this.class]`` is
+#: ambiguous for it (JNS-RESOLVE-006) and fine for an ``F0!.A``
+AMBIGUOUS_NEW = r"""
+class F0 {
+  class A {
+    B make() { return new B(); }
+  }
+  class B { int who() { return 0; } }
+}
+class F1 extends F0 {
+  class B { int who() { return 1; } }
+}
+class F2 extends F0 {
+  class B { int who() { return 2; } }
+}
+class X extends F1.A & F2.A { }
+class Main {
+  int main() { return new F0.A().make().who(); }
+  int bad() { X x = new X(); return x.make().who(); }
+}
+"""
+
+
+def test_failed_this_dependent_evaluation_is_not_cached():
+    """A ``this``-keyed ``new`` site whose evaluation raises raises again
+    on the next run, before and after the same site succeeds."""
+    error = ("JNS-RESOLVE-006", "ambiguous prefix F0[X]: F1, F2, F0")
+    assert _both(AMBIGUOUS_NEW, "Main.bad", check=False, runs=2) == [(error, [])] * 2
+    program = compile_program(AMBIGUOUS_NEW, check=False)
+    seen = {}
+    for backend in BACKENDS:
+        interp = program.interp(backend=backend)
+        seen[backend] = [
+            _outcome(interp, interp.run, entry)[0]
+            for entry in ("Main.bad", "Main.main", "Main.bad", "Main.main")
+        ]
+    assert seen["codegen"] == seen["walker"] == [error, 0, error, 0]
+
+
+#: Section 3.3's directional read: ``ext.Wrap`` duplicates ``e``, so
+#: ``b.e`` finds its own copy uninitialized and reads ``base``'s
+DIRECTIONAL = r"""
+class base {
+  class Exp { int v() { return 1; } }
+  class Wrap { Exp e; }
+}
+class ext extends base {
+  class Exp shares base.Exp { int v() { return 2; } }
+  class Wrap shares base.Wrap\e { int n; }
+}
+class Main {
+  int main() sharing base!.Wrap = ext!.Wrap\n, base!.Exp = ext!.Exp {
+    base!.Wrap w = new base.Wrap();
+    w.e = new base.Exp();
+    ext!.Wrap\n b = (view ext!.Wrap\n)w;
+    return b.e.v();
+  }
+}
+"""
+#: ``n`` is new in ``ext.Wrap``, so no copy of it exists for an object
+#: made as ``base.Wrap``: a read the checker refuses (the view change
+#: would need ``\n``), so this program runs unchecked
+UNSHARED = DIRECTIONAL.replace("class Main {", r"""class Main {
+  int unshared() {
+    base!.Wrap w = new base.Wrap();
+    ext!.Wrap b = (view ext!.Wrap)w;
+    return b.n;
+  }""")
+
+
+class TestDirectionalRead:
+    @pytest.fixture(autouse=True)
+    def _tracer_restored(self):
+        yield
+        obs.disable()
+        obs.TRACER.reset()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_reads_the_other_familys_copy(self, backend):
+        interp = compile_program(DIRECTIONAL).interp(backend=backend)
+        obs.enable()
+        assert interp.run("Main.main") == 2
+        obs.disable()
+        counters = obs.TRACER.counters
+        assert counters["sharing.fallback_read"] == 1
+        assert counters["sharing.group_lookup"] == 1
+
+    def test_field_no_copy_holds_raises(self):
+        assert _both(UNSHARED, "Main.unshared", check=False) == [(
+            ("JNS-RUN-002",
+             "field 'n' of <instance of base.Wrap> is uninitialized in view "
+             "ext.Wrap (duplicated/unshared field)"),
+            [],
+        )]
+        with pytest.raises(JnsError, match="not justified by any sharing"):
+            compile_program(UNSHARED)
