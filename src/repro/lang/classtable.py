@@ -49,7 +49,7 @@ def sharing_engine(versions: VersionStore) -> QueryEngine:
     """A new query engine for a :class:`~repro.lang.sharing.SharingChecker`,
     with its memo tables made in report order."""
     engine = QueryEngine("sharing", versions=versions)
-    for name in ("required_masks", "type_shares", "noop_views"):
+    for name in ("required_masks", "type_shares"):
         engine.query(name)
     return engine
 

@@ -28,7 +28,7 @@ from .classtable import ClassTable, JnsError, ResolveError, path_str, sharing_en
 from .provenance import PROVENANCE as _PROV
 from .queries import MISS, QueryEngine
 from .subtype import Env, subtype
-from .types import ClassType, Path, Type, intern_type
+from .types import ClassType, Path, Type
 
 class SharingChecker:
     """Computes directional sharing judgments over a class table.
@@ -53,29 +53,7 @@ class SharingChecker:
         self.queries = sharing_engine(table.versions) if queries is None else queries
         self._q_req_masks = self.queries.query("required_masks")
         self._q_type_shares = self.queries.query("type_shares")
-        self._q_noop_views = self.queries.query("noop_views")
         self._in_progress: Set[Tuple[Path, Path, bool]] = set()
-
-    # ------------------------------------------------------------------
-    # view-change no-op sets (ahead-of-time specialization)
-    # ------------------------------------------------------------------
-
-    def noop_view_paths(self, target: Type) -> FrozenSet[Path]:
-        """View classes from which an adapt to ``target`` is provably the
-        identity: the target carries no masks and the view class already
-        conforms (SH-REFL — a no-op view change).  The specializer elides
-        the runtime ``view`` call for reads whose current view is in this
-        set; anything outside it falls back to the full adapt, so the set
-        being conservative is always safe."""
-        if target.masks:
-            return frozenset()
-        target = intern_type(target.pure())
-        cached = self._q_noop_views.get(target)
-        if cached is not MISS:
-            return cached
-        return self._q_noop_views.put(
-            target, self.table.conforming_paths(target)
-        )
 
     # ------------------------------------------------------------------
     # per-class-pair mask requirements

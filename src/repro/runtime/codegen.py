@@ -4,10 +4,12 @@ The tree walker pays one Python dispatch per AST node.  This module
 removes that layer: each specialized method/constructor body is walked
 once and *emitted* as real Python source — then ``compile()``d and
 ``exec``'d into a plain function cached per ``(declaration, view path)``.
-The specialization products of :mod:`repro.runtime.specialize` are baked
-directly into the emitted text:
+The specialization products (each class record's codegen products, see
+:meth:`~repro.runtime.loader.Loader.specialized`, and the devirtualized
+targets of :mod:`repro.runtime.specialize`) are baked directly into the
+emitted text:
 
-* slot indices from the :class:`~repro.runtime.specialize.Layout` appear
+* slot indices from the :class:`~repro.runtime.loader.Layout` appear
   as literal ``inst.slots[i]`` accesses;
 * every view guard is one identity test.  A field read or write through
   a receiver other than ``this`` caches the receiver's ``View`` (with
@@ -238,12 +240,13 @@ class _Emitter:
         #: every J&s variable the body can mention, as its Python local
         self._all_names = {"u_" + n for n in names}
         try:
-            self.cspec = self.spec.class_spec(path)
+            #: the receiver class's record, with its codegen products
+            self.rec = self.interp.loader.specialized(path)
         except JnsError:
             # Unresolvable sharing state: every ``this`` access falls back
             # to the generic accessors, which re-raise at the use site,
             # as the walker would.
-            self.cspec = None
+            self.rec = None
 
     # -- writer helpers -------------------------------------------------
 
@@ -773,7 +776,7 @@ class _Emitter:
         (:meth:`_tm`)."""
         gf = self.helper("_gf", self.interp.get_field)
         t = self.temp()
-        slot = self.cspec.slot_of.get(name) if self.cspec is not None else None
+        slot = self.rec.slot_of.get(name) if self.rec is not None else None
         if slot is None:
             self.w(f"{t} = {gf}(u_this, {name!r})")
             return t
@@ -791,7 +794,7 @@ class _Emitter:
         self.w(f"if {self._tm()} and {name!r} in u_this.view.masks: "
                f"{mblk}({name!r}, u_this.view)")
         self.w(f"{t} = u_this.inst.slots[{slot}]")
-        rplan = self.cspec.read_plan.get(name)
+        rplan = self.rec.read_plan.get(name)
         if rplan is None or _holds_no_ref(rtype):
             self.w(f"if {t} is {ab}: {t} = {gf}(u_this, {name!r})")
             return t
@@ -823,7 +826,7 @@ class _Emitter:
     def _field_store(self, target: ast.FieldGet, v: str) -> None:
         name = target.name
         if type(target.obj) is ast.This:
-            slot = self.cspec.slot_of.get(name) if self.cspec is not None else None
+            slot = self.rec.slot_of.get(name) if self.rec is not None else None
             if slot is None:
                 sf = self.helper("_sf", self.interp.set_field)
                 self.w(f"{sf}(u_this, {name!r}, {v})")
@@ -1413,6 +1416,8 @@ class CodegenCompiler:
         self.traced = TRACER.enabled
         self.bodies_emitted = 0
         self.sites_inlined = 0
+        #: inline-cache call-site misses (each refills its site)
+        self.ic_misses = 0
         self._fns: Dict[Tuple[int, Any], Any] = {}
         #: per key of ``_fns``: the body's :class:`EmittedSource` and its
         #: inline-cache sites, dropped with the body
@@ -1534,15 +1539,15 @@ class CodegenCompiler:
 
     def _new_plan(self, path, nargs):
         interp = self.interp
-        rtc = interp.loader.rtclass(path)
-        if rtc.is_abstract:
+        loader = interp.loader
+        if loader.rtclass(path).is_abstract:
             raise JnsRuntimeError(f"cannot instantiate abstract class {path_str(path)}")
-        cspec = self.spec.class_spec(path)
+        rtc = loader.specialized(path)
         steps = tuple(
             (idx, None if decl is None else self.init_fn(decl, path), default)
-            for idx, decl, default in cspec.init_plan
+            for idx, decl, default in rtc.init_plan
         )
-        found = interp.loader.find_ctor(rtc, nargs)
+        found = loader.find_ctor(rtc, nargs)
         if found is not None:
             ctor = self.method_fn(found[1], path)
         elif nargs:
@@ -1552,7 +1557,7 @@ class CodegenCompiler:
                 )
         else:
             ctor = None
-        return _NewPlan(interp, path, cspec.layout, steps, ctor, self.traced)
+        return _NewPlan(interp, path, rtc.layout, steps, ctor, self.traced)
 
     # -- per-name closures referenced from emitted code ------------------
 
@@ -1569,13 +1574,13 @@ class CodegenCompiler:
     def fill_plain_fn(self, name):
         fn = self._fill_plain.get(name)
         if fn is None:
-            spec = self.spec
+            specialized = self.interp.loader.specialized
 
             def fill(site, o):
                 vp = o.view.path
-                cspec = spec.class_spec(vp)
+                slot = specialized(vp).slot_of.get(name)
                 site[0] = vp
-                site[1] = cspec.slot_of.get(name)
+                site[1] = slot
 
             fn = self._fill_plain[name] = fill
         return fn
@@ -1587,11 +1592,11 @@ class CodegenCompiler:
         :meth:`read_fn`, or ``None`` for none); raises JNS-RUN-003 when
         the class has no such field."""
         vp = view.path
-        cspec = self.spec.class_spec(vp)
-        i = cspec.slot_of.get(name)
+        rec = self.interp.loader.specialized(vp)
+        i = rec.slot_of.get(name)
         if i is None:
             raise NoSuchName(f"no field {name!r} on {path_str(vp)}")
-        plan = cspec.read_plan.get(name)
+        plan = rec.read_plan.get(name)
         if plan is None:
             return [view, i, None, _NO_PATHS]
         noops = plan[1] if plan[0] == 0 else _NO_PATHS
@@ -1762,17 +1767,21 @@ class CodegenCompiler:
         return fn
 
     def call_miss_fn(self, name):
+        """The cold path of a monomorphic inline-cache call site ``[view
+        path, body]``: counts one miss (:attr:`ic_misses`) and refills
+        the site for the receiver's view path.  With caches off the site
+        keeps no path, so every call dispatches again."""
         fn = self._miss_fns.get(name)
         if fn is None:
             resolve = self.resolve_fn(name)
-            site_q = self.interp._q_site
+            records = self.interp.loader._q_rtclass
 
             def miss(site, receiver, nargs):
-                site_q.misses += 1
+                self.ic_misses += 1
                 if TRACER.enabled:
                     TRACER.count("dispatch.ic_miss")
                 site[1] = resolve(receiver, nargs)
-                site[0] = receiver.view.path if site_q._enabled else None
+                site[0] = receiver.view.path if records._enabled else None
 
             fn = self._miss_fns[name] = miss
         return fn
@@ -1866,7 +1875,10 @@ class CodegenCompiler:
         interp = self.interp
         evaled = self._static_type(target)
         if evaled is not None:
-            noops = self.spec.noop_view_paths(evaled)
+            noops = (
+                _NO_PATHS if evaled.masks
+                else interp.table.conforming_paths(evaled)
+            )
             adapt_to = self.adapt_fn(evaled)
 
             def static_view(v):

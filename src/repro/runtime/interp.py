@@ -207,16 +207,12 @@ class Interp:
             from .specialize import Specializer
 
             self.spec = Specializer(self)
-        # Run-time query caches (see lang/queries.py).  ``dispatch`` is
-        # the (view path, method name) inline cache that makes steady-state
-        # dispatch a single dict hit; ``call_site`` counts codegen's
-        # per-call-site monomorphic inline caches.  jx mode (uncached
-        # loader) bypasses all of them to reproduce the J& [31] row of
-        # Table 1.
+        # Run-time query caches (see lang/queries.py); the per-class
+        # record (dispatch table, slots, retarget types) is the loader's.
+        # jx mode (uncached loader) bypasses them to reproduce the J& [31]
+        # row of Table 1.
         self.queries = QueryEngine("interp")
         q = self.queries.query
-        self._q_dispatch = q("dispatch")
-        self._q_retarget = q("retarget")
         self._q_conforms = q("conforms")
         # target -> {id(source view): (source view, the view a lazy view
         # change moves to, or None for "unchanged")}.  Unbounded: its keys
@@ -224,11 +220,6 @@ class Interp:
         # reach them, both finite, and LRU upkeep would cost a dict pop
         # per hit.
         self._q_view_change = q("view_change", maxsize=None, cls=_ViewChangeQuery)
-        self._q_site = q("call_site")
-        # Legacy aliases: the underlying dicts of the queries (cleared in
-        # place, never replaced), kept for introspection/tests.
-        self._retarget_cache = self._q_retarget.table
-        self._conforms_cache = self._q_conforms.table
         table.add_edit_listener(self._on_table_edit)
         self._sys = self._build_sys()
         self._max_steps = max_steps
@@ -412,64 +403,48 @@ class Interp:
         return cg
 
     def _on_table_edit(self, notice) -> None:
-        """Eviction on an incremental splice.  A body-only edit evicts just
-        the codegen bodies compiled from the retired declarations; any
-        other edit drops the whole compiler, whose bodies bake in the old
-        interface (slots, read plans, dispatch targets).  The
-        coarse-grained caches (dispatch, retargets, conformance, view
-        changes) embed types and vtable entries from the edited classes
-        transitively; they are cheap warm-up state, so they clear in place
-        (counters survive).  The ``view_change`` query empties each
-        per-target table in place too, since kept emitted bodies hold
-        them (:meth:`adapt_fn`).  Codegen's inline-cache sites live in
-        its emitted bodies and go with them."""
+        """Eviction on an incremental splice, the runtime's one edit
+        listener.  A body-only edit evicts just the codegen bodies
+        compiled from the retired declarations, and keeps every class
+        record: a graft keeps the member declarations, so their vtable
+        and constructor entries see the new bodies.  Any other edit drops
+        the whole compiler, whose bodies bake in the old interface
+        (slots, read plans, dispatch targets), and the records of the
+        affected classes (edited classes plus their subclasses).  The
+        ``conforms`` and ``view_change`` memos embed types from the
+        edited classes transitively; they are cheap warm-up state, so
+        they clear in place (counters survive).  The ``view_change``
+        query empties each per-target table in place too, since kept
+        emitted bodies hold them (:meth:`adapt_fn`).  Codegen's
+        inline-cache sites live in its emitted bodies and go with
+        them."""
         if self._cg is not None:
             if notice.bodies_only:
                 self._cg.evict(notice.retired_ids)
             elif notice.retired_ids or notice.affected:
                 self._cg = None
         if notice.affected:
-            self._q_dispatch.table.clear()
-            self._retarget_cache.clear()
-            self._conforms_cache.clear()
+            if not notice.bodies_only:
+                self.loader.evict(notice.affected)
+            self._q_conforms.clear()
             self._q_view_change.clear()
-            if self.spec is not None:
-                self.spec.invalidate_classes(notice.affected)
 
     def _lookup_method(self, path: Path, name: str):
+        # All modes dispatch through the loader's record; mode differences
+        # live in the loader itself (jx re-synthesizes the table on every
+        # call, the cached modes hit the record table).
         if PROFILER.enabled:
             PROFILER.dispatch_hit()
-        # All modes dispatch through the loader; mode differences live in
-        # the loader itself (jx re-synthesizes the table on every call).
-        # In cached-loader modes the (view path, method name) dispatch
-        # query reuses the precomputed vtable entry — steady-state
-        # dispatch is one dict hit, no find_method walk.
-        if self.loader.cached:
-            key = (path, name)
-            found = self._q_dispatch.get(key)
-            if found is not MISS:
-                if TRACER.enabled:
-                    TRACER.count("dispatch.hit")
-                return found
-            if TRACER.enabled:
-                TRACER.count("dispatch.miss")
-            return self._q_dispatch.put(
-                key, self.loader.rtclass(path).vtable.get(name)
-            )
-        if TRACER.enabled:
+        if TRACER.enabled and not self.loader.cached:
             TRACER.count("dispatch.uncached")
         return self.loader.rtclass(path).vtable.get(name)
 
     def cache_stats(self) -> CacheStats:
         """Snapshot of this interpreter's query caches plus the loader's
-        and the class table's (they all serve this run), and the
-        specializer's when the codegen backend is active."""
-        engines = [self.queries, self.loader.queries, self.table.queries]
-        if self.spec is not None:
-            engines.append(self.spec.queries)
-            if self.spec._checker is not None:
-                engines.append(self.spec._checker.queries)
-        return collect_stats(engines)
+        and the class table's (they all serve this run)."""
+        return collect_stats(
+            [self.queries, self.loader.queries, self.table.queries]
+        )
 
     # ------------------------------------------------------------------
     # what the walker and emitted code both call
@@ -575,33 +550,26 @@ class Interp:
             inst.store((slot, name), v)
             return v
         raise UninitializedFieldError(
-            f"field {name!r} of {inst!r} is uninitialized in view "
-            f"{path_str(obj.view.path)} (duplicated/unshared field)"
+            f"field {name!r} of an instance of {path_str(inst.created_as)} is "
+            f"uninitialized in view {path_str(obj.view.path)} "
+            f"(duplicated/unshared field)"
         )
 
     def _retarget_type(self, rtc: RTClass, name: str, obj: Ref) -> Optional[Type]:
-        """Evaluated field target type for lazy implicit view changes,
-        memoized per (view, field) when it depends only on ``this``."""
+        """Evaluated field target type for lazy implicit view changes: the
+        record's, evaluated once, when it depends only on ``this``."""
         decl_type = rtc.retarget.get(name)
         if decl_type is None:
             return None
-        key = (rtc.path, name)
-        cached = self._q_retarget.get(key)
-        if cached is not MISS:
-            return cached
-        paths = T.paths_in(decl_type)
-        this_only = all(p == ("this",) or p[0] == "this" for p in paths)
+        evaled = rtc.retarget_eval.get(name, MISS)
+        if evaled is not MISS:
+            return evaled
         try:
-            evaled = self.table.eval_type(
+            return self.table.eval_type(
                 decl_type, lambda p: self._path_view(p, obj)
             )
         except (ResolveError, JnsError):
-            evaled = None
-        if this_only and all(p == ("this",) for p in paths):
-            if evaled is not None:
-                evaled = T.intern_type(evaled)  # see Specializer._read_plans
-            self._q_retarget.put(key, evaled)
-        return evaled
+            return None
 
     def _path_view(self, path: Path, this: Ref) -> View:
         if path[0] == "this":

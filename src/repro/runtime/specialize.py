@@ -26,11 +26,14 @@ it emits per method body:
    sites bind it statically behind a membership guard and fall back to
    the generic path (and its inline caches) otherwise.
 
-All whole-program analyses (slot universes, sealed targets, conformance
+The first two are products of a class's one runtime record, the
+loader's :class:`~repro.runtime.loader.RTClass`, built into it on first
+use (:meth:`~repro.runtime.loader.Loader.specialized`).  All
+whole-program analyses (slot universes, sealed targets, conformance
 sets) live on the :class:`~repro.lang.classtable.ClassTable` query
-engine, so they amortize across every interpreter sharing the table;
-this class only assembles the per-interpreter :class:`ClassSpec` records
-(which embed mode-dependent layouts and initializer schedules).
+engine, so they amortize across every interpreter sharing the table.
+This class runs the pass over the closed world and answers the
+devirtualization query for emitted call sites.
 
 Escape hatch: ``repro run --backend walker`` (or
 ``Program.interp(backend="walker")``) skips this pass and tree-walks the
@@ -40,98 +43,36 @@ the semantics.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..lang import types as T
 from ..lang.classtable import JnsError, ResolveError
-from ..lang.queries import MISS, QueryEngine
-from ..lang.types import Path, Type, intern_view
+from ..lang.types import Type
 from ..obs import TRACER
-from .loader import RTClass
-from .values import default_value
-
-#: Read-plan tags (first element of the plan tuple).
-PLAN_NOOP = 0  #: statically evaluated target; elide when view in noop set
-PLAN_ADAPT = 1  #: statically evaluated target with masks; always adapt
-PLAN_DYNAMIC = 2  #: target depends on runtime state; evaluate per read
-
-
-class Layout:
-    """A fixed heap-key → slot-index numbering shared by every class in
-    one sharing group (the keys are sorted, so all members compute the
-    identical numbering independently)."""
-
-    __slots__ = ("keys", "index", "nslots")
-
-    def __init__(self, keys: Tuple[Any, ...]) -> None:
-        self.keys = keys
-        self.index: Dict[Any, int] = {k: i for i, k in enumerate(keys)}
-        self.nslots = len(keys)
-
-    def __repr__(self) -> str:
-        return f"<Layout {self.nslots} slots>"
-
-
-class ClassSpec:
-    """Specialized per-class execution plan: the slot layout, this view's
-    name→slot mapping, the field-read retarget plans, and the initializer
-    schedule in slot form."""
-
-    __slots__ = ("path", "layout", "slot_of", "read_plan", "init_plan")
-
-    def __init__(
-        self,
-        path: Path,
-        layout: Layout,
-        slot_of: Dict[str, int],
-        read_plan: Dict[str, Tuple],
-        init_plan: List[Tuple[int, Any, Any]],
-    ) -> None:
-        self.path = path
-        self.layout = layout
-        self.slot_of = slot_of
-        self.read_plan = read_plan
-        self.init_plan = init_plan
 
 
 class Specializer:
-    """Assembles and caches :class:`ClassSpec` records for one
-    interpreter, and answers the devirtualization query for its emitted
-    call sites.  Counters (``slots_built`` / ``sites_devirtualized`` /
-    ``views_elided``) are maintained unconditionally; the matching
-    ``specialize.*`` tracer counters fire only while tracing is on."""
+    """The ahead-of-time pass of one interpreter and its
+    devirtualization query.  Counters (``slots_built`` /
+    ``sites_devirtualized`` / ``views_elided``) are maintained
+    unconditionally; the matching ``specialize.*`` tracer counters fire
+    only while tracing is on."""
 
     def __init__(self, interp) -> None:
         self.interp = interp
         self.table = interp.table
-        self.sharing = interp.sharing
-        self.queries = QueryEngine("specialize")
-        self._q_spec = self.queries.query("class_spec")
-        self._q_layout = self.queries.query("layout")
-        self._checker = None  # lazy SharingChecker for no-op view sets
-        self.slots_built = 0
         self.sites_devirtualized = 0
-        self.views_elided = 0
-
-    def invalidate_classes(self, affected) -> None:
-        """Drop the :class:`ClassSpec` of each affected class (called on
-        an incremental splice via ``Interp._on_table_edit``).  Layouts
-        are derived purely from their key tuple, so they can never go
-        stale and stay cached."""
-        cache = self._q_spec.table
-        for path in affected:
-            cache.pop(path, None)
 
     # ------------------------------------------------------------------
     # entry point: run after loading, before execution
     # ------------------------------------------------------------------
 
     def specialize_program(self) -> None:
-        """Precompute every class spec (and thereby every layout and read
-        plan) for the program's locally closed world.  Classes whose
-        sharing state cannot be resolved are skipped — the lazy per-class
-        path re-raises the same error at the access point the generic
-        backend would."""
+        """Build the codegen products of every class record (and thereby
+        every layout and read plan) for the program's locally closed
+        world.  Classes whose sharing state cannot be resolved are
+        skipped — the lazy per-class path re-raises the same error at
+        the access point the generic backend would."""
         if not TRACER.enabled:
             self._specialize_all()
             return
@@ -139,108 +80,12 @@ class Specializer:
             self._specialize_all()
 
     def _specialize_all(self) -> None:
+        specialized = self.interp.loader.specialized
         for path in self.table.all_class_paths():
             try:
-                self.class_spec(path)
+                specialized(path)
             except JnsError:
                 pass
-
-    # ------------------------------------------------------------------
-    # per-class specs
-    # ------------------------------------------------------------------
-
-    def class_spec(self, path: Path) -> ClassSpec:
-        spec = self._q_spec.get(path)
-        if spec is not MISS:
-            return spec
-        return self._q_spec.put(path, self._build_spec(path))
-
-    def _build_spec(self, path: Path) -> ClassSpec:
-        rtc = self.interp.loader.rtclass(path)
-        if self.sharing:
-            keys = self.table.slot_universe(path)
-        else:
-            # Non-sharing modes key storage by plain field name; the
-            # layout is just this class's own field list.
-            keys = tuple(name for name in rtc.field_slot)
-        layout = self._layout(keys)
-        if self.sharing:
-            slot_of = {
-                name: layout.index[(slot, name)]
-                for name, slot in rtc.field_slot.items()
-            }
-        else:
-            slot_of = {name: layout.index[name] for name in rtc.field_slot}
-        read_plan = self._read_plans(rtc) if self.sharing else {}
-        init_plan: List[Tuple[int, Any, Any]] = []
-        for _, decl in rtc.init_schedule:
-            idx = slot_of[decl.name]
-            if decl.init is not None:
-                init_plan.append((idx, decl, None))
-            else:
-                init_plan.append((idx, None, default_value(decl.type)))
-        return ClassSpec(path, layout, slot_of, read_plan, init_plan)
-
-    def _layout(self, keys: Tuple[Any, ...]) -> Layout:
-        """One Layout object per distinct key tuple — every member of a
-        sharing group shares the same object (the universes are sorted,
-        hence equal)."""
-        layout = self._q_layout.get(keys)
-        if layout is not MISS:
-            return layout
-        layout = Layout(keys)
-        self.slots_built += layout.nslots
-        if TRACER.enabled:
-            TRACER.count("specialize.slots_built", layout.nslots)
-        return self._q_layout.put(keys, layout)
-
-    def _read_plans(self, rtc: RTClass) -> Dict[str, Tuple]:
-        """Static evaluation of each view-dependent reference field's
-        retarget type, mirroring ``Interp._retarget_type``: this-only
-        types evaluate against the view class; evaluation failure means
-        no adapt is ever applied (the generic backend memoizes ``None``
-        for exactly these); anything mentioning other paths stays
-        dynamic."""
-        plans: Dict[str, Tuple] = {}
-        for name, decl_type in rtc.retarget.items():
-            paths = T.paths_in(decl_type)
-            if not all(p == ("this",) for p in paths):
-                plans[name] = (PLAN_DYNAMIC,)
-                continue
-            this_view = intern_view(rtc.path)
-            try:
-                # interned, so equal targets of different classes are one
-                # key object in Interp's view_change query
-                evaled: Optional[Type] = T.intern_type(
-                    self.table.eval_type(decl_type, lambda p: this_view)
-                )
-            except (ResolveError, JnsError):
-                evaled = None
-            if evaled is None:
-                continue  # reads never adapt; omit the plan entirely
-            if evaled.masks:
-                plans[name] = (PLAN_ADAPT, evaled)
-            else:
-                noops = self._noop_paths(evaled)
-                plans[name] = (PLAN_NOOP, noops, evaled)
-                self.views_elided += 1
-                if TRACER.enabled:
-                    TRACER.count("specialize.views_elided")
-        return plans
-
-    def _noop_paths(self, target: Type):
-        if self._checker is None:
-            from ..lang.sharing import SharingChecker
-
-            self._checker = SharingChecker(self.table)
-        return self._checker.noop_view_paths(target)
-
-    def noop_view_paths(self, target: Type):
-        """Public wrapper over the sharing checker's no-op view set: the
-        source view paths from which an unmasked adapt to ``target`` is
-        provably the identity.  Used by the codegen backend to elide
-        explicit view changes and call-receiver adapters per site."""
-        return self._noop_paths(target)
 
     # ------------------------------------------------------------------
     # devirtualization
@@ -280,8 +125,9 @@ class Specializer:
             TRACER.count("specialize.sites_devirtualized")
 
     def stats(self) -> Dict[str, int]:
+        loader = self.interp.loader
         return {
-            "slots_built": self.slots_built,
+            "slots_built": loader.slots_built,
             "sites_devirtualized": self.sites_devirtualized,
-            "views_elided": self.views_elided,
+            "views_elided": loader.views_elided,
         }

@@ -13,7 +13,7 @@ realizes the heap of the calculus, whose domain is tuples ⟨l, P, f⟩.
 
 :class:`SlottedInstance` is the specialized representation built by
 :mod:`repro.runtime.specialize`: the same heap keys, but laid out as a
-flat list indexed by a per-sharing-group :class:`~repro.runtime.specialize.Layout`
+flat list indexed by a per-sharing-group :class:`~repro.runtime.loader.Layout`
 computed ahead of time (one slot per ``fclass``-distinct field copy, so
 duplicated/masked fields from Section 6.3 keep separate storage).  Both
 representations answer ``load``/``store`` on heap keys so the generic

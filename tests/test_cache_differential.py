@@ -166,3 +166,34 @@ def test_invalidate_matches_fresh_table(src):
     assert fresh.table.ancestors(("Main",)) == program.table.ancestors(("Main",))
     interp2 = program.interp()
     assert interp2.run("Main.main") == before
+
+
+#: ``a.m()`` is polymorphic for ``a``'s static type, so its emitted call
+#: site keeps a monomorphic inline cache
+POLY_CALL = """
+class A { int m() { return 1; } }
+class B extends A { int m() { return 2; } }
+class Main {
+  int main() {
+    A a = new B();
+    int s = 0;
+    for (int i = 0; i < 50; i++) { s = s + a.m(); }
+    return s;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_caches_off_codegen_never_fills_a_call_site(enabled):
+    """With caches on, the first call fills the inline-cache site and the
+    other 49 hit it; with caches off the site keeps no receiver path, so
+    every call dispatches again."""
+    set_caches_enabled(enabled)
+    interp = compile_program(POLY_CALL).interp(backend="codegen")
+    assert interp.run("Main.main") == 100
+    cg = interp._cg
+    assert cg.ic_misses == (1 if enabled else 50)
+    sites = [site for _, body_sites in cg._emitted.values() for site in body_sites]
+    assert len(sites) == 1
+    assert (sites[0][0] is None) is not enabled

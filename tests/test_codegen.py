@@ -424,7 +424,7 @@ class TestStackLabelParity:
         assert stack[0] == "Main.main" and len(stack) > 2
         if code == "JNS-RES-002":
             assert len(stack) == budget["max_depth"] + 1
-        misses = interp._q_site.misses
+        misses = interp._cg.ic_misses
         if shape == "ic_miss":
             assert misses >= 3
         elif shape == "ic_hit":
@@ -1032,7 +1032,7 @@ def test_masked_view_dependent_read_matches_walker():
     hands the value to the read function of that plan (``read_fn``, an
     adapt bound to the plan's target), which must view it exactly as the
     walker does."""
-    from repro.runtime.specialize import PLAN_ADAPT
+    from repro.runtime.loader import PLAN_ADAPT
 
     assert _both(MASKED_LINK) == (39, ["F1.A", "F1.A"])
     interp = compile_program(MASKED_LINK).interp(mode="jns", backend="codegen")

@@ -95,6 +95,39 @@ def test_run_footprint(driver, tmp_path):
     assert sorted(loaded.intersection(NOT_IMPORTED_STDLIB)) == []
 
 
+#: ``A.next`` is view-dependent (``F0[this.class].A``), so its read plan
+#: has a no-op set; no statement asks for a sharing judgment.
+VIEW_FIELD = """\
+class F0 {
+  class A {
+    int v = 1;
+    A next;
+    int get() { return v; }
+  }
+}
+class Main {
+  int main() {
+    F0!.A a = new F0.A();
+    a.next = new F0.A();
+    return a.get() + a.next.get();
+  }
+}
+"""
+
+
+def test_run_with_view_dependent_field_skips_sharing(tmp_path):
+    """A read plan's no-op set is the class table's conformance set, so
+    specializing a view-dependent field loads no sharing judgments."""
+    path = tmp_path / "views.jns"
+    path.write_text(VIEW_FIELD)
+    proc = python("-X", "importtime", "-m", "repro", "run", str(path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["=> 2"]
+    loaded = imported(proc.stderr)
+    assert "repro.runtime.codegen" in loaded
+    assert "repro.lang.sharing" not in loaded
+
+
 def test_import_serve_footprint(tmp_path):
     """The check service speaks JSON Lines over a raw socket; it must not
     pull in an HTTP stack (``http.server`` drags in ``email``)."""

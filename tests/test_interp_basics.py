@@ -366,9 +366,9 @@ class TestRecursion:
 
 
 class TestDispatchCaching:
-    """The dispatch inline cache (ISSUE 2 micro-fix): method invocation in
-    cached-loader modes reuses the precomputed per-class method tables and,
-    once warm, never recomputes a lookup."""
+    """Method invocation in cached-loader modes reads the dispatch table
+    of the class's one runtime record and, once warm, never recomputes a
+    lookup."""
 
     SRC = """
     class Counter {
@@ -389,18 +389,18 @@ class TestDispatchCaching:
         program = compile_program(self.SRC)
         interp = program.interp()
         ref = interp.new_instance(("Main",), ())
-        # Warm-up: populates the (view path, method name) dispatch query.
+        # Warm-up: synthesizes each class's record (its dispatch table).
         assert interp.call_method(ref, "main", []) == 200
-        q = interp.queries.queries["dispatch"]
+        q = interp.loader.queries.queries["rtclass"]
         warm_misses = q.misses
         warm_hits = q.hits
         assert interp.call_method(ref, "main", []) == 200
-        assert q.misses == warm_misses, "steady-state dispatch recomputed a lookup"
+        assert q.misses == warm_misses, "steady-state dispatch rebuilt a record"
         assert q.hits > warm_hits
         # and the per-run find_method walks collapsed into the vtable build:
         stats = interp.cache_stats()
-        dispatch = stats.query("dispatch", engine="interp")
-        assert dispatch is not None and dispatch.hit_rate > 0.99
+        records = stats.query("rtclass", engine="loader")
+        assert records is not None and records.hit_rate > 0.99
 
     def test_compiled_call_sites_go_monomorphic(self):
         # `m` is polymorphic for the receiver's static type A, so the
@@ -415,17 +415,17 @@ class TestDispatchCaching:
         interp = program.interp(backend="codegen")
         ref = interp.new_instance(("Main",), ())
         assert interp.call_method(ref, "main", []) == 200
-        site = interp.queries.queries["call_site"]
+        cg = interp._cg
         # one miss fills the site; the other 99 calls hit it
-        assert site.misses == 1
+        assert cg.ic_misses == 1
         assert interp.call_method(ref, "main", []) == 200
         # second run: every call site has seen its receiver class already
-        assert site.misses == 1
+        assert interp._cg is cg and cg.ic_misses == 1
 
     def test_jx_mode_stays_uncached(self):
         program = compile_program(self.SRC)
         interp = program.interp(mode="jx")
         ref = interp.new_instance(("Main",), ())
         assert interp.call_method(ref, "main", []) == 200
-        q = interp.queries.queries["dispatch"]
+        q = interp.loader.queries.queries["rtclass"]
         assert q.hits == 0 and q.misses == 0 and len(q.table) == 0

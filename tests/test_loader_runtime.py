@@ -163,7 +163,7 @@ class TestRuntimeMisc:
         value = interp.new_instance(("AST", "Value"), (1,))
         t = ClassType(("AST", "Exp"))
         assert interp.conforms(value.view, t)
-        assert (value.view.path, t) in interp._conforms_cache
+        assert (value.view.path, t) in interp.queries.queries["conforms"].table
 
     def test_instance_of_exact_type(self, fig123):
         interp = fig123.interp()
@@ -173,3 +173,120 @@ class TestRuntimeMisc:
         assert not interp.conforms(
             tree.view, ClassType(("ASTDisplay", "Binary"), frozenset({2}))
         )
+
+
+# ---------------------------------------------------------------------------
+# one record per class, evicted per class by the interpreter's edit listener
+# ---------------------------------------------------------------------------
+
+#: ``B`` extends ``A``; ``U`` is unrelated to both.  ``A.next`` and
+#: ``U.link`` are view-dependent, so both records carry read plans.
+EDITED = """\
+class F0 {
+  class A {
+    int v = 1;
+    A next;
+    int get() { return v; }
+  }
+  class B extends A {
+    int get() { return v + 10; }
+  }
+  class U {
+    int w = 3;
+    U link;
+    int val() { return w; }
+  }
+}
+class Main {
+  int main() {
+    F0!.A a = new F0.A();
+    a.next = new F0.B();
+    F0!.U u = new F0.U();
+    u.link = new F0.U();
+    Sys.print(a.next.get());
+    return a.get() + a.next.get() + u.link.val();
+  }
+}
+"""
+#: an interface edit of ``A`` (a field initializer)
+IFACE_EDIT = EDITED.replace("int v = 1;", "int v = 2;")
+#: a body-only edit of ``B``
+BODY_EDIT = EDITED.replace("v + 10", "v + 20")
+#: an interface edit of ``U``
+U_EDIT = IFACE_EDIT.replace("int w = 3;", "int w = 5;")
+
+
+def _live(backend="codegen"):
+    from repro.lang.incremental import IncrementalChecker
+    from repro.runtime.interp import Interp
+
+    inc = IncrementalChecker(EDITED, file="t.jns")
+    assert not inc.check().has_errors
+    interp = Interp(inc.table, backend=backend)
+    assert interp.run("Main.main") == 15
+    return inc, interp
+
+
+def _records(interp):
+    return dict(interp.loader.queries.queries["rtclass"].table)
+
+
+def _edit(inc, src):
+    assert inc.apply_edit(src)["strategy"] == "incremental"
+    assert not inc.check().has_errors
+
+
+class TestRecordEviction:
+    def test_interface_edit_keeps_unrelated_record(self):
+        inc, interp = _live()
+        unrelated = _records(interp)[("F0", "U")]
+        layout, plans = unrelated.layout, unrelated.read_plan
+        assert layout is not None and "link" in plans
+        _edit(inc, IFACE_EDIT)
+        assert _records(interp)[("F0", "U")] is unrelated
+        assert unrelated.layout is layout and unrelated.read_plan is plans
+        assert interp.run("Main.main") == 17
+        assert _records(interp)[("F0", "U")] is unrelated
+
+    def test_interface_edit_rebuilds_affected_records(self):
+        inc, interp = _live()
+        before = _records(interp)
+        _edit(inc, IFACE_EDIT)
+        # the edited class and its subclass are dropped, nothing else
+        kept = _records(interp)
+        assert set(before) - set(kept) == {("F0", "A"), ("F0", "B")}
+        assert all(kept[path] is before[path] for path in kept)
+        assert interp.run("Main.main") == 17
+        rebuilt = _records(interp)
+        for path in (("F0", "A"), ("F0", "B")):
+            assert rebuilt[path] is not before[path]
+            assert rebuilt[path].layout is not None
+            assert "next" in rebuilt[path].read_plan
+
+    def test_body_only_edit_keeps_every_record(self):
+        inc, interp = _live()
+        before = _records(interp)
+        _edit(inc, BODY_EDIT)
+        after = _records(interp)
+        assert set(after) == set(before)
+        assert all(after[path] is before[path] for path in before)
+        # the kept records' dispatch tables hold the grafted declaration
+        assert interp.run("Main.main") == 25
+        assert _records(interp) == before
+
+    def test_warm_interpreters_match_fresh_walker_after_each_edit(self):
+        from repro.lang.incremental import IncrementalChecker
+        from repro.runtime.interp import Interp
+
+        inc = IncrementalChecker(EDITED, file="t.jns")
+        assert not inc.check().has_errors
+        warm = [Interp(inc.table, backend=b) for b in ("walker", "codegen")]
+        for interp in warm:
+            interp.run("Main.main")
+        for src in (BODY_EDIT, IFACE_EDIT, U_EDIT, EDITED):
+            _edit(inc, src)
+            fresh = compile_program(src).interp(backend="walker")
+            want = (fresh.run("Main.main"), fresh.output)
+            for interp in warm:
+                del interp.output[:]
+                assert (interp.run("Main.main"), interp.output) == want

@@ -245,7 +245,8 @@ class TestUnifiedReport:
         assert "phase timings:" in report
         assert "semantic events:" in report
         assert "cache stats" in report
-        assert "typecheck" in report and "dispatch" in report
+        # dispatch reads the class records: the loader's record table row
+        assert "typecheck" in report and "loader.rtclass" in report
 
     def test_empty_report_is_printable(self):
         t = Tracer()

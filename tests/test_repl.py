@@ -117,8 +117,8 @@ class TestMetaCommands:
 
     def test_stats_after_specialized_run(self, session):
         """:stats still renders the process-wide cache table when the
-        codegen backend (with its own sharing checker and query
-        caches) has executed a statement."""
+        codegen backend (with its class records and layout table) has
+        executed a statement."""
         session.feed("class A { class C { int v = 7; } }")
         assert session.feed("Sys.print(new A.C().v);") == ["7"]
         out = session.feed(":stats")

@@ -39,17 +39,17 @@ def _obs_restored():
 
 
 class TestSlotLayouts:
-    def _spec(self, source=FIG5_SOURCE, mode="jns"):
+    def _loader(self, source=FIG5_SOURCE, mode="jns"):
         program = compile_program(source)
         interp = program.interp(mode=mode, backend="codegen")
-        return interp, interp.spec
+        return interp, interp.loader
 
     def test_shared_field_one_slot_new_field_own_slot(self):
         # FIG5 B: b0 is shared (one fclass) while f is new in A2 — the
         # group layout has exactly two slots.
-        _, spec = self._spec()
-        s1 = spec.class_spec(("A1", "B"))
-        s2 = spec.class_spec(("A2", "B"))
+        _, loader = self._loader()
+        s1 = loader.specialized(("A1", "B"))
+        s2 = loader.specialized(("A2", "B"))
         assert s1.layout.nslots == 2
         assert set(s1.slot_of) == {"b0"}
         assert set(s2.slot_of) == {"b0", "f"}
@@ -57,25 +57,25 @@ class TestSlotLayouts:
         assert s1.slot_of["b0"] == s2.slot_of["b0"]
 
     def test_layout_object_shared_across_group(self):
-        _, spec = self._spec()
+        _, loader = self._loader()
         assert (
-            spec.class_spec(("A1", "B")).layout
-            is spec.class_spec(("A2", "B")).layout
+            loader.specialized(("A1", "B")).layout
+            is loader.specialized(("A2", "B")).layout
         )
 
     def test_duplicated_masked_field_gets_two_slots(self):
         # FIG5 C: A2.C shares A1.C\g — g's fclass differs per family, so
         # the duplicated field keeps one slot per copy.
-        _, spec = self._spec()
-        s1 = spec.class_spec(("A1", "C"))
-        s2 = spec.class_spec(("A2", "C"))
+        _, loader = self._loader()
+        s1 = loader.specialized(("A1", "C"))
+        s2 = loader.specialized(("A2", "C"))
         assert s1.layout is s2.layout
         assert s1.layout.nslots == 2
         assert s1.slot_of["g"] != s2.slot_of["g"]
 
     def test_non_sharing_layout_uses_plain_names(self):
-        _, spec = self._spec(mode="java")
-        s = spec.class_spec(("A1", "B"))
+        _, loader = self._loader(mode="java")
+        s = loader.specialized(("A1", "B"))
         assert s.layout.keys == ("b0",)
         assert s.slot_of == {"b0": 0}
 
@@ -88,9 +88,9 @@ class TestSlotLayouts:
         assert len(ref.inst.slots) == 2
 
     def test_counters_after_specialization(self):
-        _, spec = self._spec()
-        spec.specialize_program()
-        assert spec.stats()["slots_built"] > 0
+        interp, _ = self._loader()
+        interp.spec.specialize_program()
+        assert interp.spec.stats()["slots_built"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +229,24 @@ class TestMaskedFieldParity:
             errors[backend] = (exc.value.code, str(exc.value))
         assert errors["walker"] == errors["codegen"]
 
+    @pytest.mark.parametrize("backend", ["walker", "codegen"])
+    def test_view_change_to_masked_target_adds_the_mask(self, backend):
+        """``(view A2!.B\\f)b`` from a view that already conforms to
+        ``A2!.B`` adds the mask: a masked target's no-op set is empty, so
+        the change is never elided."""
+        src = FIG5_SOURCE + """
+        class Main {
+          A2!.B\\f mask(A2!.B b) { return (view A2!.B\\f)b; }
+        }
+        """
+        interp = compile_program(src).interp(mode="jns", backend=backend)
+        ref = interp.new_instance(("Main",), ())
+        b2 = interp.new_instance(("A2", "B"), ())
+        masked = interp.call_method(ref, "mask", [b2])
+        assert masked.view.masks == frozenset({"f"})
+        with pytest.raises(UninitializedFieldError):
+            interp.get_field(masked, "f")
+
 
 # ---------------------------------------------------------------------------
 # escape hatch
@@ -360,9 +378,9 @@ class TestSpecializeObservability:
         }
         assert stats["slots_built"] > 0
 
-    def test_cache_stats_include_specializer_engine(self):
+    def test_cache_stats_include_layout_table(self):
         program = compile_program(FIG123_SOURCE)
         interp = program.interp(mode="jns", backend="codegen")
         interp.run("Main.showSample")
         text = interp.cache_stats().format()
-        assert "specialize" in text
+        assert "loader.layout" in text
