@@ -78,12 +78,12 @@ class Program(Record):
         select the ablation variants described in DESIGN.md (D1: disable
         view-change memoization; D3: eager instead of lazy implicit view
         changes).  ``backend`` is ``"walker"`` (the tree-walking reference
-        semantics) or ``"codegen"``, which runs the ahead-of-time
-        specialization pass (slotted layouts, sealed-family
-        devirtualization — see ``repro/runtime/specialize.py``) and emits
-        and ``compile()``s real Python source per specialized method body
-        (``repro/runtime/codegen.py``); ``jx`` mode always runs on the
-        walker.  ``max_steps``/``max_depth`` bound
+        semantics) or ``"codegen"``, which builds every class record's
+        slotted layout and read plans ahead of time
+        (``repro/runtime/loader.py``) and emits and ``compile()``s real
+        Python source per specialized method body, with sealed-family
+        devirtualization (``repro/runtime/codegen.py``); ``jx`` mode
+        always runs on the walker.  ``max_steps``/``max_depth`` bound
         evaluation fuel and J&s call depth; exceeding either raises
         :class:`~repro.errors.JnsResourceError`."""
         return Interp(

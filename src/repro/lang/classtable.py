@@ -148,9 +148,10 @@ class ClassTable:
         self._q_subtype = q("subtype")
         self._q_bound = q("bound")
         self._q_class_subtype = q("class_subtype")
-        # ahead-of-time specialization queries (runtime/specialize.py):
-        # sealed dispatch targets, fclass slot universes, and closed-world
-        # conformance sets.  They live on the table — not the interpreter —
+        # ahead-of-time specialization queries (the loader's layouts and
+        # read plans, codegen's devirtualized call sites): sealed dispatch
+        # targets, fclass slot universes, and closed-world conformance
+        # sets.  They live on the table — not the interpreter —
         # so their cost amortizes across every interpreter sharing it.
         self._q_sealed = q("sealed_target")
         self._q_mono = q("monomorphic_target")
@@ -174,7 +175,7 @@ class ClassTable:
         self._sharing_checker = None
         self._sharing_queries: Optional[QueryEngine] = None
 
-        # Runtime artifacts (loaders, interpreters, specializers) keyed
+        # Runtime artifacts (loaders, interpreters) keyed
         # off this table register here to evict per-class products when
         # an incremental edit splices declarations (weakly — the table
         # must never keep an interpreter alive).
@@ -1030,7 +1031,8 @@ class ClassTable:
         )
 
     # ------------------------------------------------------------------
-    # ahead-of-time specialization queries (runtime/specialize.py)
+    # ahead-of-time specialization queries (runtime/loader.py,
+    # runtime/codegen.py)
     # ------------------------------------------------------------------
 
     def runtime_conforms(self, path: Path, t: Type) -> bool:
@@ -1056,8 +1058,8 @@ class ClassTable:
 
     def conforming_paths(self, t: Type) -> FrozenSet[Path]:
         """All class paths in the locally closed world conforming to the
-        (pure, non-dependent) type ``t``.  Feeds the specializer's view-
-        change no-op sets: an adapt to ``t`` from any of these paths with
+        (pure, non-dependent) type ``t``.  Feeds the read plans' and
+        static view changes' no-op sets: an adapt to ``t`` from any of these paths with
         equal masks is the identity."""
         t = intern_type(t.pure())
         cached = self._q_conforming.get(t)

@@ -4,20 +4,21 @@ The tree walker pays one Python dispatch per AST node.  This module
 removes that layer: each specialized method/constructor body is walked
 once and *emitted* as real Python source — then ``compile()``d and
 ``exec``'d into a plain function cached per ``(declaration, view path)``.
-The specialization products (each class record's codegen products, see
-:meth:`~repro.runtime.loader.Loader.specialized`, and the devirtualized
-targets of :mod:`repro.runtime.specialize`) are baked directly into the
-emitted text:
+Whatever that receiver path decides is decided here, once, and baked
+directly into the emitted text: each class record's codegen products
+(:meth:`~repro.runtime.loader.Loader.specialized`) and the devirtualized
+call targets (:meth:`CodegenCompiler.static_target_for`):
 
 * slot indices from the :class:`~repro.runtime.loader.Layout` appear
   as literal ``inst.slots[i]`` accesses;
 * every view guard is one identity test.  A field read or write through
   a receiver other than ``this`` caches the receiver's ``View`` (with
-  its slot and read plan) and hits on ``o.view is site[0]``; ``this.f``
-  tests the masks ``this`` had on entry (``_tm``), read once.  Both rest
-  on two invariants: one interned ``View`` per ``(path, masks)``
-  (:func:`~repro.lang.types.intern_view`), and a reference's view only
-  ever losing masks (R-SET's unmask is the only write of ``Ref.view``);
+  its slot and read plan) and hits on ``o.view is site[0]``, in every
+  mode; ``this.f`` tests the masks ``this`` had on entry (``_tm``), read
+  once.  Both rest on two invariants: one interned ``View`` per ``(path,
+  masks)`` (:func:`~repro.lang.types.intern_view`), and a reference's
+  view only ever losing masks (R-SET's unmask is the only write of
+  ``Ref.view``);
 * sealed-family (and receiver-monomorphic) devirtualized targets become
   direct calls to the emitted callee: a this-call takes it from a cell
   filled once, any other call from a site keyed by the receiver's view;
@@ -28,10 +29,11 @@ emitted text:
   to a fixed target calls ``Interp.adapt_fn(target)``, which binds that
   target's table of the ``view_change`` query: a warm adapt looks the
   source ``View`` up by ``id`` and hashes no type;
-* casts and ``instanceof`` to a type with no dependent path evaluate it
-  once, at emission; a dependent ``new``, cast, ``instanceof`` or view
-  change whose type's only dependent path is ``this`` evaluates it once
-  per view of ``this`` (:func:`_by_this_view`);
+* a ``new``, cast, ``instanceof`` or view change whose type has no
+  dependent path, or only ``this``, evaluates it once, at emission, in
+  the body's receiver path (every ``this`` the body sees is viewed at
+  that path, and evaluating ``this.class`` ignores masks); a type rooted
+  at a local is evaluated per run against the live locals;
 * constants are folded and J&s locals become real Python locals.
 
 Semantics stay anchored to the interpreter: every slow path (generic
@@ -77,7 +79,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..lang import types as T
 from ..lang.classtable import JnsError, ResolveError, path_str
-from ..lang.types import ClassType, intern_view
+from ..lang.types import ClassType, Type, intern_view
 from ..obs import PROFILER, TRACER
 from ..source import ast
 from .interp import _jdiv, _jint, _jmod, allocate, to_jstring
@@ -175,8 +177,7 @@ _NUMERIC = (T.INT, T.DOUBLE)
 _PRIMITIVE = (T.INT, T.DOUBLE, T.BOOLEAN, T.STRING)
 #: an inline-cache read site's no-op paths when its plan is not PLAN_NOOP
 _NO_PATHS = frozenset()
-#: ``paths_in`` of a type whose only dependent path is ``this``
-_THIS_ONLY = frozenset({("this",)})
+_THIS = ("this",)
 
 
 class _FrameView:
@@ -204,7 +205,6 @@ class _Emitter:
     def __init__(self, cg: "CodegenCompiler", key, label: str, node) -> None:
         self.cg = cg
         self.interp = cg.interp
-        self.spec = cg.spec
         self.sharing = cg.sharing
         self.key = key
         self.path = path = key[1]
@@ -451,7 +451,9 @@ class _Emitter:
             return self._view_change(e)
         if cls is ast.InstanceOf:
             inner = self.spill(self.emit(e.expr))
-            test = self.cg.type_test_fn(self.interp.instanceof_value, e.type)
+            test = self.cg.type_test_fn(
+                self.interp.instanceof_value, e.type, self.path
+            )
             return self._typed_site(test, inner)
         if cls is ast.Assign:
             return self._assign(e)
@@ -601,11 +603,15 @@ class _Emitter:
         return t
 
     def _new(self, e: ast.NewObj) -> str:
+        alloc = self.helper("_alloc", allocate)
         if type(e.type) is ClassType:
+            path = e.type.path
+        else:
+            path = self.cg.static_new_path(e.type, self.path)
+        if path is not None:
             # one call: the shared allocator over this class's plan for
             # this arity, built when the site first runs
-            alloc = self.helper("_alloc", allocate)
-            plans = self.const(self.cg.new_plans(e.type.path))
+            plans = self.const(self.cg.new_plans(path))
             args = self.emit_seq(e.args)
             t = self.temp()
             self.w(
@@ -614,14 +620,11 @@ class _Emitter:
             )
             return t
         # dependent target type: evaluate the type *before* the arguments
-        # (walker order), against a by-name view of the live locals or,
-        # keyed by its view, ``this``
-        alloc = self.helper("_alloc", allocate)
+        # (walker order), against a by-name view of the live locals
         plans = self.const(self.cg.new_plans)
-        resolve = self.cg.new_path_fn(e.type)
-        npk = self.const(resolve)
+        npk = self.const(self.cg.new_path_fn(e.type))
         tp = self.temp()
-        self.w(f"{tp} = {npk}({self._frame_arg(resolve)})")
+        self.w(f"{tp} = {npk}({self._fv()})")
         args = self.emit_seq(e.args)
         t = self.temp()
         self.w(
@@ -668,29 +671,21 @@ class _Emitter:
                 return f"{self.helper('_bool', bool)}({inner})"
             return inner
         inner = self.spill(self.emit(e.expr))
-        test = self.cg.type_test_fn(self.interp.cast_value, e.type)
+        test = self.cg.type_test_fn(self.interp.cast_value, e.type, self.path)
         return self._typed_site(test, inner)
 
     def _typed_site(self, fn, inner: str) -> str:
         """Call a cast, ``instanceof`` or view-change closure on ``inner``:
         one whose type was evaluated at emission (``_static``) takes the
-        value alone, a dependent one also its frame (:meth:`_frame_arg`)."""
+        value alone, a dependent one also a ``_FrameView`` of the live
+        locals."""
         k = self.const(fn)
         t = self.temp()
         if getattr(fn, "_static", False):
             self.w(f"{t} = {k}({inner})")
         else:
-            self.w(f"{t} = {k}({inner}, {self._frame_arg(fn)})")
+            self.w(f"{t} = {k}({inner}, {self._fv()})")
         return t
-
-    def _frame_arg(self, fn) -> str:
-        """The frame a dependent-type closure takes: ``u_this`` for one
-        that resolves its type per view of ``this`` (``_this_keyed``, see
-        :func:`_by_this_view`), else a ``_FrameView`` of the live
-        locals."""
-        if getattr(fn, "_this_keyed", False):
-            return "u_this"
-        return self._fv()
 
     def _view_change(self, e: ast.ViewChange) -> str:
         if not self.sharing:
@@ -701,7 +696,7 @@ class _Emitter:
             self.w(f"{t} = {k}()")
             return t
         inner = self.spill(self.emit(e.expr))
-        return self._typed_site(self.cg.view_change_fn(e.type), inner)
+        return self._typed_site(self.cg.view_change_fn(e.type, self.path), inner)
 
     # -- specialized field access ----------------------------------------
 
@@ -721,36 +716,23 @@ class _Emitter:
         o = self.spill(code)
         t = self.temp()
         ref = self.helper("_Ref", Ref)
-        if not self.sharing:
-            fill = self.const(self.cg.fill_plain_fn(name))
-            site = self.const([None, None])
-            self.cg.note_site()
-            self.w(f"if {o}.__class__ is {ref}:")
-            self.w(f"    if {site}[0] != {o}.view.path: {fill}({site}, {o})")
-            self.w(f"    if {site}[1] is None:")
-            self.w(f"        {t} = {gf}({o}, {name!r})")
-            self.w(f"    else:")
-            self.w(f"        {t} = {o}.inst.slots[{site}[1]]")
-            self.w(f"        if {t} is _ABSENT: {t} = {gf}({o}, {name!r})")
-            self.w(f"else:")
-            self.w(f"    {t} = {gf}({o}, {name!r})")
-            self.helper("_ABSENT", ABSENT)
-            return t
         # the site [view, slot, read function, no-op paths] holds a view in
         # which the field is unmasked: one identity test covers the class
         # test, the mask test and the slot lookup (every other receiver
-        # takes the cold path, which refills the site)
+        # takes the cold path, which refills the site).  Without sharing
+        # every view is interned and unmasked, and no read adapts.
         miss = self.const(self.cg.read_miss_fn(name))
         site = self.const([None, -1, None, None])
         self.cg.note_site()
         ab = self.helper("_ABSENT", ABSENT)
         self.w(f"if {o}.__class__ is {ref} and {o}.view is {site}[0]:")
-        self.count("mask.check", "    ")
-        if self.lp:
-            pfm = self.helper("_pfm", PROFILER.mask_hit)
-            self.w(f"    {pfm}()")
+        if self.sharing:
+            self.count("mask.check", "    ")
+            if self.lp:
+                pfm = self.helper("_pfm", PROFILER.mask_hit)
+                self.w(f"    {pfm}()")
         self.w(f"    {t} = {o}.inst.slots[{site}[1]]")
-        if _holds_no_ref(self._rt(e)):
+        if not self.sharing or _holds_no_ref(self._rt(e)):
             self.w(f"    if {t} is {ab}: {t} = {gf}({o}, {name!r})")
         else:
             wv = self.temp()
@@ -841,19 +823,6 @@ class _Emitter:
         o = self.spill(self.emit(target.obj))
         ref = self.helper("_Ref", Ref)
         self.cg.note_site()
-        if not self.sharing:
-            sf = self.helper("_sf", self.interp.set_field)
-            fill = self.const(self.cg.fill_plain_fn(name))
-            site = self.const([None, None])
-            self.w(f"if {o}.__class__ is {ref}:")
-            self.w(f"    if {site}[0] != {o}.view.path: {fill}({site}, {o})")
-            self.w(f"    if {site}[1] is None:")
-            self.w(f"        {sf}({o}, {name!r}, {v})")
-            self.w(f"    else:")
-            self.w(f"        {o}.inst.slots[{site}[1]] = {v}")
-            self.w(f"else:")
-            self.w(f"    {sf}({o}, {name!r}, {v})")
-            return
         # the read site's shape: a cached view has the field unmasked, so
         # a hit has no mask to remove
         miss = self.const(self.cg.store_miss_fn(name))
@@ -899,7 +868,7 @@ class _Emitter:
         if o != "u_this":
             self.w(f"if {o} is None: {nullc}({name!r})")
             self.w(f"if {o}.__class__ is not {ref}: {nonref}({name!r}, {o})")
-        target = self.spec.static_target_for(name, self._rt(e.obj))
+        target = self.cg.static_target_for(name, self._rt(e.obj))
         if (
             o != "u_this"
             and target is not None
@@ -907,7 +876,10 @@ class _Emitter:
             and len(target[1].params) == len(e.args)
         ):
             owner, decl, valid = target
-            self.spec.note_devirtualized()
+            loader = self.interp.loader
+            loader.sites_devirtualized += 1
+            if TRACER.enabled:
+                TRACER.count("specialize.sites_devirtualized")
             self.cg.note_site()
             # a site [view, body]: a receiver view whose path is valid
             # fills it, any other dispatches generically
@@ -1338,10 +1310,6 @@ def _compound_mod(current, r):
     return v
 
 
-def _unreachable_resolver(p):
-    raise ResolveError(f"unexpected dependent path {'.'.join(p)}")
-
-
 def _collect_names(node, out) -> None:
     """Every variable name a body can mention (reads, writes, decls) —
     each becomes a real Python local, seeded to ABSENT unless it is a
@@ -1410,7 +1378,6 @@ class CodegenCompiler:
 
     def __init__(self, interp) -> None:
         self.interp = interp
-        self.spec = interp.spec
         self.sharing = interp.sharing
         #: whether the bodies emitted here plant trace counts
         self.traced = TRACER.enabled
@@ -1432,7 +1399,6 @@ class CodegenCompiler:
         self._devirt: Dict[int, _Lazy] = {}
         self._miss_fns: Dict[str, Any] = {}
         self._resolve_fns: Dict[str, Any] = {}
-        self._fill_plain: Dict[str, Any] = {}
         self._read_miss: Dict[str, Any] = {}
         self._store_miss: Dict[str, Any] = {}
         self._read_dynamic: Dict[str, Any] = {}
@@ -1571,26 +1537,12 @@ class CodegenCompiler:
             fn = self._unbound[name] = raise_unbound
         return fn
 
-    def fill_plain_fn(self, name):
-        fn = self._fill_plain.get(name)
-        if fn is None:
-            specialized = self.interp.loader.specialized
-
-            def fill(site, o):
-                vp = o.view.path
-                slot = specialized(vp).slot_of.get(name)
-                site[0] = vp
-                site[1] = slot
-
-            fn = self._fill_plain[name] = fill
-        return fn
-
     def _shared_site(self, name, view):
         """The contents ``[view, slot, read function, no-op paths]`` of a
-        ``jns`` read or store site of field ``name`` for receivers viewed
-        as ``view`` (the read function of the class's read plan, see
-        :meth:`read_fn`, or ``None`` for none); raises JNS-RUN-003 when
-        the class has no such field."""
+        read or store site of field ``name`` for receivers viewed as
+        ``view`` (the read function of the class's read plan, see
+        :meth:`read_fn`, or ``None`` for none, as always without
+        sharing); raises JNS-RUN-003 when the class has no such field."""
         vp = view.path
         rec = self.interp.loader.specialized(vp)
         i = rec.slot_of.get(name)
@@ -1603,28 +1555,31 @@ class CodegenCompiler:
         return [view, i, self.read_fn(name, plan), noops]
 
     def read_miss_fn(self, name):
-        """The cold path of the ``jns`` read sites of field ``name``
-        through a receiver other than ``this``: the full guard sequence
-        of ``Interp.get_field`` (a null or non-object receiver, a masked
-        field raising JNS-RUN-002), then the read, with the counts and
-        profiler hooks a hit plants.  The site is refilled for the
-        receiver's view, which has the field unmasked."""
+        """The cold path of the read sites of field ``name`` through a
+        receiver other than ``this``: the full guard sequence of
+        ``Interp.get_field`` (a null or non-object receiver, and in
+        ``jns`` mode a masked field raising JNS-RUN-002), then the read,
+        with the counts and profiler hooks a hit plants.  The site is
+        refilled for the receiver's view, which has the field
+        unmasked."""
         fn = self._read_miss.get(name)
         if fn is None:
             gf = self.interp.get_field
+            sharing = self.sharing
             traced = self.traced
             lp = self.interp.line_profile
 
             def miss(site, o):
                 if o.__class__ is not Ref:
                     return gf(o, name)
-                if traced:
-                    TRACER.count("mask.check")
-                if lp:
-                    PROFILER.mask_hit()
                 view = o.view
-                if name in view.masks:
-                    _raise_masked(name, view)
+                if sharing:
+                    if traced:
+                        TRACER.count("mask.check")
+                    if lp:
+                        PROFILER.mask_hit()
+                    if name in view.masks:
+                        _raise_masked(name, view)
                 site[:] = self._shared_site(name, view)
                 v = o.inst.slots[site[1]]
                 if v is ABSENT:
@@ -1641,9 +1596,9 @@ class CodegenCompiler:
         return fn
 
     def store_miss_fn(self, name):
-        """The cold path of the ``jns`` store sites of field ``name``
-        (see :meth:`read_miss_fn`): ``Interp.set_field``'s guards, the
-        store, and R-SET's unmask; the site is refilled for the view the
+        """The cold path of the store sites of field ``name`` (see
+        :meth:`read_miss_fn`): ``Interp.set_field``'s guards, the store,
+        and R-SET's unmask; the site is refilled for the view the
         receiver has after the store."""
         fn = self._store_miss.get(name)
         if fn is None:
@@ -1698,6 +1653,34 @@ class CodegenCompiler:
 
     # -- call targets ----------------------------------------------------
 
+    def static_target_for(self, name: str, rtype: Optional[Type]):
+        """Unique dispatch target ``(owner, decl, valid paths)`` for
+        ``name`` at a call site, or ``None`` when the site stays
+        polymorphic (it keeps its inline cache).  Names sealed across the
+        locally closed world resolve directly.  Names that are monomorphic
+        *for this receiver's static type* devirtualize too, even when
+        polymorphic globally: when the checker annotated the receiver
+        expression with a non-dependent class type, every conforming path
+        in the locally closed world resolving ``name`` to one declaration
+        seals the site just as well (the site's membership guard keeps it
+        sound on unchecked receivers).  Both enumerations are memoized on
+        the class table."""
+        table = self.interp.table
+        target = table.sealed_method_target(name)
+        if target is not None or rtype is None:
+            return target
+        if T.paths_in(rtype):
+            return None  # dependent receiver type: no static path set
+        if isinstance(rtype.pure(), (T.PrimType, T.ArrayType)):
+            return None
+        try:
+            paths = table.conforming_paths(rtype)
+        except (ResolveError, JnsError):
+            return None
+        if not paths:
+            return None
+        return table.monomorphic_method_target(name, paths)
+
     def devirt_bodies(self, owner, decl):
         """The emitted bodies of ``decl`` keyed by receiver view path (slot
         indices differ across family members even when the declaration
@@ -1725,10 +1708,13 @@ class CodegenCompiler:
         body]``: a receiver path in ``valid`` fills the site with the
         body of ``decl`` for that path (a hit, counted as one); any
         other receiver is dispatched generically and leaves the site as
-        it is.  Returns the body to call."""
+        it is.  With caches off the site is never filled, as an inline
+        cache keeps no path (:meth:`call_miss_fn`).  Returns the body to
+        call."""
         bodies = self.devirt_bodies(owner, decl)
         resolve = self.resolve_fn(name)
         traced = self.traced
+        records = self.interp.loader._q_rtclass
 
         def miss(site, receiver, nargs):
             view = receiver.view
@@ -1737,7 +1723,8 @@ class CodegenCompiler:
             if traced:
                 TRACER.count("dispatch.codegen_hit")
             body = bodies[view.path]
-            site[0], site[1] = view, body
+            if records._enabled:
+                site[0], site[1] = view, body
             return body
 
         return miss
@@ -1790,21 +1777,23 @@ class CodegenCompiler:
 
     def new_path_fn(self, t):
         """The class a dependent ``new t`` site instantiates: ``fn(frame
-        view)``, or ``fn(this)`` when ``t``'s only dependent path is
-        ``this`` (:func:`_by_this_view`)."""
-        interp = self.interp
+        view)``."""
+        eval_type = self.interp._eval_type
 
         def resolve(fv):
-            evaled = interp._eval_type(t, fv).pure()
-            if isinstance(evaled, T.IsectType):
-                evaled = evaled.parts[0]
-            if not isinstance(evaled, ClassType):
+            path = _class_path(eval_type(t, fv))
+            if path is None:
                 raise JnsRuntimeError(f"cannot instantiate {t!r}")
-            return evaled.path
+            return path
 
-        if T.paths_in(t) == _THIS_ONLY:
-            return _by_this_view(resolve)
         return resolve
+
+    def static_new_path(self, t, path):
+        """The class ``new t`` instantiates in a body for receivers viewed
+        as ``path``, when :meth:`_static_type` evaluates ``t`` to a class;
+        else ``None`` (the site evaluates it, and raises, when it runs)."""
+        evaled = self._static_type(t, path)
+        return None if evaled is None else _class_path(evaled)
 
     def newarray_fn(self, elem_type):
         default = default_value(elem_type)
@@ -1816,38 +1805,30 @@ class CodegenCompiler:
 
         return make
 
-    def _static_type(self, t):
-        """``t`` evaluated once, at emission, when it mentions no dependent
-        path; ``None`` for a dependent type, or one whose evaluation fails
-        (the site then evaluates it, and raises, when it runs)."""
-        if T.paths_in(t):
+    def _static_type(self, t, path):
+        """``t`` evaluated once, at emission, in class ``path``, the
+        receiver path of the body that mentions it, when its only
+        dependent path, if any, is ``this``: the body runs only for
+        receivers viewed at ``path``, and evaluating ``this.class``
+        ignores masks.  ``None`` for a type rooted at a local, or one
+        whose evaluation fails (the site then evaluates it, and raises,
+        when it runs)."""
+        if any(p != _THIS for p in T.paths_in(t)):
             return None
         try:
-            return self.interp.table.eval_type(t, _unreachable_resolver)
+            return self.interp.table.eval_type_static(t, path)
         except (ResolveError, JnsError):
             return None
 
-    def type_test_fn(self, test, t):
-        """A cast or ``instanceof`` site of reference type ``t``, deciding
-        through ``test`` (``Interp.cast_value``/``instanceof_value``, and
-        so ``Interp.conforms``): ``fn(v)`` when ``t`` is evaluated at
-        emission, ``fn(v, this)`` when its only dependent path is
-        ``this`` (evaluated per view of ``this``, and only for an object
-        ``v``, as ``test`` does), else ``fn(v, frame view)``."""
-        evaled = self._static_type(t)
+    def type_test_fn(self, test, t, path):
+        """A cast or ``instanceof`` site of reference type ``t`` in a body
+        for receivers viewed as ``path``, deciding through ``test``
+        (``Interp.cast_value``/``instanceof_value``, and so
+        ``Interp.conforms``): ``fn(v)`` when ``t`` is evaluated at
+        emission, else ``fn(v, frame view)``."""
+        evaled = self._static_type(t, path)
         if evaled is None:
-            if T.paths_in(t) != _THIS_ONLY:
-                return lambda v, fv: test(v, t, fv)
-            eval_type = self.interp._eval_type
-            resolve = _by_this_view(lambda fv: eval_type(t, fv))
-
-            def this_test(v, this):
-                if isinstance(v, Ref):
-                    return test(v, t, None, resolve(this))
-                return test(v, t, None)
-
-            this_test._this_keyed = True
-            return this_test
+            return lambda v, fv: test(v, t, fv)
 
         def static_test(v):
             return test(v, t, None, evaled)
@@ -1865,15 +1846,15 @@ class CodegenCompiler:
 
         return raise_mode
 
-    def view_change_fn(self, target):
-        """Explicit ``(view T)e``.  Non-dependent targets evaluate once
-        at emission, adapt through :meth:`adapt_fn`, and elide the whole
-        adapt when the source view is in the proven no-op set
-        (``view_change.elided``).  A target whose only dependent path is
-        ``this`` evaluates once per view of ``this`` and adapts the same
-        way; other dependent targets keep the full dynamic path."""
+    def view_change_fn(self, target, path):
+        """Explicit ``(view T)e`` in a body for receivers viewed as
+        ``path``.  A target evaluated at emission (:meth:`_static_type`)
+        adapts through :meth:`adapt_fn`, and elides the whole adapt when
+        the source view is in the proven no-op set
+        (``view_change.elided``); any other target keeps the full dynamic
+        path."""
         interp = self.interp
-        evaled = self._static_type(target)
+        evaled = self._static_type(target, path)
         if evaled is not None:
             noops = (
                 _NO_PATHS if evaled.masks
@@ -1909,62 +1890,34 @@ class CodegenCompiler:
             return static_view
         eval_type = interp._eval_type
         adapt = interp._adapt
-        this_keyed = T.paths_in(target) == _THIS_ONLY
-        if this_keyed:
-            # the evaluated target with its bound adapt, per view of this
-            def resolve(fv):
-                target_t = eval_type(target, fv)
-                return target_t, self.adapt_fn(target_t)
-
-            resolve = _by_this_view(resolve)
-        else:
-            def resolve(fv):
-                return eval_type(target, fv), None
 
         def dyn_view(v, frame):
             if v is None:
                 return None
             if not isinstance(v, Ref):
                 raise CastError(f"view change applied to non-object {v!r}")
-            target_t, adapt_to = resolve(frame)
+            target_t = eval_type(target, frame)
             if TRACER.enabled:
                 TRACER.event(
                     "view_change.explicit",
                     source=path_str(v.view.path),
                     target=str(target_t),
                 )
-            result = adapt(v, target_t) if adapt_to is None else adapt_to(v)
+            result = adapt(v, target_t)
             if interp.eager_views:
                 interp.propagate_views(result)
             return result
 
-        dyn_view._this_keyed = this_keyed
         return dyn_view
 
 
-def _by_this_view(evaluate):
-    """``fn(this)``: ``evaluate(frame)`` for a site whose type's only
-    dependent path is ``this``, computed once per (interned) view of
-    ``this`` and memoized by its ``id`` with the view held, as the
-    ``view_change`` query does.  Only a miss builds a ``_FrameView``,
-    holding ``this`` alone (all such a type reads), and evaluates; a
-    raise is not memoized, so it recurs where it would.  The result
-    depends on the class table's interface alone, which the emitted
-    body baked in too, so the memo lives and dies with the body.
-    ``fn._this_keyed`` tells the emitter to pass ``u_this``."""
-    memo: Dict[int, Tuple[Any, Any]] = {}
-
-    def resolve(this):
-        view = this.view
-        entry = memo.get(id(view))
-        if entry is not None and entry[0] is view:
-            return entry[1]
-        value = evaluate(_FrameView({"u_this": this}))
-        memo[id(view)] = (view, value)
-        return value
-
-    resolve._this_keyed = True
-    return resolve
+def _class_path(t):
+    """The class path an evaluated ``new`` type instantiates (the first
+    part of an intersection), or ``None`` when it is no class."""
+    t = t.pure()
+    if isinstance(t, T.IsectType):
+        t = t.parts[0]
+    return t.path if isinstance(t, ClassType) else None
 
 
 class _Lazy(dict):

@@ -168,10 +168,11 @@ class Interp:
 
         ``backend`` is one of :data:`BACKENDS`.  ``walker`` tree-walks
         method bodies.  ``codegen`` (the Section 6 compilation strategy on
-        the Python substrate) runs the ahead-of-time specialization pass
-        of :mod:`repro.runtime.specialize` (slotted object layouts,
-        sealed-family devirtualization) and emits and ``compile()``s real
-        Python source per specialized method body (see
+        the Python substrate) builds, ahead of time, every class record's
+        codegen products (slotted object layouts, read plans, see
+        :meth:`~repro.runtime.loader.Loader.specialize_all`) and emits and
+        ``compile()``s real Python source per specialized method body,
+        with sealed-family devirtualization (see
         :mod:`repro.runtime.codegen`).  ``jx`` mode always runs on
         ``walker``, because its point is the *absence* of run-time
         precomputation; :attr:`backend` then reports ``"walker"``.
@@ -199,14 +200,9 @@ class Interp:
         #: codegen plants statement hooks, the walker swaps in a
         #: counting exec_stmt — unprofiled interpreters pay nothing
         self.line_profile = bool(line_profile)
-        self.spec = None
         self._cg = None
         self.output: List[str] = []
         self.loader = Loader(table, cached=(mode != "jx"), sharing=self.sharing)
-        if self.codegen:
-            from .specialize import Specializer
-
-            self.spec = Specializer(self)
         # Run-time query caches (see lang/queries.py); the per-class
         # record (dispatch table, slots, retarget types) is the loader's.
         # jx mode (uncached loader) bypasses them to reproduce the J& [31]
@@ -249,9 +245,13 @@ class Interp:
         self._steps = 0
         self._depth = 0
         if self.codegen:
-            # Ahead-of-time: precompute layouts, read plans, and sealed
-            # targets for the locally closed world before execution.
-            self.spec.specialize_program()
+            # Ahead of time: every class record's layout and read plans
+            # for the locally closed world, before execution.
+            if not TRACER.enabled:
+                self.loader.specialize_all()
+            else:
+                with TRACER.span("specialize", mode=self.mode):
+                    self.loader.specialize_all()
         if not TRACER.enabled:
             ref = self.new_instance(path, ())
             return self.call_method(ref, method, list(args))
@@ -406,26 +406,26 @@ class Interp:
         """Eviction on an incremental splice, the runtime's one edit
         listener.  A body-only edit evicts just the codegen bodies
         compiled from the retired declarations, and keeps every class
-        record: a graft keeps the member declarations, so their vtable
-        and constructor entries see the new bodies.  Any other edit drops
-        the whole compiler, whose bodies bake in the old interface
-        (slots, read plans, dispatch targets), and the records of the
-        affected classes (edited classes plus their subclasses).  The
-        ``conforms`` and ``view_change`` memos embed types from the
-        edited classes transitively; they are cheap warm-up state, so
-        they clear in place (counters survive).  The ``view_change``
-        query empties each per-target table in place too, since kept
-        emitted bodies hold them (:meth:`adapt_fn`).  Codegen's
-        inline-cache sites live in its emitted bodies and go with
-        them."""
+        record and the ``conforms`` and ``view_change`` memos: a graft
+        keeps the member declarations, so their vtable and constructor
+        entries see the new bodies, and it changes no interface, so no
+        conformance or view transition.  Any other edit drops the whole
+        compiler, whose bodies bake in the old interface (slots, read
+        plans, dispatch targets), and the records of the affected classes
+        (edited classes plus their subclasses).  The two memos embed
+        types from the edited classes transitively; they are cheap
+        warm-up state, so they clear in place (counters survive).  The
+        ``view_change`` query empties each per-target table in place too,
+        since kept emitted bodies hold them (:meth:`adapt_fn`).
+        Codegen's inline-cache sites live in its emitted bodies and go
+        with them."""
         if self._cg is not None:
             if notice.bodies_only:
                 self._cg.evict(notice.retired_ids)
             elif notice.retired_ids or notice.affected:
                 self._cg = None
-        if notice.affected:
-            if not notice.bodies_only:
-                self.loader.evict(notice.affected)
+        if notice.affected and not notice.bodies_only:
+            self.loader.evict(notice.affected)
             self._q_conforms.clear()
             self._q_view_change.clear()
 
@@ -666,8 +666,9 @@ class Interp:
         return self._q_conforms.put(key, self._conforms(view.path, t))
 
     def _conforms(self, path: Path, t: Type) -> bool:
-        # Single source of truth on the class table (the specializer's
-        # conformance-set queries use the same judgment).
+        # Single source of truth on the class table (the conformance-set
+        # queries behind read plans and devirtualization use the same
+        # judgment).
         return self.table.runtime_conforms(path, t)
 
     def cast_value(self, v, t, frame, evaled=None):

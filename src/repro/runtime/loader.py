@@ -11,9 +11,12 @@ view-dependent field's retarget type for lazy implicit view changes
 (evaluated once when it depends on ``this`` alone).
 
 The codegen backend's products are built into the same record on first
-use (:meth:`Loader.specialized`): the slotted object layout shared by a
+use (:meth:`Loader.specialized`), or for every class ahead of time
+(:meth:`Loader.specialize_all`): the slotted object layout shared by a
 sharing group, this view's field-to-slot map, the per-field read plans
-and the slot-indexed initializer plan.
+and the slot-indexed initializer plan.  The loader keeps the counters of
+that pass (``slots_built``, ``views_elided``, and the emitter's
+``sites_devirtualized``).
 
 ``cached=False`` reproduces the J& [31] configuration: every dispatch and
 field access recomputes its lookup from the class table, and no record
@@ -114,8 +117,10 @@ class Loader:
         self._q_layout = self.queries.query("layout")
         #: codegen product counters, kept unconditionally; the matching
         #: ``specialize.*`` tracer counters fire only while tracing is on
+        #: (the emitter counts the call sites it binds statically)
         self.slots_built = 0
         self.views_elided = 0
+        self.sites_devirtualized = 0
 
     def evict(self, affected) -> None:
         """Drop the record of each affected class (an interface edit): a
@@ -193,8 +198,19 @@ class Loader:
         return found
 
     # ------------------------------------------------------------------
-    # codegen products (runtime/specialize.py, runtime/codegen.py)
+    # codegen products (runtime/codegen.py)
     # ------------------------------------------------------------------
+
+    def specialize_all(self) -> None:
+        """Build the codegen products of every class of the locally closed
+        world.  Classes whose sharing state cannot be resolved are
+        skipped: :meth:`specialized` re-raises the same error at the
+        access point the walker would."""
+        for path in self.table.all_class_paths():
+            try:
+                self.specialized(path)
+            except JnsError:
+                pass
 
     def specialized(self, path: Path) -> RTClass:
         """The record of class ``path`` with its codegen products built.

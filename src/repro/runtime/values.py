@@ -11,10 +11,10 @@ realizes the heap of the calculus, whose domain is tuples ⟨l, P, f⟩.
 ``Instance.view_refs`` memoizes one reference object per view class
 (Section 6.3's memoized view changes).
 
-:class:`SlottedInstance` is the specialized representation built by
-:mod:`repro.runtime.specialize`: the same heap keys, but laid out as a
-flat list indexed by a per-sharing-group :class:`~repro.runtime.loader.Layout`
-computed ahead of time (one slot per ``fclass``-distinct field copy, so
+:class:`SlottedInstance` is the specialized representation the codegen
+backend allocates: the same heap keys, but laid out as a flat list
+indexed by a per-sharing-group :class:`~repro.runtime.loader.Layout`
+computed ahead of time by the loader (one slot per ``fclass``-distinct field copy, so
 duplicated/masked fields from Section 6.3 keep separate storage).  Both
 representations answer ``load``/``store`` on heap keys so the generic
 interpreter entry points work on either.

@@ -84,6 +84,6 @@ class TestRun:
         jx = program.interp(mode="jx", backend="codegen")
         walker = program.interp(mode="jx", backend="walker")
         assert jx.backend == "walker"
-        assert jx.spec is None
+        assert not jx.codegen
         assert jx.run("Main.main") == walker.run("Main.main") == 7
         assert jx.output == walker.output == ["hello"]

@@ -169,15 +169,17 @@ def test_invalidate_matches_fresh_table(src):
 
 
 #: ``a.m()`` is polymorphic for ``a``'s static type, so its emitted call
-#: site keeps a monomorphic inline cache
+#: site keeps a monomorphic inline cache; ``b``'s static type ``B`` seals
+#: ``m``, so ``b.m()`` is a devirtualized site
 POLY_CALL = """
 class A { int m() { return 1; } }
 class B extends A { int m() { return 2; } }
 class Main {
   int main() {
     A a = new B();
+    B b = new B();
     int s = 0;
-    for (int i = 0; i < 50; i++) { s = s + a.m(); }
+    for (int i = 0; i < 50; i++) { s = s + a.m() + b.m() * 10; }
     return s;
   }
 }
@@ -187,13 +189,15 @@ class Main {
 @pytest.mark.parametrize("enabled", [True, False])
 def test_caches_off_codegen_never_fills_a_call_site(enabled):
     """With caches on, the first call fills the inline-cache site and the
-    other 49 hit it; with caches off the site keeps no receiver path, so
-    every call dispatches again."""
+    other 49 hit it, and the devirtualized site is filled once; with
+    caches off neither site keeps a receiver, so every call dispatches
+    again."""
     set_caches_enabled(enabled)
     interp = compile_program(POLY_CALL).interp(backend="codegen")
-    assert interp.run("Main.main") == 100
+    assert interp.run("Main.main") == 1100
     cg = interp._cg
     assert cg.ic_misses == (1 if enabled else 50)
+    assert interp.loader.sites_devirtualized == 1
     sites = [site for _, body_sites in cg._emitted.values() for site in body_sites]
-    assert len(sites) == 1
-    assert (sites[0][0] is None) is not enabled
+    assert len(sites) == 2
+    assert all((site[0] is None) is not enabled for site in sites)

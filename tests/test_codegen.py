@@ -282,7 +282,7 @@ class Main {
         interp = program.interp(mode="jns", backend="codegen")
         ref = interp.new_instance(("Main",), ())
         assert interp.call_method(ref, "main", []) == 12
-        assert interp.spec.sites_devirtualized >= 2
+        assert interp.loader.sites_devirtualized >= 2
 
     def test_monomorphic_target_query(self):
         from repro.lang.types import ClassType
@@ -390,13 +390,14 @@ BUDGETS = [
 def _no_valid_paths(interp):
     """Empty every devirtualized site's path set, so each receiver takes
     the generic fallback."""
-    static = interp.spec.static_target_for
+    cg = interp._codegen()
+    static = cg.static_target_for
 
     def target(name, rtype):
         found = static(name, rtype)
         return None if found is None else (found[0], found[1], frozenset())
 
-    interp.spec.static_target_for = target
+    cg.static_target_for = target
 
 
 def _trip(shape, backend, budget, depth, generic=False):
@@ -430,7 +431,7 @@ class TestStackLabelParity:
         elif shape == "ic_hit":
             assert 1 <= misses <= 2
         elif shape in ("devirtualized", "inherited"):
-            assert misses == 0 and interp.spec.sites_devirtualized >= 1
+            assert misses == 0 and interp.loader.sites_devirtualized >= 1
 
     @pytest.mark.parametrize("budget,depth", BUDGETS)
     def test_generic_fallback_matches_walker(self, budget, depth):

@@ -11,6 +11,7 @@ import pytest
 
 from repro.api import compile_program
 from repro.cli import main as cli_main
+from repro import obs
 from repro.obs import fold_label
 from repro.profiler import (
     PROFILER,
@@ -44,6 +45,30 @@ class Main {
     int i = 0;
     while (i < 50) {
       t = t + a.get() + v.get();
+      i = i + 1;
+    }
+    return t;
+  }
+}
+"""
+
+# The same shape without views, for the modes that have none: field
+# reads and writes through ``this`` and through another receiver.
+PLAIN_LOOP = """
+class A {
+  int x = 5;
+  A next;
+  int get() { return x; }
+}
+class Main {
+  int main() {
+    A a = new A();
+    a.next = new A();
+    a.next.x = 37;
+    int t = 0;
+    int i = 0;
+    while (i < 50) {
+      t = t + a.get() + a.next.x;
       i = i + 1;
     }
     return t;
@@ -138,25 +163,41 @@ class TestSourceMaps:
 
 
 class TestDeterministicParity:
-    def _snapshots(self):
-        program = compile_program(MASKED_LOOP)
+    def _snapshots(self, mode="jns"):
+        program = compile_program(MASKED_LOOP if mode == "jns" else PLAIN_LOOP)
         snaps = {}
         results = set()
         for backend in BACKENDS:
             snap, result = run_deterministic(
-                program, entry="Main.main", backend=backend
+                program, entry="Main.main", backend=backend, mode=mode
             )
             snaps[backend] = snap
             results.add(result)
         assert len(results) == 1
         return snaps
 
-    def test_steps_mask_view_agree_across_all_backends(self):
-        snaps = self._snapshots()
+    @pytest.mark.parametrize("mode", ["java", "jx_cl", "jns"])
+    def test_steps_mask_view_agree_across_all_backends(self, mode):
+        snaps = self._snapshots(mode)
         base = snaps["walker"]
         for backend, snap in snaps.items():
             for col in ("steps", "mask", "view"):
                 assert snap[col] == base[col], (backend, col)
+            assert snap["steps"]
+            if mode != "jns":
+                # no views: no mask test and no view change to count
+                assert not snap["mask"] and not snap["view"], backend
+        if mode == "jns":
+            return
+        # nor a traced mask check
+        program = compile_program(PLAIN_LOOP)
+        for backend in BACKENDS:
+            obs.enable()
+            try:
+                assert program.interp(mode=mode, backend=backend).run("Main.main")
+                assert "mask.check" not in obs.TRACER.counters, backend
+            finally:
+                obs.disable()
 
     def test_loop_body_is_the_hot_line(self):
         snaps = self._snapshots()
