@@ -297,16 +297,19 @@ class SharingChecker:
             if _PROV.enabled:
                 _PROV.rule("SH-REFL")
             return True, "subtype"
-        # SH-ENV / SH-MASK: an enabling constraint in scope.  Matched
-        # nominally first, then on the statically evaluated types (this :=
-        # the current class — sound because inherited constraints are
-        # re-validated per family by Q-OK).
+        # The statically evaluated types (this := the current class), for
+        # SH-CLS below.
         s = d = None
         try:
             s = self._eval_in_env(env, t_src)
             d = self._eval_in_env(env, t_dst)
         except (ResolveError, JnsError):
             pass
+        # SH-ENV / SH-MASK: an enabling constraint in scope, matched by
+        # subtyping.  No retry on the statically evaluated types is
+        # needed: where every type involved depends on ``this`` only,
+        # which is when they evaluate statically, ``subtype`` already
+        # compares them evaluated so (S-EVAL).
         for left, right in env.constraints:
             for l, r in ((left, right), (right, left)):
                 if subtype(env, t_src, l) and subtype(env, r, t_dst):
@@ -316,22 +319,6 @@ class SharingChecker:
                             "constraint",
                             f"enabled by the in-scope constraint "
                             f"sharing {l!r} = {r!r}",
-                        )
-                    return True, "constraint"
-                if s is None or d is None:
-                    continue
-                try:
-                    l_ev = self._eval_in_env(env, l)
-                    r_ev = self._eval_in_env(env, r)
-                except (ResolveError, JnsError):
-                    continue
-                if subtype(env, s, l_ev) and subtype(env, r_ev, d):
-                    if _PROV.enabled:
-                        _PROV.rule("SH-ENV")
-                        _PROV.note(
-                            "constraint",
-                            f"enabled by the in-scope constraint "
-                            f"sharing {l!r} = {r!r} (statically evaluated)",
                         )
                     return True, "constraint"
         if not allow_global:

@@ -51,10 +51,11 @@ Emission is deliberately temp-heavy: any subexpression that can raise,
 count, or touch the heap is assigned to a fresh single-assignment local
 (``_tN``) in evaluation order, and earlier operands are spilled to temps
 whenever a later operand has effects — reproducing the tree walker's
-left-to-right evaluation order exactly.  Constants reach the emitted
-code as keyword-only defaults (``def f(u_this, *, _k0=_k0): ...``),
-which CPython binds at function-definition time and reads at LOAD_FAST
-speed.
+left-to-right evaluation order exactly.  Constants live in the private
+globals dict each body is ``exec``'d in, and nowhere else: the header
+is ``def _cg_fn(u_this, <params>):``, so a call fills no defaults and
+takes CPython's exact-arguments path, and a constant is one
+(specialized) ``LOAD_GLOBAL``.
 
 Eviction follows the edit (``Interp._on_table_edit``).  A body-only
 edit (an :class:`~repro.lang.classtable.EditNotice` with
@@ -82,7 +83,7 @@ from ..lang.classtable import JnsError, ResolveError, path_str
 from ..lang.types import ClassType, Type, intern_view
 from ..obs import PROFILER, TRACER
 from ..source import ast
-from .interp import _jdiv, _jint, _jmod, allocate, to_jstring
+from .interp import _jdiv, _jint, _jmod, allocate, cast_error, to_jstring
 from .values import (
     ABSENT,
     ArityError,
@@ -261,9 +262,9 @@ class _Emitter:
         return name
 
     def const(self, value: Any, name: Optional[str] = None) -> str:
-        """Bind ``value`` as a keyword-only default of the emitted
-        function.  Deduplicated by identity so repeated sites share one
-        binding."""
+        """Bind ``value`` as a global of the emitted function (its private
+        globals dict, see :meth:`finish`).  Deduplicated by identity so
+        repeated sites share one binding."""
         key = id(value)
         found = self._const_ids.get(key)
         if found is not None:
@@ -451,9 +452,7 @@ class _Emitter:
             return self._view_change(e)
         if cls is ast.InstanceOf:
             inner = self.spill(self.emit(e.expr))
-            test = self.cg.type_test_fn(
-                self.interp.instanceof_value, e.type, self.path
-            )
+            test = self.cg.type_test_fn(False, e.type, self.path)
             return self._typed_site(test, inner)
         if cls is ast.Assign:
             return self._assign(e)
@@ -671,7 +670,7 @@ class _Emitter:
                 return f"{self.helper('_bool', bool)}({inner})"
             return inner
         inner = self.spill(self.emit(e.expr))
-        test = self.cg.type_test_fn(self.interp.cast_value, e.type, self.path)
+        test = self.cg.type_test_fn(True, e.type, self.path)
         return self._typed_site(test, inner)
 
     def _typed_site(self, fn, inner: str) -> str:
@@ -1193,9 +1192,6 @@ class _Emitter:
             ] + lines + ["    finally:", f"        {i}._depth = _dd - 1"]
             positions = [entry_pos] * 4 + positions + [entry_pos] * 2
         sig = ["u_this"] + (["_args"] if ctor else names)
-        if self.consts:
-            sig.append("*")
-            sig.extend(f"{k}={k}" for k in sorted(self.consts))
         text = f"def _cg_fn({', '.join(sig)}):\n" + "\n".join(lines) + "\n"
         # line 1 is the def header; body lines follow the source map
         filename = (
@@ -1404,6 +1400,10 @@ class CodegenCompiler:
         self._read_dynamic: Dict[str, Any] = {}
         self._adapters: Dict[Any, Any] = {}
         self._unbound: Dict[str, Any] = {}
+        #: :meth:`_shared_site`'s memo: field name -> {id(view): (view,
+        #: site contents)}
+        self._sites: Dict[str, Dict[int, Tuple[Any, list]]] = {}
+        self._records = interp.loader._q_rtclass
 
     # -- counters --------------------------------------------------------
 
@@ -1540,7 +1540,27 @@ class CodegenCompiler:
     def _shared_site(self, name, view):
         """The contents ``[view, slot, read function, no-op paths]`` of a
         read or store site of field ``name`` for receivers viewed as
-        ``view`` (the read function of the class's read plan, see
+        ``view``, which a missing site copies into itself.  Memoized per
+        field name and ``id`` of the (interned) view, each entry holding
+        ``(view, contents)`` and hit only on ``entry[0] is view``, so a
+        polymorphic site's refill builds nothing once warm.  With the
+        loader's ``rtclass`` query disabled every call builds again, as a
+        call site then dispatches again (:meth:`call_miss_fn`)."""
+        if not self._records._enabled:
+            return self._build_site(name, view)
+        by_view = self._sites.get(name)
+        if by_view is None:
+            by_view = self._sites[name] = {}
+        entry = by_view.get(id(view))
+        if entry is not None and entry[0] is view:
+            return entry[1]
+        contents = self._build_site(name, view)
+        by_view[id(view)] = (view, contents)
+        return contents
+
+    def _build_site(self, name, view):
+        """Build :meth:`_shared_site`'s contents: the slot and read plan of
+        the view's class (the read function of the plan, see
         :meth:`read_fn`, or ``None`` for none, as always without
         sharing); raises JNS-RUN-003 when the class has no such field."""
         vp = view.path
@@ -1608,12 +1628,11 @@ class CodegenCompiler:
                 if o.__class__ is not Ref:
                     sf(o, name, v)
                     return
-                fill = self._shared_site(name, o.view)
-                o.inst.slots[fill[1]] = v
+                site[:] = self._shared_site(name, o.view)
+                o.inst.slots[site[1]] = v
                 if name in o.view.masks:
                     _remove_mask(o, name)
-                fill[0] = o.view
-                site[:] = fill
+                    site[0] = o.view
 
             fn = self._store_miss[name] = miss
         return fn
@@ -1714,7 +1733,7 @@ class CodegenCompiler:
         bodies = self.devirt_bodies(owner, decl)
         resolve = self.resolve_fn(name)
         traced = self.traced
-        records = self.interp.loader._q_rtclass
+        records = self._records
 
         def miss(site, receiver, nargs):
             view = receiver.view
@@ -1761,7 +1780,7 @@ class CodegenCompiler:
         fn = self._miss_fns.get(name)
         if fn is None:
             resolve = self.resolve_fn(name)
-            records = self.interp.loader._q_rtclass
+            records = self._records
 
             def miss(site, receiver, nargs):
                 self.ic_misses += 1
@@ -1820,18 +1839,42 @@ class CodegenCompiler:
         except (ResolveError, JnsError):
             return None
 
-    def type_test_fn(self, test, t, path):
-        """A cast or ``instanceof`` site of reference type ``t`` in a body
-        for receivers viewed as ``path``, deciding through ``test``
-        (``Interp.cast_value``/``instanceof_value``, and so
-        ``Interp.conforms``): ``fn(v)`` when ``t`` is evaluated at
-        emission, else ``fn(v, frame view)``."""
+    def type_test_fn(self, cast, t, path):
+        """A cast (``cast`` true) or ``instanceof`` site of reference type
+        ``t`` in a body for receivers viewed as ``path``: ``fn(v)`` when
+        ``t`` is evaluated at emission, else ``fn(v, frame view)``, which
+        takes ``Interp.cast_value``/``instanceof_value``.  An object
+        tested against an evaluated type decides through
+        ``Interp.conforms_fn``, bound here once, so a warm test hashes no
+        type; any other value takes the interpreter's method."""
+        interp = self.interp
+        test = interp.cast_value if cast else interp.instanceof_value
         evaled = self._static_type(t, path)
         if evaled is None:
             return lambda v, fv: test(v, t, fv)
+        if isinstance(t.pure(), T.PrimType):
+            # ``o instanceof int`` is false with no conformance test
 
-        def static_test(v):
-            return test(v, t, None, evaled)
+            def static_test(v):
+                return test(v, t, None, evaled)
+
+        elif cast:
+            conforms_to = interp.conforms_fn(evaled)
+
+            def static_test(v):
+                if v.__class__ is Ref:
+                    if conforms_to(v.view):
+                        return v
+                    raise cast_error(v, evaled)
+                return test(v, t, None, evaled)
+
+        else:
+            conforms_to = interp.conforms_fn(evaled)
+
+            def static_test(v):
+                if v.__class__ is Ref:
+                    return conforms_to(v.view)
+                return test(v, t, None, evaled)
 
         static_test._static = True
         return static_test

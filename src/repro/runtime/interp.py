@@ -209,13 +209,16 @@ class Interp:
         # row of Table 1.
         self.queries = QueryEngine("interp")
         q = self.queries.query
-        self._q_conforms = q("conforms")
-        # target -> {id(source view): (source view, the view a lazy view
-        # change moves to, or None for "unchanged")}.  Unbounded: its keys
-        # are the program's evaluated target types and the views that
-        # reach them, both finite, and LRU upkeep would cost a dict pop
-        # per hit.
-        self._q_view_change = q("view_change", maxsize=None, cls=_ViewChangeQuery)
+        # Both queries hold one table per (evaluated) target type, keyed by
+        # the ``id`` of the interned source view and holding that view:
+        # target -> {id(view): (view, result)}.  ``conforms``' result is
+        # whether the view belongs to the target, ``view_change``'s the
+        # view a lazy view change moves to (``None`` for "unchanged").
+        # Unbounded: their keys are the program's evaluated target types
+        # and the views that reach them, both finite, and LRU upkeep would
+        # cost a dict pop per hit.
+        self._q_conforms = q("conforms", maxsize=None, cls=_PerTargetQuery)
+        self._q_view_change = q("view_change", maxsize=None, cls=_PerTargetQuery)
         table.add_edit_listener(self._on_table_edit)
         self._sys = self._build_sys()
         self._max_steps = max_steps
@@ -414,9 +417,9 @@ class Interp:
         plans, dispatch targets), and the records of the affected classes
         (edited classes plus their subclasses).  The two memos embed
         types from the edited classes transitively; they are cheap
-        warm-up state, so they clear in place (counters survive).  The
-        ``view_change`` query empties each per-target table in place too,
-        since kept emitted bodies hold them (:meth:`adapt_fn`).
+        warm-up state, so they clear in place (counters survive).  Both
+        empty each per-target table in place too, since kept emitted
+        bodies hold them (:meth:`conforms_fn`, :meth:`adapt_fn`).
         Codegen's inline-cache sites live in its emitted bodies and go
         with them."""
         if self._cg is not None:
@@ -655,15 +658,63 @@ class Interp:
 
     def conforms(self, view: View, t: Type) -> bool:
         """Whether a value with this view belongs to type ``t`` (already
-        evaluated to non-dependent form)."""
+        evaluated to non-dependent form): the ``conforms`` query, looked
+        up by target, then by the source view's ``id`` (the entry holds
+        the view, and a hit tests it with ``is``, as in
+        :meth:`_view_change`)."""
         t = t.pure()
         if TRACER.enabled:
             TRACER.count("conforms.check")
-        key = (view.path, t)
-        cached = self._q_conforms.get(key)
-        if cached is not MISS:
-            return cached
-        return self._q_conforms.put(key, self._conforms(view.path, t))
+        q = self._q_conforms
+        per_target = q.table.get(t)
+        if per_target is not None:
+            entry = per_target.get(id(view))
+            if entry is not None and entry[0] is view:
+                q.hits += 1
+                return entry[1]
+        q.misses += 1
+        result = self._conforms(view.path, t)
+        if per_target is None:
+            # a no-op put when caches are off: the entry is then dropped
+            per_target = q.put(t, {})
+        per_target[id(view)] = (view, result)
+        return result
+
+    def conforms_fn(self, target: Type) -> Callable[[View], bool]:
+        """``fn(view)``: :meth:`conforms` to ``target``, for the emitted
+        cast and ``instanceof`` sites whose type is evaluated at emission.
+        Like :meth:`adapt_fn`, it binds ``target``'s table of the query,
+        so a warm test is one lookup by the view's ``id`` and hashes no
+        type; a miss takes :meth:`conforms` and binds the table the query
+        then holds (a clear empties the bound one in place).  Traced,
+        profiled and cache-less interpreters get plain :meth:`conforms`,
+        with its ``conforms.check`` count."""
+        t = target.pure()
+        conforms = self.conforms
+        q = self._q_conforms
+        if (
+            TRACER.enabled
+            or PROFILER.enabled
+            or self.line_profile
+            or not q._enabled
+        ):
+            return lambda view: conforms(view, t)
+        tables = q.table
+        per_target = tables.get(t)
+        if per_target is None:
+            per_target = {}  # private and empty: rebound on the first miss
+
+        def conforms_to(view):
+            nonlocal per_target
+            entry = per_target.get(id(view))
+            if entry is None or entry[0] is not view:
+                result = conforms(view, t)
+                per_target = tables.get(t) or per_target
+                return result
+            q.hits += 1
+            return entry[1]
+
+        return conforms_to
 
     def _conforms(self, path: Path, t: Type) -> bool:
         # Single source of truth on the class table (the conformance-set
@@ -697,9 +748,7 @@ class Interp:
         if evaled is None:
             evaled = self._eval_type(t, frame)
         if not self.conforms(v.view, evaled):
-            raise CastError(
-                f"ClassCastException: {path_str(v.view.path)} is not a {evaled!r}"
-            )
+            raise cast_error(v, evaled)
         return v
 
     def _adapt(self, ref: Ref, target: Type) -> Ref:
@@ -918,9 +967,18 @@ class Interp:
         }
 
 
-class _ViewChangeQuery(Query):
-    """The ``view_change`` query, whose per-target tables emitted code
-    binds (:meth:`Interp.adapt_fn`): clearing it (an edit, ``clear_caches``,
+def cast_error(v: Ref, evaled: Type) -> CastError:
+    """The JNS-RUN-005 a cast of object ``v`` to ``evaled`` raises when
+    its view does not conform."""
+    return CastError(
+        f"ClassCastException: {path_str(v.view.path)} is not a {evaled!r}"
+    )
+
+
+class _PerTargetQuery(Query):
+    """The ``conforms`` and ``view_change`` queries, whose per-target
+    tables emitted code binds (:meth:`Interp.conforms_fn`,
+    :meth:`Interp.adapt_fn`): clearing one (an edit, ``clear_caches``,
     turning caches off) empties each of them in place first, so no bound
     table keeps an entry the query dropped."""
 

@@ -17,6 +17,7 @@ Covers the acceptance surface beyond the walker-vs-codegen differential:
   ``specialize.sites_devirtualized`` for receiver-monomorphic names.
 """
 
+import dis
 import sys
 
 import pytest
@@ -1316,3 +1317,198 @@ def test_every_reachable_view_is_interned_after_evolution(backend):
     assert len(refs) > 100 and any(p[0] == "beecorona" for p in paths)
     stray = [r for r in refs if r.view is not intern_view(r.view.path, r.view.masks)]
     assert stray == []
+
+
+# ---------------------------------------------------------------------------
+# warm emitted code: constants from the body's globals, no type hashed, no
+# site rebuilt
+# ---------------------------------------------------------------------------
+
+
+def _warm_driver(name, backend="codegen"):
+    """An interpreter of jolden driver ``name`` after one ``Main.run`` at
+    its small arguments, its ``Main`` and that run's result."""
+    from repro.programs.jolden import BY_NAME
+
+    interp = compile_program(BY_NAME[name].SOURCE).interp(mode="jns", backend=backend)
+    main = interp.new_instance(("Main",), ())
+    return interp, main, interp.call_method(main, "run", list(SMALL_ARGS[name]))
+
+
+def _corona_epoch_interp():
+    """A codegen interpreter after one CorONA epoch: polls and a publish
+    under each family, with the two live evolutions between them."""
+    from repro.programs.corona import CoronaSystem
+
+    system = CoronaSystem(size=8, objects=16, backend="codegen")
+    for family in ("corona", "pccorona", "beecorona"):
+        if family != "corona":
+            system.evolve(family)
+        for start in range(4):
+            [system.fetch(start, key, family) for key in range(0, 16, 3)]
+        system.publish(5, 2, "v2")
+    return system.interp
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ARGS) + ["corona"])
+def test_emitted_bodies_read_constants_from_their_globals(name):
+    """No emitted body takes a keyword-only parameter or a default: its
+    header is ``def _cg_fn(u_this, <params>):`` and every constant it
+    names is a global of the dict it runs in."""
+    if name == "corona":
+        interp = _corona_epoch_interp()
+    else:
+        interp, main, _ = _warm_driver(name)
+        interp.call_method(main, "run", list(SMALL_ARGS[name]))
+    fns = list(interp._cg._fns.values())
+    assert fns
+    for fn in fns:
+        code = fn.__code__
+        assert code.co_kwonlyargcount == 0
+        assert fn.__kwdefaults__ is None and fn.__defaults__ is None
+        loads = {
+            i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"
+        }
+        assert loads <= set(fn.__globals__)
+    for src in interp._cg.sources.values():
+        assert "*" not in src.split("\n", 1)[0]
+
+
+def _count_calls(monkeypatch, owner, attr, seen):
+    """Record each call of ``owner.attr`` (a function) in ``seen``."""
+    fn = getattr(owner, attr)
+
+    def counted(*args):
+        seen.append(attr)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+def test_warm_bh_run_hashes_no_type_and_builds_no_site(monkeypatch):
+    """bh's polymorphic read sites and its casts and ``instanceof`` tests
+    look their answers up by the receiver's view once warm: a second
+    ``Main.run`` hashes no ``Type`` (``conforms`` tables bound at
+    emission) and builds no site (refills copy memoized contents), and
+    it answers as the walker does."""
+    from repro.lang import types as T
+    from repro.runtime.codegen import CodegenCompiler
+
+    walker, _, expected = _warm_driver("bh", backend="walker")
+    interp, main, first = _warm_driver("bh")
+    assert (first, interp.output) == (expected, walker.output)
+    seen = []
+    _count_calls(monkeypatch, CodegenCompiler, "_build_site", seen)
+    for cls in vars(T).values():
+        if isinstance(cls, type) and issubclass(cls, T.Type) and "__hash__" in vars(cls):
+            _count_calls(monkeypatch, cls, "__hash__", seen)
+    q = interp._q_conforms
+    hits = q.hits
+    del interp.output[:]
+    assert interp.call_method(main, "run", list(SMALL_ARGS["bh"])) == expected
+    assert interp.output == walker.output
+    assert seen == [] and q.hits > hits
+
+
+TWO_CLASSES = """
+class A { int x; }
+class B extends A { int y; }
+class Main {
+  int read(A a) { return a.x; }
+  int main() {
+    A a = new A();
+    a.x = 1;
+    B b = new B();
+    b.x = 2;
+    int s = 0;
+    for (int i = 0; i < 6; i++) { s = s + read(a) * 10 + read(b); }
+    return s;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("caches", [True, False])
+def test_polymorphic_read_site_builds_once_per_field_and_view(monkeypatch, caches):
+    """``read``'s one site is fed an ``A`` and a ``B`` in turn, so every
+    read misses and refills it.  The refill copies the contents built
+    once per ``(field, view)``; with caches off every refill builds
+    again, as a call site then dispatches again."""
+    from repro import set_caches_enabled
+    from repro.runtime.codegen import CodegenCompiler
+
+    built = []
+    build = CodegenCompiler._build_site
+
+    def counted(self, name, view):
+        built.append((name, view.path))
+        return build(self, name, view)
+
+    monkeypatch.setattr(CodegenCompiler, "_build_site", counted)
+    set_caches_enabled(caches)
+    try:
+        assert _both(TWO_CLASSES) == (72, [])
+    finally:
+        set_caches_enabled(True)
+        clear_caches()
+    reads = [(("x", ("A",)), 6), (("x", ("B",)), 6)]
+    if caches:
+        # the two stores of ``main`` build the contents the reads reuse
+        assert sorted(built) == [("x", ("A",)), ("x", ("B",))]
+    else:
+        # two stores, then twelve read misses, each building again
+        assert sorted(built) == sorted(
+            [("x", ("A",)), ("x", ("B",))] + [k for k, n in reads for _ in range(n)]
+        )
+
+
+CAST_EDIT = """
+class A { int tag() { return 1; } }
+class B extends A { int tag() { return 2; } }
+class Main {
+  int n;
+  int main() {
+    A a = new B();
+    B b = (B) a;
+    int s = b.tag();
+    if (a instanceof B) { s = s + 10; }
+    return s;
+  }
+}
+"""
+
+
+def test_cleared_conforms_tables_redecide_casts():
+    """The ``conforms`` tables a warm body bound for its cast and
+    ``instanceof`` (one table: both test an object viewed as ``B``
+    against ``B``) are emptied in place by an interface edit and by
+    ``clear_caches``, so the next run decides again (one query miss),
+    with the walker's answers and the walker's hit and miss counts."""
+    from repro.lang.incremental import IncrementalChecker
+    from repro.runtime.interp import Interp
+
+    edited = CAST_EDIT.replace("  int n;", "  String n;")
+    seen = {}
+    for backend in ("walker", "codegen"):
+        inc = IncrementalChecker(CAST_EDIT, file="t.jns")
+        assert not inc.check().has_errors
+        live = Interp(inc.table, backend=backend)
+        q = live._q_conforms
+        runs = [(live.run("Main.main"), q.hits, q.misses) for _ in range(2)]
+        for clear in ("edit", "clear_caches"):
+            held = list(q.table.values())
+            assert held and all(held)
+            if clear == "edit":
+                stats = inc.apply_edit(edited)
+                assert not inc.check().has_errors
+                assert stats["strategy"] == "incremental" and live.table is inc.table
+            else:
+                clear_caches()
+            assert len(q) == 0 and not any(held)
+            runs += [(live.run("Main.main"), q.hits, q.misses) for _ in range(2)]
+            # the first run after the clear misses as a cold one does
+            assert runs[-2][2] - runs[-3][2] == runs[0][2] == 1
+            assert runs[-1][2] == runs[-2][2]
+        seen[backend] = runs
+    assert seen["codegen"] == seen["walker"]
+    assert {r[0] for r in seen["walker"]} == {12}

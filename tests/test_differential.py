@@ -14,6 +14,14 @@ from hypothesis import given, settings, strategies as st
 from repro import compile_program
 
 
+def _examples(pinned):
+    """At least ``pinned`` examples, and the loaded profile's budget when
+    that is larger: tier-1's ``default`` profile keeps each property's
+    pinned count, tier-2's ``fuzz`` profile raises every one to its
+    budget."""
+    return max(pinned, settings.default.max_examples)
+
+
 @st.composite
 def family_programs(draw):
     """A two-family program with randomized sharing structure, plus the
@@ -86,7 +94,8 @@ class Main {{
     return src, expected
 
 
-@settings(max_examples=80, deadline=None)
+@pytest.mark.fuzz
+@settings(max_examples=_examples(80), deadline=None)
 @given(family_programs())
 def test_generated_family_programs(case):
     src, expected = case
@@ -123,7 +132,8 @@ def arithmetic_programs(draw):
     return src, acc
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.fuzz
+@settings(max_examples=_examples(60), deadline=None)
 @given(arithmetic_programs(), st.sampled_from(("java", "jx_cl", "jns")))
 def test_arithmetic_all_modes(case, mode):
     src, expected = case
@@ -177,7 +187,8 @@ class Main {{
     return src, total * 1000 + total * 2
 
 
-@settings(max_examples=40, deadline=None)
+@pytest.mark.fuzz
+@settings(max_examples=_examples(40), deadline=None)
 @given(linked_list_programs())
 def test_linked_lists_through_both_views(case):
     src, expected = case
@@ -242,7 +253,8 @@ def mask_op_sequences(draw):
     return src, bad, value
 
 
-@settings(max_examples=80, deadline=None)
+@pytest.mark.fuzz
+@settings(max_examples=_examples(80), deadline=None)
 @given(mask_op_sequences())
 def test_mask_discipline_static_and_dynamic_agree(case):
     from repro import TypeError_, UninitializedFieldError

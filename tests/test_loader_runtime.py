@@ -163,7 +163,9 @@ class TestRuntimeMisc:
         value = interp.new_instance(("AST", "Value"), (1,))
         t = ClassType(("AST", "Exp"))
         assert interp.conforms(value.view, t)
-        assert (value.view.path, t) in interp.queries.queries["conforms"].table
+        # one table per target, keyed by the id of the source view
+        per_target = interp.queries.queries["conforms"].table[t]
+        assert per_target[id(value.view)] == (value.view, True)
 
     def test_instance_of_exact_type(self, fig123):
         interp = fig123.interp()

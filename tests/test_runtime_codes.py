@@ -155,3 +155,54 @@ def test_unbound_variable(backend):
     with pytest.raises(NoSuchName) as info:
         interp.run("Main.main")
     assert (info.value.code, str(info.value)) == ("JNS-RUN-003", "unbound variable 'y'")
+
+
+#: ``Sys.fail`` two J&s calls deep, with a computed message
+FAIL_SOURCE = """
+class A {
+  int depth;
+  A(int d) { depth = d; }
+  int f(int n) { return g(n + 1); }
+  int g(int n) { Sys.fail("boom " + n + " at " + depth); return n; }
+}
+class Main {
+  int main() { A a = new A(7); Sys.print("before"); return a.f(2); }
+}
+"""
+
+
+@pytest.mark.parametrize("max_depth,expected", [
+    (None, ("JNS-RUN-008", "boom 3 at 7", None, ["before"])),
+    # the depth guard trips on entering ``g``, before ``Sys.fail``; under
+    # codegen the stack labels come from the emitted frames, found by the
+    # interpreter each body holds in its globals
+    (2, ("JNS-RES-002", "J&s call depth limit exceeded (2)",
+         ["Main.main", "A.f", "A.g"], ["before"])),
+])
+def test_sys_fail_raises_its_code_through_interp(max_depth, expected):
+    """JNS-RUN-008: ``Sys.fail`` raises a ``JnsFailure`` with the program's
+    message on both backends.  Only resource errors carry a J&s stack, so
+    the same program one call too deep pins the labels."""
+    from repro.runtime.values import JnsFailure
+
+    assert issubclass(JnsFailure, JnsRuntimeError) and JnsFailure.code == "JNS-RUN-008"
+    seen = {}
+    for backend in BACKENDS:
+        interp = compile_program(FAIL_SOURCE).interp(backend=backend, max_depth=max_depth)
+        with pytest.raises(JnsError) as info:
+            interp.run("Main.main")
+        exc = info.value
+        seen[backend] = (
+            exc.code, str(exc), getattr(exc, "jns_stack", None), interp.output
+        )
+    assert seen["codegen"] == seen["walker"] == expected
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_repro_run_reports_sys_fail(tmp_path, capsys, backend):
+    path = tmp_path / "fail.jns"
+    path.write_text(FAIL_SOURCE)
+    assert main(["run", str(path), "--backend", backend]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["before"]
+    assert captured.err.splitlines() == ["runtime error: boom 3 at 7", "[JNS-RUN-008]"]

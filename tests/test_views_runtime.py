@@ -667,7 +667,8 @@ def test_this_dependent_new_under_two_views():
     (source,) = [s for label, s in interp._codegen().sources.items()
                  if label == "F1.A.make"]
     assert "_alloc((), _k0[0])" in source
-    assert "(u_this)" not in source and "_FV(" not in source
+    body = source.split("\n", 1)[1]  # the lines below the ``def`` header
+    assert "(u_this)" not in body and "_FV(" not in body
 
 
 #: ``X`` inherits ``make`` from two families, so ``F0[this.class]`` is
